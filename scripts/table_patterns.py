@@ -10,39 +10,24 @@ and reports the observed pattern next to the prediction.
 
 import sys
 
-from tschirn.decide import FACTOR_PATTERNS, classify_subfield
+from tschirn.decide import FACTOR_PATTERNS, TABLE_INSTANCES, classify_subfield
 from tschirn.resolvent import CubicTriple
-
-# one nondegenerate instance per table row, keyed like FACTOR_PATTERNS
-INSTANCES = {
-    ("S3", "S3", "TrivialMeet"): ((0, 3, -2), (0, -1, 1)),
-    ("S3", "S3", "QuadraticMeet"): ((0, 0, 2), (0, 0, 3)),
-    ("S3", "S3", "Equal"): ((0, -1, -1), (2, 3, 1)),
-    ("S3", "C3", "TrivialMeet"): ((0, 0, 2), (0, -3, 1)),
-    ("S3", "C2", "NotContains"): ((0, 0, 2), (0, -2, 0)),
-    ("S3", "C2", "ContainsQuadratic"): ((0, 0, 2), (1, 3, 3)),
-    ("S3", "Id", "ProperContains"): ((0, 0, 2), (6, 11, 6)),
-    ("C3", "C3", "TrivialMeet"): ((0, -3, 1), (1, -4, 1)),
-    ("C3", "C3", "Equal"): ((-1, -2, 1), (5, -8, 1)),
-    ("C3", "C2", "TrivialMeet"): ((0, -3, 1), (1, 3, 3)),
-    ("C3", "Id", "ProperContains"): ((0, -3, 1), (6, 11, 6)),
-}
 
 
 def main() -> int:
-    assert set(INSTANCES) == set(FACTOR_PATTERNS)
     header = (f"{'Gal(a)':<7}{'Gal(b)':<7}{'relation':<18}"
               f"{'predicted':<14}{'observed':<14}instance")
     print(header)
     print("-" * len(header))
     failures = 0
-    for key in FACTOR_PATTERNS:
-        a_vals, b_vals = INSTANCES[key]
+    for key, (a_vals, b_vals) in TABLE_INSTANCES.items():
         report = classify_subfield(CubicTriple(*a_vals), CubicTriple(*b_vals))
         observed_key = (report.g_a.tag, report.g_b.tag, report.relation)
-        pred = ",".join(str(d) for d in report.predicted_pattern)
+        pattern = FACTOR_PATTERNS[key]
+        pred = ",".join(str(d) for d in pattern)
         obs = ",".join(str(d) for d in report.observed_pattern)
-        ok = observed_key == key and pred == obs and not report.degenerate
+        ok = (observed_key == key and report.predicted_pattern == pattern
+              and report.observed_pattern == pattern)
         failures += not ok
         print(f"{key[0]:<7}{key[1]:<7}{key[2]:<18}{pred:<14}{obs:<14}"
               f"a={a_vals} b={b_vals}" + ("" if ok else "  MISMATCH"))

@@ -26,6 +26,8 @@ from fractions import Fraction
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?(,.*)?$")
 
 from .decide import (
+    FACTOR_PATTERNS,
+    TABLE_INSTANCES,
     all_rational_transformations,
     classify_subfield,
     decide_same_splitting,
@@ -42,7 +44,7 @@ from .families import (
     reduce_shanks,
     scan_equal_splitting,
 )
-from .fields import QQ, MathDomainError
+from .fields import QQ, MathDomainError, rat_parse
 from .poly import RootTuple, UniPoly
 from .resolvent import (
     CubicTriple,
@@ -65,11 +67,28 @@ _JOBS_ENV = "TSCHIRN_JOBS"
 # --------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one ``error:`` line on stderr, exit code 2."""
+
+    def error(self, message):
+        self.exit(2, f"error: {self.prog}: {message}\n")
+
+
 def _rat(text: str) -> Fraction:
     try:
-        return Fraction(text.strip())
+        return rat_parse(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}") from exc
+        raise argparse.ArgumentTypeError(
+            f"not a rational: {text!r} (expected p or p/q)"
+        ) from exc
+
+
+def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
+    text = os.environ.get(name, str(default))
+    try:
+        return int(text)
+    except ValueError:
+        parser.error(f"${name} must be an integer, got {text!r}")
 
 
 def _rat_list(text: str) -> tuple:
@@ -204,6 +223,8 @@ def _cmd_resolvent(parser, ns) -> int:
 
 def _cmd_factor(parser, ns) -> int:
     f = UniPoly(QQ, ns.coeffs)
+    if not f:
+        parser.error("cannot factor the zero polynomial")
     fac = factor_over_Q(f)
     result = {
         "input": str(f),
@@ -362,7 +383,7 @@ def _cmd_family(parser, ns) -> int:
 
 
 def _cmd_scan(parser, ns) -> int:
-    jobs = ns.jobs if ns.jobs is not None else int(os.environ.get(_JOBS_ENV, "1"))
+    jobs = ns.jobs if ns.jobs is not None else _env_int(parser, _JOBS_ENV, 1)
     res = scan_equal_splitting((ns.m_min, ns.m_max), ns.n_max, jobs=jobs)
     lines = [f"pair = {m},{n}" for m, n in res.pairs]
     lines += [f"class = {','.join(str(x) for x in cls)}" for cls in res.classes]
@@ -462,26 +483,12 @@ def _check_perturbation_detected() -> bool:
     return honest == oracle and corrupted != oracle
 
 
-_TABLE_CASES = (
-    ((0, 3, -2), (0, -1, 1), ("S3", "S3", "TrivialMeet"), (6,)),
-    ((0, 0, 2), (0, 0, 3), ("S3", "S3", "QuadraticMeet"), (3, 3)),
-    ((0, -1, -1), (2, 3, 1), ("S3", "S3", "Equal"), (1, 2, 3)),
-    ((0, 3, -2), (0, -3, 1), ("S3", "C3", "TrivialMeet"), (6,)),
-    ((0, 0, 2), (0, -2, 0), ("S3", "C2", "NotContains"), (6,)),
-    ((0, 0, 2), (1, 3, 3), ("S3", "C2", "ContainsQuadratic"), (3, 3)),
-    ((0, 3, -2), (6, 11, 6), ("S3", "Id", "ProperContains"), (6,)),
-    ((0, -3, 1), (1, -4, 1), ("C3", "C3", "TrivialMeet"), (3, 3)),
-    ((-1, -2, 1), (5, -8, 1), ("C3", "C3", "Equal"), (1, 1, 1, 3)),
-    ((0, -3, 1), (1, 3, 3), ("C3", "C2", "TrivialMeet"), (6,)),
-    ((0, -3, 1), (6, 11, 6), ("C3", "Id", "ProperContains"), (3, 3)),
-)
-
-
 def _check_table_rows() -> bool:
-    for a_vals, b_vals, key, pattern in _TABLE_CASES:
+    for key, (a_vals, b_vals) in TABLE_INSTANCES.items():
         report = classify_subfield(CubicTriple(*a_vals), CubicTriple(*b_vals))
         if (report.g_a.tag, report.g_b.tag, report.relation) != key:
             return False
+        pattern = FACTOR_PATTERNS[key]
         if report.degenerate or report.predicted_pattern != pattern:
             return False
         if report.observed_pattern != pattern:
@@ -500,9 +507,9 @@ def _check_scan(jobs: int) -> bool:
 
 
 def _cmd_selftest(parser, ns) -> int:
-    seed = int(os.environ.get(_SEED_ENV, "0"))
+    seed = _env_int(parser, _SEED_ENV, 0)
     rng = random.Random(seed)
-    jobs = ns.jobs if ns.jobs is not None else int(os.environ.get(_JOBS_ENV, "1"))
+    jobs = ns.jobs if ns.jobs is not None else _env_int(parser, _JOBS_ENV, 1)
     checks = [
         ("invariant-identity", lambda: _check_invariant_identity(rng)),
         ("oracle-vs-resolvents", lambda: _check_oracle(rng)),
@@ -535,7 +542,7 @@ def _cmd_selftest(parser, ns) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tschirn",
         description="Exact splitting-field decisions for cubics over Q via "
                     "Tschirnhausen resolvents.",

@@ -48,6 +48,22 @@ FACTOR_PATTERNS = {
     ("C3", "Id", "ProperContains"): (3, 3),
 }
 
+#: One nondegenerate instance (a, b) per table row, keyed like
+#: FACTOR_PATTERNS; ``selftest`` and ``scripts/table_patterns.py`` run them.
+TABLE_INSTANCES = {
+    ("S3", "S3", "TrivialMeet"): ((0, 3, -2), (0, -1, 1)),
+    ("S3", "S3", "QuadraticMeet"): ((0, 0, 2), (0, 0, 3)),
+    ("S3", "S3", "Equal"): ((0, -1, -1), (2, 3, 1)),
+    ("S3", "C3", "TrivialMeet"): ((0, 0, 2), (0, -3, 1)),
+    ("S3", "C2", "NotContains"): ((0, 0, 2), (0, -2, 0)),
+    ("S3", "C2", "ContainsQuadratic"): ((0, 0, 2), (1, 3, 3)),
+    ("S3", "Id", "ProperContains"): ((0, 0, 2), (6, 11, 6)),
+    ("C3", "C3", "TrivialMeet"): ((0, -3, 1), (1, -4, 1)),
+    ("C3", "C3", "Equal"): ((-1, -2, 1), (5, -8, 1)),
+    ("C3", "C2", "TrivialMeet"): ((0, -3, 1), (1, 3, 3)),
+    ("C3", "Id", "ProperContains"): ((0, -3, 1), (6, 11, 6)),
+}
+
 RELATIONS = (
     "Equal",
     "ProperContains",

@@ -4,11 +4,14 @@ extraction, and exact square testing.
 Over F_p: squarefree decomposition (with the p-th-root step), distinct-degree
 splitting, then Cantor–Zassenhaus equal-degree splitting driven by a PRNG
 seeded deterministically from the input, so output is reproducible.  p = 2
-falls back to exhaustive trial division (degrees here are <= 6).
+falls back to exhaustive trial division (degrees here are <= 6).  This core
+works on the int lists of ``zpoly``; ``factor_over_Fp`` converts from and
+to ``UniPoly`` only at its entry and exit.
 
 Over Q: clear denominators to a primitive integer polynomial, monicize,
-squarefree-split by Yun's algorithm, factor the image modulo a good prime,
-Hensel-lift (quadratic steps, binary factor tree) above the Landau–Mignotte
+squarefree-split by Yun's algorithm, factor the image modulo a good prime
+with the int-list F_p core, Hensel-lift (quadratic steps, binary factor
+tree, ``zpoly`` arithmetic modulo p^(2^i)) above the Landau–Mignotte
 coefficient bound, and recombine factor subsets exhaustively.
 """
 
@@ -20,22 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .fields import QQ, PrimeField, is_prime
+from . import zpoly
+from .fields import QQ, PrimeField, field_of, is_prime
 from .poly import UniPoly, poly_discriminant, poly_gcd
 
 # --------------------------------------------------------------------------
 # Factorization container.
 # --------------------------------------------------------------------------
-
-
-def _coeff_sort_val(c):
-    if isinstance(c, Fraction):
-        return c
-    return getattr(c, "val", None) if hasattr(c, "val") else tuple(c.coeffs)
-
-
-def _poly_sort_key(g: UniPoly):
-    return (g.degree, tuple(_coeff_sort_val(c) for c in g.coeffs))
 
 
 @dataclass(frozen=True)
@@ -47,9 +41,7 @@ class Factorization:
     factors: tuple  # of (UniPoly, int)
 
     def expand(self) -> UniPoly:
-        field = (
-            self.factors[0][0].field if self.factors else _field_of_unit(self.unit)
-        )
+        field = self.factors[0][0].field if self.factors else field_of(self.unit)
         out = UniPoly.constant(field, self.unit)
         for g, m in self.factors:
             out = out * g**m
@@ -66,130 +58,121 @@ class Factorization:
         return iter(self.factors)
 
 
-def _field_of_unit(u):
-    if isinstance(u, (int, Fraction)):
-        return QQ
-    return u.field
-
-
-def _sorted_factors(d: dict) -> tuple:
-    return tuple(sorted(d.items(), key=lambda kv: _poly_sort_key(kv[0])))
-
-
 # --------------------------------------------------------------------------
-# Factorization over F_p.
+# Factorization over F_p, on int lists (see zpoly).
 # --------------------------------------------------------------------------
 
 
-def _powmod(base: UniPoly, e: int, mod: UniPoly) -> UniPoly:
-    result = UniPoly.one(base.field)
-    base = base % mod
-    while e:
-        if e & 1:
-            result = result * base % mod
-        base = base * base % mod
-        e >>= 1
-    return result
-
-
-def _pth_root_fp(f: UniPoly) -> UniPoly:
+def _pth_root_fp(f: list, p: int) -> list:
     """For f with f' = 0 over F_p: the unique h with h(X)^p = f(X).
     (Coefficients of F_p are their own p-th roots.)"""
-    p = f.field.p
-    return UniPoly(f.field, [f.coeffs[i] for i in range(0, len(f.coeffs), p)])
+    return f[::p]
 
 
-def _squarefree_decompose_fp(f: UniPoly) -> dict:
-    """Monic f over F_p -> {squarefree monic part: multiplicity}."""
-    p = f.field.p
+def _squarefree_decompose_fp(f: list, p: int) -> dict:
+    """Monic f over F_p -> {squarefree monic part (tuple): multiplicity}."""
     out: dict = {}
-    if f.degree == 0:
+    if len(f) <= 1:
         return out
-    df = f.derivative()
+    df = zpoly.mod([i * f[i] for i in range(1, len(f))], p)
     if not df:
-        for g, m in _squarefree_decompose_fp(_pth_root_fp(f)).items():
+        for g, m in _squarefree_decompose_fp(_pth_root_fp(f, p), p).items():
             out[g] = out.get(g, 0) + m * p
         return out
-    c = poly_gcd(f, df)
-    w = f // c
+    c = zpoly.gcd(f, df, p)
+    w = zpoly.divmod_mod(f, c, p)[0]
     i = 1
-    while w.degree > 0:
-        y = poly_gcd(w, c)
-        z = w // y
-        if z.degree > 0:
-            out[z.monic()] = out.get(z.monic(), 0) + i
+    while len(w) > 1:
+        y = zpoly.gcd(w, c, p)
+        z = tuple(zpoly.divmod_mod(w, y, p)[0])
+        if len(z) > 1:
+            out[z] = out.get(z, 0) + i
         w = y
-        c = c // y
+        c = zpoly.divmod_mod(c, y, p)[0]
         i += 1
-    if c.degree > 0:
-        for g, m in _squarefree_decompose_fp(_pth_root_fp(c)).items():
+    if len(c) > 1:
+        for g, m in _squarefree_decompose_fp(_pth_root_fp(c, p), p).items():
             out[g] = out.get(g, 0) + m * p
     return out
 
 
-def _trial_division_fp(f: UniPoly) -> list:
+def _trial_division_fp(f: list, p: int) -> list:
     """Exhaustive factorization of monic squarefree f (used for p = 2)."""
-    p = f.field.p
-    F = f.field
     out = []
     d = 1
-    while 2 * d <= f.degree:
+    while 2 * d <= len(f) - 1:
         for j in range(p**d):
-            coeffs, v = [], j
+            cand, v = [], j
             for _ in range(d):
-                coeffs.append(v % p)
+                cand.append(v % p)
                 v //= p
-            cand = UniPoly(F, coeffs + [1])
-            if not f % cand:
+            cand.append(1)
+            q, r = zpoly.divmod_mod(f, cand, p)
+            if not r:
                 out.append(cand)
-                f = f // cand
-                if 2 * d > f.degree:
+                f = q
+                if 2 * d > len(f) - 1:
                     break
         d += 1
-    if f.degree > 0:
+    if len(f) > 1:
         out.append(f)
     return out
 
 
-def _distinct_degree_fp(f: UniPoly) -> list:
+def _distinct_degree_fp(f: list, p: int) -> list:
     """Monic squarefree f -> [(product of irreducibles of degree d, d)]."""
-    p = f.field.p
-    x = UniPoly.X(f.field)
+    x = [0, 1]
     out = []
     h = x
     v = f
     d = 0
-    while v.degree >= 2 * (d + 1):
+    while len(v) - 1 >= 2 * (d + 1):
         d += 1
-        h = _powmod(h, p, v)
-        g = poly_gcd(v, h - x)
-        if g.degree > 0:
+        h = zpoly.powmod(h, p, v, p)
+        g = zpoly.gcd(v, zpoly.sub(h, x, p), p)
+        if len(g) > 1:
             out.append((g, d))
-            v = v // g
-            h = h % v
-    if v.degree > 0:
-        out.append((v, v.degree))
+            v = zpoly.divmod_mod(v, g, p)[0]
+            h = zpoly.divmod_mod(h, v, p)[1]
+    if len(v) > 1:
+        out.append((v, len(v) - 1))
     return out
 
 
-def _equal_degree_split_fp(f: UniPoly, d: int, rng: random.Random) -> list:
+def _equal_degree_split_fp(f: list, d: int, p: int, rng: random.Random) -> list:
     """Cantor–Zassenhaus split of a product of degree-d irreducibles, p odd."""
-    if f.degree == d:
+    if len(f) - 1 == d:
         return [f]
-    p = f.field.p
-    F = f.field
     exponent = (p**d - 1) // 2
     while True:
-        r = UniPoly(F, [rng.randrange(p) for _ in range(f.degree)])
-        if r.degree < 1:
+        r = zpoly.trim([rng.randrange(p) for _ in range(len(f) - 1)])
+        if len(r) < 2:
             continue
-        g = poly_gcd(f, r)
-        if g.degree == 0:
-            g = poly_gcd(f, _powmod(r, exponent, f) - 1)
-        if 0 < g.degree < f.degree:
-            return _equal_degree_split_fp(g.monic(), d, rng) + _equal_degree_split_fp(
-                (f // g).monic(), d, rng
+        g = zpoly.gcd(f, r, p)
+        if len(g) == 1:
+            g = zpoly.gcd(f, zpoly.sub(zpoly.powmod(r, exponent, f, p), [1], p), p)
+        if 1 < len(g) < len(f):
+            return _equal_degree_split_fp(g, d, p, rng) + _equal_degree_split_fp(
+                zpoly.divmod_mod(f, g, p)[0], d, p, rng
             )
+
+
+def _factor_fp(f: list, p: int) -> list:
+    """Monic f over F_p of degree >= 1 -> [(monic irreducible as an int
+    tuple, multiplicity)], sorted by (degree, coefficients)."""
+    rng = random.Random(f"fp:{p}:" + ",".join(str(c) for c in f))
+    found: dict = {}
+    for piece, mult in _squarefree_decompose_fp(f, p).items():
+        if p == 2:
+            irreducibles = _trial_division_fp(piece, p)
+        else:
+            irreducibles = []
+            for prod, d in _distinct_degree_fp(piece, p):
+                irreducibles.extend(_equal_degree_split_fp(prod, d, p, rng))
+        for h in irreducibles:
+            h = tuple(h)
+            found[h] = found.get(h, 0) + mult
+    return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def factor_over_Fp(f: UniPoly) -> Factorization:
@@ -199,104 +182,23 @@ def factor_over_Fp(f: UniPoly) -> Factorization:
     F = f.field
     if not isinstance(F, PrimeField):
         raise TypeError("factor_over_Fp expects a polynomial over a prime field")
-    unit = f.lc
-    g = f.monic()
-    if g.degree == 0:
-        return Factorization(unit, ())
-    seed = f"fp:{F.p}:" + ",".join(str(c.val) for c in g.coeffs)
-    rng = random.Random(seed)
-    found: dict = {}
-    for piece, mult in _squarefree_decompose_fp(g).items():
-        if F.p == 2:
-            irreducibles = _trial_division_fp(piece)
-        else:
-            irreducibles = []
-            for prod, d in _distinct_degree_fp(piece):
-                irreducibles.extend(_equal_degree_split_fp(prod, d, rng))
-        for h in irreducibles:
-            h = h.monic()
-            found[h] = found.get(h, 0) + mult
-    return Factorization(unit, _sorted_factors(found))
+    if f.degree == 0:
+        return Factorization(f.lc, ())
+    g = zpoly.monic([c.val for c in f.coeffs], F.p)
+    factors = tuple((UniPoly(F, h), m) for h, m in _factor_fp(g, F.p))
+    return Factorization(f.lc, factors)
 
 
 # --------------------------------------------------------------------------
-# Integer polynomial helpers (ascending int lists) for Hensel lifting.
+# Factorization over Q: Hensel lifting and recombination on int lists.
 # --------------------------------------------------------------------------
 
 
-def _zt(a: list) -> list:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _zmod(a, m: int) -> list:
-    return _zt([c % m for c in a])
-
-
-def _zadd(a, b) -> list:
-    n = max(len(a), len(b))
-    return _zt(
-        [(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _zsub(a, b) -> list:
-    n = max(len(a), len(b))
-    return _zt(
-        [(a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0) for i in range(n)]
-    )
-
-
-def _zmul(a, b) -> list:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _zt(out)
-
-
-def _zdivmod_monic(a, b, m=None):
-    """Divide by monic b; arithmetic mod m when given, else over Z."""
-    a = list(a)
-    if m is not None:
-        a = [c % m for c in a]
-    q = [0] * max(0, len(a) - len(b) + 1)
-    while True:
-        _zt(a)
-        if len(a) < len(b):
-            break
-        k = len(a) - len(b)
-        coef = a[-1]
-        q[k] = coef if m is None else coef % m
-        for i, bi in enumerate(b):
-            a[k + i] -= coef * bi
-            if m is not None:
-                a[k + i] %= m
-    return _zt(q), a
-
-
-def _fp_bezout(g: UniPoly, h: UniPoly):
-    """s, t over F_p with s·g + t·h = 1, deg s < deg h, deg t < deg g."""
-    F = g.field
-    r0, r1 = g, h
-    s0, s1 = UniPoly.one(F), UniPoly.zero(F)
-    while r1:
-        q, r = divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    assert r0.degree == 0, "factors not coprime mod p (image not squarefree)"
-    s = s0 / r0.lc
-    s = s % h
-    t = (UniPoly.one(F) - s * g) // h
-    return s, t
-
-
-def _to_int_list(f: UniPoly) -> list:
-    return [c.val for c in f.coeffs]
+def _product(polys, m: int) -> list:
+    out = [1]
+    for g in polys:
+        out = zpoly.mul(out, g, m)
+    return out
 
 
 def _hensel_step(f, g, h, s, t, m: int):
@@ -306,14 +208,15 @@ def _hensel_step(f, g, h, s, t, m: int):
     deg s < deg h, deg t < deg g.  All polynomials are int lists.
     """
     M = m * m
-    e = _zmod(_zsub(f, _zmul(g, h)), M)
-    q, r = _zdivmod_monic(_zmod(_zmul(s, e), M), h, M)
-    g1 = _zmod(_zadd(_zadd(g, _zmul(t, e)), _zmul(q, g)), M)
-    h1 = _zmod(_zadd(h, r), M)
-    b = _zmod(_zsub(_zadd(_zmul(s, g1), _zmul(t, h1)), [1]), M)
-    c, d = _zdivmod_monic(_zmod(_zmul(s, b), M), h1, M)
-    s1 = _zmod(_zsub(s, d), M)
-    t1 = _zmod(_zsub(_zsub(t, _zmul(t, b)), _zmul(c, g1)), M)
+    add, sub, mul = zpoly.add, zpoly.sub, zpoly.mul
+    e = sub(f, mul(g, h, M), M)
+    q, r = zpoly.divmod_mod(mul(s, e, M), h, M)
+    g1 = add(add(g, mul(t, e, M), M), mul(q, g, M), M)
+    h1 = add(h, r, M)
+    b = sub(add(mul(s, g1, M), mul(t, h1, M), M), [1], M)
+    c, d = zpoly.divmod_mod(mul(s, b, M), h1, M)
+    s1 = sub(s, d, M)
+    t1 = sub(sub(t, mul(t, b, M), M), mul(c, g1, M), M)
     assert g1 and g1[-1] == 1 and h1 and h1[-1] == 1, "Hensel step broke monicity"
     return g1, h1, s1, t1
 
@@ -327,29 +230,19 @@ def _lift_pair(f, g0, h0, s0, t0, p: int, m_final: int):
     return g, h
 
 
-def _hensel_tree(slice_, mod_factors, Fp, p: int, m_final: int) -> list:
-    """Lift every factor in the binary product tree to modulus m_final."""
+def _hensel_tree(f: list, mod_factors: list, p: int, m_final: int) -> list:
+    """Lift every factor in the binary product tree to modulus m_final
+    (f is reduced modulo m_final and ≡ Π mod_factors modulo p)."""
     if len(mod_factors) == 1:
-        return [_zmod(slice_, m_final)]
+        return [f]
     half = len(mod_factors) // 2
-    g0 = UniPoly.one(Fp)
-    for fac in mod_factors[:half]:
-        g0 = g0 * fac
-    h0 = UniPoly.one(Fp)
-    for fac in mod_factors[half:]:
-        h0 = h0 * fac
-    s, t = _fp_bezout(g0, h0)
-    g, h = _lift_pair(
-        _zmod(slice_, m_final),
-        _to_int_list(g0),
-        _to_int_list(h0),
-        _to_int_list(s),
-        _to_int_list(t),
-        p,
-        m_final,
-    )
-    return _hensel_tree(g, mod_factors[:half], Fp, p, m_final) + _hensel_tree(
-        h, mod_factors[half:], Fp, p, m_final
+    g0 = _product(mod_factors[:half], p)
+    h0 = _product(mod_factors[half:], p)
+    one, s, t = zpoly.xgcd(g0, h0, p)
+    assert one == [1], "factors not coprime mod p (image not squarefree)"
+    g, h = _lift_pair(f, g0, h0, s, t, p, m_final)
+    return _hensel_tree(g, mod_factors[:half], p, m_final) + _hensel_tree(
+        h, mod_factors[half:], p, m_final
     )
 
 
@@ -373,9 +266,7 @@ def _factor_monic_int_squarefree(H: list) -> list:
     disc = poly_discriminant(HQ)
     assert disc.denominator == 1 and disc != 0
     p = _good_prime(disc.numerator)
-    Fp = PrimeField(p)
-    Hp = UniPoly(Fp, H)
-    modular = [g for g, _ in factor_over_Fp(Hp).factors]
+    modular = [g for g, _ in _factor_fp([c % p for c in H], p)]
     if len(modular) == 1:
         return [H]
     # Landau–Mignotte: coefficients of any monic factor are bounded by
@@ -384,7 +275,7 @@ def _factor_monic_int_squarefree(H: list) -> list:
     m_final = p
     while m_final < 2 * bound + 1:
         m_final *= m_final
-    lifted = _hensel_tree(H, modular, Fp, p, m_final)
+    lifted = _hensel_tree(zpoly.mod(H, m_final), modular, p, m_final)
 
     result = []
     remaining = list(range(len(lifted)))
@@ -393,11 +284,9 @@ def _factor_monic_int_squarefree(H: list) -> list:
     while 2 * k <= len(remaining):
         found = False
         for subset in combinations(remaining, k):
-            cand = [1]
-            for i in subset:
-                cand = _zmod(_zmul(cand, lifted[i]), m_final)
+            cand = _product([lifted[i] for i in subset], m_final)
             cand = [_center(c, m_final) for c in cand]
-            q, r = _zdivmod_monic(current, cand)
+            q, r = zpoly.divmod_monic(current, cand)
             if not r:
                 result.append(cand)
                 current = q
@@ -470,7 +359,8 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     for piece, mult in _yun_squarefree_q(g):
         for h in _factor_squarefree_q(piece):
             found[h] = found.get(h, 0) + mult
-    return Factorization(unit, _sorted_factors(found))
+    factors = sorted(found.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
+    return Factorization(unit, tuple(factors))
 
 
 # --------------------------------------------------------------------------

@@ -7,7 +7,8 @@ Every computation in this package is exact.  Three kinds of scalars occur:
   denominator) is guaranteed by the class itself.
 * ``FpElement`` — elements of a prime field F_p, p a machine-word prime.
 * ``GFElement`` — elements of a small extension GF(p^k), k <= 6, represented
-  as polynomials over F_p modulo a fixed irreducible modulus.
+  as polynomials over F_p modulo a fixed irreducible modulus; their
+  arithmetic runs on the int-list kernel in ``zpoly``.
 
 Fields are lightweight descriptor objects (``QQ``, ``PrimeField(p)``,
 ``ExtField(p, k, modulus)``) that coerce integers via ``field(n)`` and expose
@@ -18,6 +19,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+
+from . import zpoly
 
 Rat = Fraction
 
@@ -270,75 +273,13 @@ class FpElement:
 # --------------------------------------------------------------------------
 
 
-def _fp_poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _fp_poly_mul(a, b, p):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_poly_trim(out)
-
-
-def _fp_poly_divmod(a, b, p):
-    """Quotient and remainder of int-list polynomials over F_p (b nonzero)."""
-    a = list(a)
-    db, lb = len(b) - 1, b[-1]
-    inv_lb = pow(lb, -1, p)
-    q = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and _fp_poly_trim(a):
-        da = len(a) - 1
-        if da < db:
-            break
-        coef = a[-1] * inv_lb % p
-        q[da - db] = coef
-        for i in range(db + 1):
-            a[da - db + i] = (a[da - db + i] - coef * b[i]) % p
-        _fp_poly_trim(a)
-    return _fp_poly_trim(q), a
-
-
-def _fp_poly_gcd(a, b, p):
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _fp_poly_divmod(a, b, p)[1]
-    if a:
-        inv = pow(a[-1], -1, p)
-        a = [c * inv % p for c in a]
-    return a
-
-
-def _fp_poly_powmod(base, e: int, mod, p):
-    """base^e modulo the int-list polynomial ``mod`` over F_p."""
-    result = [1]
-    base = _fp_poly_divmod(base, mod, p)[1]
-    while e:
-        if e & 1:
-            result = _fp_poly_divmod(_fp_poly_mul(result, base, p), mod, p)[1]
-        base = _fp_poly_divmod(_fp_poly_mul(base, base, p), mod, p)[1]
-        e >>= 1
-    return result
-
-
-def _fp_poly_irreducible(f, p) -> bool:
+def _irreducible_mod_p(f, p) -> bool:
     """Monic f of degree k is irreducible over F_p iff it shares no factor
     with X^{p^d} - X for any d <= k/2 (catches every factor of degree <= k/2)."""
-    k = len(f) - 1
-    if k == 1:
-        return True
-    for d in range(1, k // 2 + 1):
-        xpd = _fp_poly_powmod([0, 1], p**d, f, p)
-        diff = list(xpd) + [0] * (2 - len(xpd))
-        diff[1] = (diff[1] - 1) % p
-        g = _fp_poly_gcd(f, _fp_poly_trim(diff), p)
-        if len(g) - 1 > 0:
+    h = [0, 1]
+    for _ in range((len(f) - 1) // 2):
+        h = zpoly.powmod(h, p, f, p)
+        if len(zpoly.gcd(f, zpoly.sub(h, [0, 1], p), p)) > 1:
             return False
     return True
 
@@ -356,7 +297,7 @@ class ExtField:
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree k")
-        if not _fp_poly_irreducible(list(modulus), p):
+        if not _irreducible_mod_p(modulus, p):
             raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.k = k
@@ -381,7 +322,7 @@ class ExtField:
             coeffs = [x % self.p] + [0] * (self.k - 1)
             return GFElement(self, tuple(coeffs))
         if isinstance(x, (list, tuple)):
-            r = _fp_poly_divmod([c % self.p for c in x], list(self.modulus), self.p)[1]
+            r = zpoly.divmod_mod(zpoly.mod(x, self.p), self.modulus, self.p)[1]
             return GFElement(self, tuple(r) + (0,) * (self.k - len(r)))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p}^{self.k})")
 
@@ -468,8 +409,8 @@ class GFElement:
         if o is NotImplemented:
             return NotImplemented
         fld = self.field
-        prod = _fp_poly_mul(list(self.coeffs), list(o.coeffs), fld.p)
-        r = _fp_poly_divmod(prod, list(fld.modulus), fld.p)[1]
+        prod = zpoly.mul(self.coeffs, o.coeffs, fld.p)
+        r = zpoly.divmod_mod(prod, fld.modulus, fld.p)[1]
         return GFElement(fld, tuple(r) + (0,) * (fld.k - len(r)))
 
     __rmul__ = __mul__
@@ -483,24 +424,9 @@ class GFElement:
         fld = self.field
         if not self:
             raise ZeroDivisionError(f"inverse of 0 in {fld!r}")
-        # Extended Euclid on int-list polynomials over F_p.
-        r0, r1 = list(fld.modulus), _fp_poly_trim(list(self.coeffs))
-        s0, s1 = [], [1]
-        p = fld.p
-        while r1:
-            q, rem = _fp_poly_divmod(r0, r1, p)
-            r0, r1 = r1, rem
-            qs1 = _fp_poly_mul(q, s1, p)
-            new_s = [0] * max(len(s0), len(qs1))
-            for i, c in enumerate(s0):
-                new_s[i] = c
-            for i, c in enumerate(qs1):
-                new_s[i] = (new_s[i] - c) % p
-            s0, s1 = s1, _fp_poly_trim(new_s)
-        assert len(r0) == 1  # gcd with an irreducible modulus is a unit
-        inv_lead = pow(r0[0], -1, p)
-        s0 = [c * inv_lead % p for c in s0]
-        return fld(s0)
+        g, _, t = zpoly.xgcd(fld.modulus, self.coeffs, fld.p)
+        assert g == [1]  # gcd with an irreducible modulus is a unit
+        return fld(t)
 
     def __truediv__(self, other):
         o = self._lift(other)
@@ -567,6 +493,6 @@ def gf_build(p: int, k: int, seed: int) -> ExtField:
             coeffs.append(v % p)
             v //= p
         candidate = coeffs + [1]
-        if _fp_poly_irreducible(candidate, p):
+        if _irreducible_mod_p(candidate, p):
             return ExtField(p, k, tuple(candidate))
     raise RuntimeError(f"no irreducible of degree {k} over F_{p} found (bug)")

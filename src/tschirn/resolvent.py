@@ -34,6 +34,7 @@ from .factorq import factor_over_Q, is_square_rat
 from .fields import QQ, MathDomainError, field_of
 from .poly import (
     RootTuple,
+    _det3,
     UniPoly,
     lagrange_interpolate,
     poly_discriminant,
@@ -154,12 +155,7 @@ def tschirn_image(s: CubicTriple, coeffs, field=None) -> CubicTriple:
         + m[1][1] * m[2][2]
         - m[1][2] * m[2][1]
     )
-    det = (
-        m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-        - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-        + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-    )
-    return CubicTriple(tr, minors, det)
+    return CubicTriple(tr, minors, _det3(field, m))
 
 
 # --------------------------------------------------------------------------

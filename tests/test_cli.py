@@ -318,6 +318,37 @@ class TestPlumbing:
                 cli.main(argv)
             assert info.value.code == 2, argv
 
+    def test_one_line_errors_exit_two(self, capsys, monkeypatch):
+        cases = [
+            ({}, ["factor", "--coeffs", "0"]),
+            ({}, ["factor", "--coeffs", "0,0"]),
+            ({"TSCHIRN_JOBS": "two"},
+             ["scan", "--m-min", "0", "--m-max", "1", "--n-max", "10"]),
+            ({"TSCHIRN_SEED": "1.5"}, ["selftest"]),
+        ]
+        for text in ("1.5", "1e3", "1/0"):
+            cases.append(({}, ["decide-iso", "--a", f"{text},2,3",
+                               "--b", "0,0,2"]))
+        for env, argv in cases:
+            with monkeypatch.context() as mp:
+                for name, value in env.items():
+                    mp.setenv(name, value)
+                with pytest.raises(SystemExit) as info:
+                    cli.main(argv)
+            assert info.value.code == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), argv
+
+    def test_error_exit_has_no_traceback(self):
+        proc = subprocess.run(
+            [sys.executable, "-m", "tschirn", "factor", "--coeffs", "0,0"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: tschirn: cannot factor the zero polynomial\n"
+
     def test_module_entry_point(self):
         proc = subprocess.run(
             [sys.executable, "-m", "tschirn", "decide-iso",
