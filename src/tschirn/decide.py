@@ -326,45 +326,38 @@ def _avoid_zero_A(a: CubicTriple):
 def _stitch(a: CubicTriple, hop_a, core: TschirnCoeffs, b: CubicTriple, hop_b):
     """Compose hop_a (a -> a'), core (a' -> b') and the inverse of hop_b
     (b -> b') into a single witness from a to b."""
-    coeffs = core
+    w = core
     if hop_a is not None:
-        coeffs = compose_transformations(a, hop_a, coeffs)
+        w = compose_transformations(a, hop_a, w)
     if hop_b is not None:
-        back = invert_transformation(b, hop_b)
-        coeffs = compose_transformations(a, coeffs, back)
-    w = coeffs if isinstance(coeffs, TschirnCoeffs) else TschirnCoeffs(*coeffs)
+        w = compose_transformations(a, w, invert_transformation(b, hop_b))
     if not verify_transformation(a, b, w):
         raise MathDomainError("composed witness failed verification")
     return w
 
 
-def _decide_reducible(a: CubicTriple, b: CubicTriple):
-    """Same-splitting-field test when both cubics are reducible: splitting
-    fields are Q or a quadratic field, compared directly."""
-    ga, gb = galois_type(a), galois_type(b)
-    if ga.tag != gb.tag:
+def _decide_reducible(a: CubicTriple, b: CubicTriple, ra: list, rb: list):
+    """Same-splitting-field test for separable cubics, at least one of them
+    reducible, from their rational roots ra and rb.  Splitting fields of
+    degree 3 or 6 (no root), 2 (one root) and 1 (three roots) never agree;
+    fields of equal degree 1 or 2 are compared directly."""
+    if len(ra) != len(rb):
         return False, None
-    if ga.tag == "Id":
-        xs = rational_roots(a.poly())
-        ys = rational_roots(b.poly())
-        u = lagrange_interpolate(QQ, tuple(zip(xs, ys)))
+    if len(ra) == 3:
+        u = lagrange_interpolate(QQ, tuple(zip(ra, rb)))
         w = TschirnCoeffs(u[0], u[1], u[2])
         if not verify_transformation(a, b, w):
             raise MathDomainError("split-cubic witness failed verification")
         return True, w
-    da = cubic_invariants(a).D
-    db = cubic_invariants(b).D
-    if is_square_rat(da * db) is None:
+    if is_square_rat(cubic_invariants(a).D * cubic_invariants(b).D) is None:
         return False, None
-    return True, _quadratic_pair_witness(a, b)
+    return True, _quadratic_pair_witness(a, b, ra[0], rb[0])
 
 
-def _quadratic_pair_witness(a: CubicTriple, b: CubicTriple) -> TschirnCoeffs:
+def _quadratic_pair_witness(a: CubicTriple, b: CubicTriple, r_a, r_b):
     """Witness between two cubics that each factor as linear x irreducible
-    quadratic over the same quadratic field: match the rational roots and
-    map the quadratic roots through the square-root identification."""
-    r_a = rational_roots(a.poly())[0]
-    r_b = rational_roots(b.poly())[0]
+    quadratic over one quadratic field: match the rational roots r_a, r_b
+    and map the quadratic roots through the square-root identification."""
     q_a = a.poly() // UniPoly(QQ, (-r_a, QQ(1)))
     q_b = b.poly() // UniPoly(QQ, (-r_b, QQ(1)))
     p, q = q_a[1], q_a[0]
@@ -389,38 +382,39 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
 
     Returns (equal, witness); witness is a TschirnCoeffs transforming a into
     b whenever equal is True (and None otherwise)."""
-    ja, jb = cubic_invariants(a), cubic_invariants(b)
-    if not ja.D:
+    if not cubic_invariants(a).D:
         raise MathDomainError("D_a = 0: first cubic is inseparable")
-    if not jb.D:
+    if not cubic_invariants(b).D:
         raise MathDomainError("D_b = 0: second cubic is inseparable")
-    a_irreducible = not rational_roots(a.poly())
-    b_irreducible = not rational_roots(b.poly())
-    if a_irreducible != b_irreducible:
-        # splitting field degrees 3 or 6 versus 1 or 2: never equal
-        return False, None
-    if not a_irreducible:
-        return _decide_reducible(a, b)
-    an, hop_a = _avoid_zero_A(a)
-    bn, hop_b = _avoid_zero_A(b)
+    ra, rb = rational_roots(a.poly()), rational_roots(b.poly())
+    if ra or rb:
+        return _decide_reducible(a, b, ra, rb)
+    return _decide_irreducible(a, *_avoid_zero_A(a), b, *_avoid_zero_A(b))
+
+
+def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
+    """(equal, witness) for irreducible separable a and b, given their A != 0
+    forms (an, hop_a) and (bn, hop_b) from _avoid_zero_A.  On the multiple-
+    root locus the simple root of F2(an, bn) is closed-form; elsewhere the
+    rational roots come from f2, the factorization of F2(an, bn), which is
+    computed here when the caller has none."""
     if not degeneracy_indicator(an, bn):
         jan, jbn = cubic_invariants(an), cubic_invariants(bn)
         c2 = -6 * jbn.A**2 / (jan.A * jbn.B)
-        core = recover_coeffs(an, bn, c2)
-        return True, _stitch(a, hop_a, core, b, hop_b)
-    roots = rational_roots(resolvent_F2(an, bn))
-    if not roots:
-        return False, None
-    c2 = min(roots, key=_height_key)
-    core = recover_coeffs(an, bn, c2)
-    return True, _stitch(a, hop_a, core, b, hop_b)
+    else:
+        if f2 is None:
+            f2 = factor_over_Q(resolvent_F2(an, bn))
+        roots = [-g.coeffs[0] for g, _ in f2 if g.degree == 1]
+        if not roots:
+            return False, None
+        c2 = min(roots, key=_height_key)
+    return True, _stitch(a, hop_a, recover_coeffs(an, bn, c2), b, hop_b)
 
 
 def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     """Every transformation over Q from a onto b, sorted by coefficient
     height.  Both cubics must be irreducible (and separable)."""
-    ja, jb = cubic_invariants(a), cubic_invariants(b)
-    if not ja.D or not jb.D:
+    if not (cubic_invariants(a).D and cubic_invariants(b).D):
         raise MathDomainError("inseparable cubic: discriminant is 0")
     if rational_roots(a.poly()) or rational_roots(b.poly()):
         raise MathDomainError(
@@ -472,10 +466,11 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
         raise MathDomainError("D_a = 0: first cubic is inseparable")
     if not jb.D:
         raise MathDomainError("D_b = 0: second cubic is inseparable")
+    same_square_class = is_square_rat(ja.D * jb.D) is not None
     ga, gb = galois_type(a), galois_type(b)
     swapped = ga.order < gb.order
     if swapped:
-        a, b, ja, jb, ga, gb = b, a, jb, ja, gb, ga
+        a, b, ga, gb = b, a, gb, ga
     if ga.tag not in ("S3", "C3"):
         raise MathDomainError(
             "classification requires at least one irreducible cubic; got "
@@ -487,31 +482,26 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
     else:
         bn, hop_b = b, None
     degenerate = not degeneracy_indicator(an, bn)
-
+    f2 = factor_over_Q(resolvent_F2(an, bn))
     witness = None
     if gb.tag == "Id":
         relation = "ProperContains"
     elif gb.tag == "C2":
-        if is_square_rat(ja.D * jb.D) is not None:
+        if same_square_class:
             relation = "ContainsQuadratic"
         elif ga.tag == "C3":
             relation = "TrivialMeet"
         else:
             relation = "NotContains"
     else:
-        equal, witness = decide_same_splitting(a, b)
+        equal, witness = _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2)
         if equal:
             relation = "Equal"
-        elif (
-            ga.tag == "S3"
-            and gb.tag == "S3"
-            and is_square_rat(ja.D * jb.D) is not None
-        ):
+        elif ga.tag == gb.tag == "S3" and same_square_class:
             relation = "QuadraticMeet"
         else:
             relation = "TrivialMeet"
 
-    observed = factor_over_Q(resolvent_F2(an, bn)).degree_pattern()
     predicted = (
         None if degenerate else FACTOR_PATTERNS[(ga.tag, gb.tag, relation)]
     )
@@ -520,7 +510,7 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
         g_b=gb,
         relation=relation,
         predicted_pattern=predicted,
-        observed_pattern=observed,
+        observed_pattern=f2.degree_pattern(),
         degenerate=degenerate,
         witness=witness,
         swapped=swapped,

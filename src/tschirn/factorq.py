@@ -21,11 +21,11 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 
 from . import zpoly
 from .fields import QQ, PrimeField, field_of, is_prime
-from .poly import UniPoly, poly_discriminant, poly_gcd
+from .poly import UniPoly, poly_gcd
 
 # --------------------------------------------------------------------------
 # Factorization container.
@@ -250,11 +250,18 @@ def _center(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
-def _good_prime(disc_num: int) -> int:
-    p = 5
-    while not (is_prime(p) and disc_num % p != 0):
-        p += 2
-    return p
+def _good_prime(H: list) -> int:
+    """The least prime p >= 5 modulo which the monic H stays squarefree.  A
+    prime that fails divides Disc H, which, unless 0, is below the Hadamard
+    bound 2^b of the Sylvester matrix of H and H'; so more than b/2 failures
+    prove that H is not squarefree."""
+    dH = [i * H[i] for i in range(1, len(H))]
+    norm_H, norm_dH = (math.isqrt(sum(c * c for c in g)) + 1 for g in (H, dH))
+    b = (norm_H ** (len(H) - 2) * norm_dH ** (len(H) - 1)).bit_length()
+    for p in islice(filter(is_prime, count(5, 2)), b // 2 + 1):
+        if zpoly.gcd(zpoly.mod(H, p), zpoly.mod(dH, p), p) == [1]:
+            return p
+    raise AssertionError("H is not squarefree")
 
 
 def _factor_monic_int_squarefree(H: list) -> list:
@@ -262,10 +269,7 @@ def _factor_monic_int_squarefree(H: list) -> list:
     d = len(H) - 1
     if d <= 1:
         return [H]
-    HQ = UniPoly(QQ, H)
-    disc = poly_discriminant(HQ)
-    assert disc.denominator == 1 and disc != 0
-    p = _good_prime(disc.numerator)
+    p = _good_prime(H)
     modular = [g for g, _ in _factor_fp([c % p for c in H], p)]
     if len(modular) == 1:
         return [H]

@@ -6,6 +6,7 @@ integer scan for equal-splitting Shanks pairs."""
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from multiprocessing import Pool
@@ -256,14 +257,16 @@ def _merge_classes(pairs) -> tuple:
 def scan_equal_splitting(m_range, n_max: int, jobs: int = 1) -> ScanResult:
     """Scan integer pairs (m, n) with m in m_range, m < n <= n_max, for
     Shanks cubics with equal splitting fields.  Rows are independent, so
-    they can be fanned out over worker processes; output is deterministic
-    and independent of the partitioning."""
+    they can be fanned out over worker processes, at most jobs and at most
+    one per CPU; output is deterministic and independent of the
+    partitioning."""
     if isinstance(m_range, range):
         m_range = (m_range.start, m_range.stop - 1)
     m_min, m_max = m_range
     tasks = [(m, n_max) for m in range(m_min, m_max + 1)]
-    if jobs > 1 and len(tasks) > 1:
-        with Pool(min(jobs, len(tasks))) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             rows = pool.map(_scan_row, tasks)
     else:
         rows = [_scan_row(task) for task in tasks]

@@ -27,7 +27,7 @@ F2 through the rational recovery map u0(u2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 
 from .factorq import factor_over_Q, is_square_rat
@@ -90,6 +90,10 @@ class CubicTriple:
     def as_tuple(self):
         return (self.a1, self.a2, self.a3)
 
+    @cached_property
+    def _invariants(self) -> "CubicInvariants":
+        return _compute_invariants(self, self.field)
+
 
 @dataclass(frozen=True)
 class CubicInvariants:
@@ -101,9 +105,16 @@ class CubicInvariants:
 
 
 def cubic_invariants(s: CubicTriple, field=None) -> CubicInvariants:
-    """A, B, C, D, E of the triple; D is cross-checked against the resultant
-    route and the identity 4A^3 - B^2 = 27D is asserted."""
-    field = field or s.field
+    """A, B, C, D, E of the triple, computed once per triple and kept on it;
+    only an explicit field other than ``s.field`` computes them afresh.  Each
+    computation cross-checks D against the resultant route and asserts the
+    identity 4A^3 - B^2 = 27D, so the checks also run once per triple."""
+    if field is None or field == s.field:
+        return s._invariants
+    return _compute_invariants(s, field)
+
+
+def _compute_invariants(s: CubicTriple, field) -> CubicInvariants:
     s1, s2, s3 = s.values(field)
     A = s1**2 - 3 * s2
     B = 2 * s1**3 - 9 * s1 * s2 + 27 * s3
@@ -121,12 +132,15 @@ def cubic_invariants(s: CubicTriple, field=None) -> CubicInvariants:
     return CubicInvariants(A, B, C, D, E)
 
 
-def _common_field(*triples):
-    for t in triples:
-        f = t.field
-        if f is not QQ:
-            return f
-    return QQ
+def _common_field(s: CubicTriple, t: CubicTriple):
+    return s.field if s.field is not QQ else t.field
+
+
+def _pair(s: CubicTriple, t: CubicTriple, field):
+    """(field, invariants of s, invariants of t) for a pair function; the
+    field defaults to the first non-rational field of s and t."""
+    field = field or _common_field(s, t)
+    return field, cubic_invariants(s, field), cubic_invariants(t, field)
 
 
 # --------------------------------------------------------------------------
@@ -194,9 +208,7 @@ def _require_nonzero(value, name: str):
 def resolvent_F2(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
     """The sextic whose roots are the quadratic coefficients u2 of the six
     Tschirnhausen transformations from f3(s) to f3(t)."""
-    field = field or _common_field(s, t)
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
+    field, js, jt = _pair(s, t, field)
     As, Bs, Ds = js.A, js.B, js.D
     At, Bt, Dt = jt.A, jt.B, jt.D
     _require_nonzero(Ds, "D_s = Disc f3(s)")
@@ -216,10 +228,8 @@ def resolvent_F2(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
 
 def resolvent_F1(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
     """The sextic whose roots are the linear coefficients u1."""
-    field = field or _common_field(s, t)
+    field, js, jt = _pair(s, t, field)
     s1, s2, s3 = s.values(field)
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
     As, Bs, Cs, Ds = js.A, js.B, js.C, js.D
     At, Bt, Dt = jt.A, jt.B, jt.D
     _require_nonzero(Ds, "D_s = Disc f3(s)")
@@ -240,10 +250,8 @@ def resolvent_F1(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
 
 def recovery_polys(s: CubicTriple, t: CubicTriple, field=None):
     """(Q12, D12) as polynomials in u2: the recovery map u1 = Q12/D12."""
-    field = field or _common_field(s, t)
+    field, js, jt = _pair(s, t, field)
     s1, _, _ = s.values(field)
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
     As, Bs, Ds = js.A, js.B, js.D
     At, Bt = jt.A, jt.B
     q12 = UniPoly(
@@ -261,17 +269,13 @@ def recovery_polys(s: CubicTriple, t: CubicTriple, field=None):
 
 def recovery_D12_0(s: CubicTriple, t: CubicTriple, field=None):
     """The u2-free denominator D12^0 = 3 B_s (A_s^3 B_t^2 - 27 A_t^3 D_s)^2."""
-    field = field or _common_field(s, t)
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
+    _, js, jt = _pair(s, t, field)
     return 3 * js.B * (js.A**3 * jt.B**2 - 27 * jt.A**3 * js.D) ** 2
 
 
 def recovery_h_list(s: CubicTriple, t: CubicTriple, field=None) -> list:
     """Coefficients h_0..h_5 with 1/D12 = (1/D12^0) * sum h_i u2^i mod F2."""
-    field = field or _common_field(s, t)
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
+    field, js, jt = _pair(s, t, field)
     As, Ds = js.A, js.D
     At, Bt, Dt = jt.A, jt.B, jt.D
     return [
@@ -287,9 +291,7 @@ def recovery_h_list(s: CubicTriple, t: CubicTriple, field=None) -> list:
 def degeneracy_indicator(s: CubicTriple, t: CubicTriple, field=None):
     """A_s^3 B_t^2 - 27 A_t^3 D_s; zero exactly when F2 has multiple roots
     (given B_s D_t != 0), which is also when the recovery map degenerates."""
-    field = field or _common_field(s, t)
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
+    _, js, jt = _pair(s, t, field)
     return js.A**3 * jt.B**2 - 27 * jt.A**3 * js.D
 
 
@@ -392,9 +394,7 @@ def degenerate_f2_blocks(s: CubicTriple, t: CubicTriple, field=None):
 
     Returns (double_root_factor, simple_factor, cubic_factor).
     """
-    field = field or _common_field(s, t)
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
+    field, js, jt = _pair(s, t, field)
     As, At, Bt = js.A, jt.A, jt.B
     _require_nonzero(As * At, "A_s * A_t")
     _require_nonzero(Bt, "B_t")
@@ -422,9 +422,7 @@ def resolvent_F2_split(s: CubicTriple, t: CubicTriple):
     """Over Q with D_s D_t a nonzero square: the two cubic factors
     F2(+-) = X^3 - (A_s A_t / D_s) X + (B_t -+ B_s e) / (2 D_s), where
     e = sqrt(D_t / D_s).  Their product is F2."""
-    field = QQ
-    js = cubic_invariants(s, field)
-    jt = cubic_invariants(t, field)
+    field, js, jt = _pair(s, t, QQ)
     _require_nonzero(js.D, "D_s")
     _require_nonzero(jt.D, "D_t")
     e = is_square_rat(jt.D / js.D)

@@ -6,11 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tschirn.decide as decide_mod
+import tschirn.factorq as factorq_mod
+import tschirn.resolvent as resolvent_mod
 from tschirn.decide import (
     FACTOR_PATTERNS,
+    TABLE_INSTANCES,
     DegenerateSplit,
     GaloisType,
     RecoveryFormulas,
@@ -420,3 +425,105 @@ class TestClassifySubfield:
             expected = (1, 2, 3) if r.g_a.tag == "S3" else (1, 1, 1, 3)
             assert r.predicted_pattern == expected == r.observed_pattern
             hits += 1
+
+
+def _counting(monkeypatch, targets, attr, counts_call=lambda *a: True):
+    """Replace ``attr`` in every module of ``targets`` by one wrapper that
+    counts the calls for which ``counts_call(*args)`` holds."""
+    original = getattr(targets[0], attr)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        if counts_call(*args):
+            calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in targets:
+        monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+class TestComputedOnce:
+    """Each derived fact of a decision is computed once."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        [((0, 3, -2), (0, -1, 1)),   # generic S3 pairs with A != 0: unequal
+         ((0, -1, -1), (2, 3, 1))],  # and equal
+    )
+    def test_invariants_once_per_triple(self, monkeypatch, pair):
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        assert cubic_invariants(a).A and cubic_invariants(b).A
+        assert degeneracy_indicator(a, b)
+        # fresh triples: the checks above filled the caches of the first ones
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        calls = _counting(monkeypatch, [resolvent_mod], "poly_discriminant")
+        decide_same_splitting(a, b)
+        assert len(calls) == 2
+
+    def test_classify_factors_f2_once(self, monkeypatch):
+        a, b = (CubicTriple(*v) for v in TABLE_INSTANCES[("S3", "S3", "Equal")])
+        calls = _counting(monkeypatch, [factorq_mod, decide_mod], "factor_over_Q")
+        report = classify_subfield(a, b)
+        assert report.relation == "Equal" and report.observed_pattern == (1, 2, 3)
+        assert len(calls) <= 3
+
+    @pytest.mark.parametrize(
+        "pair",
+        [((6, 11, 6), (0, -1, 0)),  # Id: roots 1, 2, 3 and -1, 0, 1
+         ((1, 3, 3), (0, 3, 0))],   # C2: (X-1)(X^2+3) and X(X^2+3)
+    )
+    def test_one_root_search_per_reducible_cubic(self, monkeypatch, pair):
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        calls = _counting(monkeypatch, [decide_mod], "rational_roots",
+                          lambda f: f.degree == 3)
+        eq, w = decide_same_splitting(a, b)
+        assert eq and verify_transformation(a, b, w)
+        assert len(calls) == 2
+
+
+def _sympy_poly(a: CubicTriple):
+    x = sympy.Symbol("X")
+    coeffs = (1, -a.a1, a.a2, -a.a3)
+    return sympy.Poly([sympy.Rational(QQ(c).numerator, QQ(c).denominator)
+                       for c in coeffs], x)
+
+
+def _sympy_same_field(a: CubicTriple, b: CubicTriple) -> bool:
+    """For irreducible cubics, equal splitting fields exactly when Q(alpha)
+    and Q(beta) are isomorphic.  ``field_isomorphism(x, y)`` asks whether x
+    lies in Q(y) inside C, so one root of f_a is tried against every root of
+    f_b."""
+    fa, fb = _sympy_poly(a), _sympy_poly(b)
+    alpha = sympy.CRootOf(fa, 0)
+    return any(sympy.field_isomorphism(alpha, sympy.CRootOf(fb, j)) is not None
+               for j in range(3))
+
+
+def _oracle_pairs():
+    rng = random.Random(2024)
+    pairs = [random_equal_pair(rng)[:2] for _ in range(12)]
+    pairs += [(random_irreducible(rng), random_irreducible(rng)) for _ in range(12)]
+    # Shanks pairs: equal ones from the classes of the acceptance scan
+    for m, n in ((-1, 5), (0, 3), (5, 12), (0, 1), (2, 3), (-1, 0)):
+        pairs.append((shanks_triple(m), shanks_triple(n)))
+    return pairs
+
+
+class TestSympyOracle:
+    def test_decisions_match_field_isomorphism(self):
+        pairs = _oracle_pairs()
+        verdicts = [decide_same_splitting(a, b)[0] for a, b in pairs]
+        assert verdicts == [_sympy_same_field(a, b) for a, b in pairs]
+        # the seeded corpus covers both verdicts and both irreducible types
+        assert sum(verdicts) >= 15 and len(verdicts) - sum(verdicts) >= 12
+
+    def test_galois_types_match_galois_group(self):
+        tags = {"S3": "S3", "A3": "C3"}
+        seen = set()
+        for a, b in _oracle_pairs():
+            for t in (a, b):
+                group = sympy.galois_group(_sympy_poly(t), by_name=True)[0]
+                assert galois_type(t).tag == tags[group.name]
+                seen.add(group.name)
+        assert seen == {"S3", "A3"}

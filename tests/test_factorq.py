@@ -8,10 +8,11 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tschirn.fields import QQ, PrimeField
-from tschirn.poly import UniPoly, poly_eval
+from tschirn.fields import QQ, PrimeField, is_prime
+from tschirn.poly import UniPoly, poly_discriminant, poly_eval
 from tschirn.factorq import (
     Factorization,
+    _good_prime,
     factor_over_Fp,
     factor_over_Q,
     is_square_rat,
@@ -293,3 +294,38 @@ class TestIsSquareRat:
 def test_factorization_expand_empty():
     fac = Factorization(Fraction(5), ())
     assert fac.expand() == UniPoly(QQ, [5])
+
+
+class TestGoodPrime:
+    """The Hensel prime is chosen on int lists; it must be the least prime
+    p >= 5 not dividing the discriminant, as the resultant route gives."""
+
+    @staticmethod
+    def _by_discriminant(H):
+        disc = poly_discriminant(UniPoly(QQ, H))
+        p = 5
+        while not (is_prime(p) and disc.numerator % p):
+            p += 2
+        return p
+
+    @given(st.lists(st.integers(-30, 30), min_size=2, max_size=6))
+    @settings(max_examples=150)
+    def test_matches_discriminant_route(self, low):
+        H = low + [1]
+        if poly_discriminant(UniPoly(QQ, H)) == 0:
+            with pytest.raises(AssertionError):
+                _good_prime(H)
+        else:
+            assert _good_prime(H) == self._by_discriminant(H)
+
+    def test_examples(self):
+        # Disc(X^2 - 5 * 7 * 11) = 4 * 385 rules out 5, 7 and 11
+        assert _good_prime([-385, 0, 1]) == 13
+        assert _good_prime([1, 0, 0, 0, 0, 1]) == 7  # X^5 + 1 = (X + 1)^5 mod 5
+
+    @pytest.mark.parametrize(
+        "H", [[0, 0, 1], [4, -4, 1], [-4, 8, -5, 1], [0, 0, 0, 0, 0, 0, 1]]
+    )
+    def test_not_squarefree_raises(self, H):
+        with pytest.raises(AssertionError):
+            _good_prime(H)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tschirn.families as families
 from tschirn.decide import decide_same_splitting, galois_type, verify_transformation
 from tschirn.families import (
     NormalForm,
@@ -338,6 +339,32 @@ class TestShanksScan:
         single = scan_equal_splitting((-1, 5), 100)
         assert scan_equal_splitting((-1, 5), 100, jobs=2) == single
         assert scan_equal_splitting(range(-1, 6), 100) == single
+
+    def test_worker_pool_capped_by_cpu_count(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, size):
+                sizes.append(size)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return [fn(task) for task in tasks]
+
+        monkeypatch.setattr(families, "Pool", SerialPool)
+        monkeypatch.setattr(families.os, "cpu_count", lambda: 3)
+        single = scan_equal_splitting((-1, 5), 100)
+        assert scan_equal_splitting((-1, 5), 100, jobs=64) == single
+        two_rows = scan_equal_splitting((-1, 0), 100)
+        assert scan_equal_splitting((-1, 0), 100, jobs=64) == two_rows
+        monkeypatch.setattr(families.os, "cpu_count", lambda: None)
+        assert scan_equal_splitting((-1, 5), 100, jobs=64) == single
+        assert sizes == [3, 2]
 
     def test_empty_range(self):
         res = scan_equal_splitting((5, 4), 100)
