@@ -27,6 +27,8 @@ from .resolvent import (
     recovery_polys,
     resolvent_F2,
     tschirn_image,
+    _double_root_fiber,
+    _trace_u0,
 )
 
 _ORDERS = {"S3": 6, "C3": 3, "C2": 2, "Id": 1}
@@ -254,10 +256,7 @@ def recover_coeffs(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
             "use the multiple-root branch"
         )
     c1 = q12.eval(c2) / den
-    s1, s2, _ = a.values()
-    t1 = b.values()[0]
-    c0 = (t1 - s1 * c1 - (s1**2 - 2 * s2) * c2) / 3
-    w = TschirnCoeffs(c0, c1, c2)
+    w = TschirnCoeffs(_trace_u0(a, b, c1, c2, QQ), c1, c2)
     if not verify_transformation(a, b, w):
         raise MathDomainError(
             "recovered coefficients do not transform a into b "
@@ -399,8 +398,8 @@ def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
     rational roots come from f2, the factorization of F2(an, bn), which is
     computed here when the caller has none."""
     if not degeneracy_indicator(an, bn):
-        jan, jbn = cubic_invariants(an), cubic_invariants(bn)
-        c2 = -6 * jbn.A**2 / (jan.A * jbn.B)
+        _, simple, _ = degenerate_f2_blocks(an, bn)
+        c2 = -simple.coeffs[0]
     else:
         if f2 is None:
             f2 = factor_over_Q(resolvent_F2(an, bn))
@@ -422,27 +421,14 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
         )
     an, hop_a = _avoid_zero_A(a)
     bn, hop_b = _avoid_zero_A(b)
-    jan, jbn = cubic_invariants(an), cubic_invariants(bn)
     found = []
     if not degeneracy_indicator(an, bn):
-        # the double root and its fiber
-        double_root = 3 * jbn.A**2 / (jan.A * jbn.B)
-        simple_root = -2 * double_root
-        found.append(recover_coeffs(an, bn, simple_root))
-        s1, s2, _ = an.values()
-        t1 = bn.values()[0]
-        ell = (t1 - (s1**2 - 2 * s2) * double_root) / 3
-
-        def a2_gap(u1):
-            u1 = QQ(u1)
-            img = tschirn_image(an, (ell - s1 * u1 / 3, u1, double_root))
-            return QQ(img.a2) - QQ(bn.a2)
-
-        fiber = lagrange_interpolate(
-            QQ, tuple((QQ(x), a2_gap(x)) for x in (0, 1, 2))
-        )
-        for u1 in rational_roots(fiber):
-            cand = (ell - s1 * u1 / 3, u1, double_root)
+        # the simple root, and the fiber over the double root
+        double, simple, _ = degenerate_f2_blocks(an, bn)
+        found.append(recover_coeffs(an, bn, -simple.coeffs[0]))
+        c = -double.coeffs[0]
+        for u1 in rational_roots(_double_root_fiber(an, bn, c, QQ)):
+            cand = (_trace_u0(an, bn, u1, c, QQ), u1, c)
             if verify_transformation(an, bn, cand):
                 found.append(TschirnCoeffs(*cand))
     else:

@@ -21,7 +21,8 @@ For two cubics with root tuples (x_i), (y_i) and a Tschirnhausen
 transformation u(X) = u0 + u1 X + u2 X^2 sending x_i to y_{tau(i)}, the
 resolvent F_i(s, t; X) is the product of (X - u_i) over all 3! cosets.
 F2 and F1 have closed forms; F0 is obtained by transporting the roots of
-F2 through the rational recovery map u0(u2).
+F2 through the rational recovery map u0(u2), and over the fiber of a
+double root of F2 where that map degenerates.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
 
-from .factorq import factor_over_Q, is_square_rat
+from .factorq import is_square_rat, rational_roots
 from .fields import QQ, MathDomainError, field_of
 from .poly import (
     RootTuple,
@@ -38,7 +39,6 @@ from .poly import (
     UniPoly,
     lagrange_interpolate,
     poly_discriminant,
-    poly_gcd,
     poly_resultant,
     vandermonde_solve,
 )
@@ -295,13 +295,24 @@ def degeneracy_indicator(s: CubicTriple, t: CubicTriple, field=None):
     return js.A**3 * jt.B**2 - 27 * jt.A**3 * js.D
 
 
-def _recovery_numerator(s: CubicTriple, t: CubicTriple, field):
-    """N(Y) with u0 = N(Y) / (3 D12(Y)) on the roots Y = u2 of F2."""
+def _trace_u0(s: CubicTriple, t: CubicTriple, u1, u2, field):
+    """u0 from the trace condition 3 u0 + s1 u1 + (s1^2 - 2 s2) u2 = t1."""
     s1, s2, _ = s.values(field)
-    t1, _, _ = t.values(field)
-    q12, d12 = recovery_polys(s, t, field)
-    lin = UniPoly(field, (t1, -(s1**2 - 2 * s2)))
-    return lin * d12 - s1 * q12, d12
+    return (t.values(field)[0] - s1 * u1 - (s1**2 - 2 * s2) * u2) / 3
+
+
+def _double_root_fiber(s: CubicTriple, t: CubicTriple, c, field):
+    """The quadratic in u1 whose roots are the u1 of the transformations over
+    a double root u2 = c of F2 at which D12 vanishes: the middle coefficient
+    of the image cubic minus t2, with u0 from the trace condition."""
+    t2 = t.values(field)[1]
+    pts = []
+    for u1 in (field(0), field(1), field(2)):
+        img = tschirn_image(s, (_trace_u0(s, t, u1, c, field), u1, c), field)
+        pts.append((u1, field(img.a2) - t2))
+    q = lagrange_interpolate(field, pts)
+    assert q.degree == 2 and q[2] == -cubic_invariants(s, field).A / 3
+    return q
 
 
 def _sample_points(field, k: int):
@@ -315,14 +326,18 @@ def _sample_points(field, k: int):
     raise MathDomainError(f"field too small: need {k} interpolation points")
 
 
-def _transport_block(h: UniPoly, n_poly: UniPoly, d12: UniPoly, field) -> UniPoly:
-    """Monic image of the u2-block h under u0 = N/(3 D12), by resultant
-    elimination: Res_Y(h, 3 X D12(Y) - N(Y)) / Res_Y(h, 3 D12(Y))."""
+def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
+    """Monic image of the u2-block h under the recovery map u0 = N/(3 D12),
+    the trace condition at u1 = Q12/D12, by resultant elimination:
+    Res_Y(h, 3 X D12(Y) - N(Y)) / Res_Y(h, 3 D12(Y))."""
+    q12, d12 = recovery_polys(s, t, field)
     den = poly_resultant(h, 3 * d12)
     if not den:
         raise MathDomainError(
             "transport denominator Res(h, 3*D12) = 0: degenerate pair"
         )
+    y = UniPoly.X(field)
+    n_poly = 3 * d12 * _trace_u0(s, t, 0, y, field) - s.values(field)[0] * q12
     deg = h.degree
     pts = []
     for x in _sample_points(field, deg + 1):
@@ -335,54 +350,42 @@ def _transport_block(h: UniPoly, n_poly: UniPoly, d12: UniPoly, field) -> UniPol
 
 def resolvent_F0(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
     """The sextic whose roots are the constant coefficients u0, computed by
-    transporting the roots of F2 through the recovery map.  Raises when the
-    pair is degenerate (use resolvent_F0_degenerate)."""
+    transporting the roots of F2 through the recovery map.  Needs B_s != 0
+    and a pair off the multiple-root locus (use resolvent_F0_degenerate)."""
     field = field or _common_field(s, t)
     f2 = resolvent_F2(s, t, field)
-    n_poly, d12 = _recovery_numerator(s, t, field)
-    return _transport_block(f2, n_poly, d12, field)
+    _require_nonzero(cubic_invariants(s, field).B, "B_s")
+    if not degeneracy_indicator(s, t, field):
+        raise MathDomainError("degenerate pair: use resolvent_F0_degenerate")
+    return _transport_block(f2, s, t, field)
 
 
 def resolvent_F0_degenerate(s: CubicTriple, t: CubicTriple) -> UniPoly:
-    """F0 for degenerate pairs over Q: transport each F2-block that avoids
-    the vanishing locus of D12; the double root contributes a quadratic
-    block parametrized by u1 instead."""
+    """F0 over Q without factoring F2, also where D12 vanishes at double
+    roots of F2: on the multiple-root locus (see degenerate_f2_blocks), and
+    when B_s = 0, where F2 = G^2 and G must have three rational roots.  Each
+    double root contributes the image of its fiber in u0."""
     field = QQ
-    s1, s2, _ = s.values(field)
-    t1, t2, _ = t.values(field)
     f2 = resolvent_F2(s, t, field)
-    n_poly, d12 = _recovery_numerator(s, t, field)
-    a_s = cubic_invariants(s, field).A
-    out = UniPoly.one(field)
-    for h, mult in factor_over_Q(f2).factors:
-        if poly_gcd(h, d12).degree == 0:
-            out = out * _transport_block(h, n_poly, d12, field) ** mult
-            continue
-        # h's roots annihilate D12: the double root c of F2.  The fiber over
-        # u2 = c is cut out by the trace condition 3 u0 + s1 u1 = t1 - (s1^2
-        # - 2 s2) c together with a quadratic in u1 from the middle
-        # coefficient of the image cubic.
-        if h.degree != 1 or mult != 2:
-            raise MathDomainError(
-                "unexpected block sharing roots with D12 "
-                f"(degree {h.degree}, multiplicity {mult})"
-            )
-        c = -h.coeffs[0]
-        ell = (t1 - (s1**2 - 2 * s2) * c) / 3
-        if not s1:
-            block = UniPoly(field, (-ell, field.one)) ** 2
-        else:
-            pts = []
-            for u1_val in (QQ(0), QQ(1), QQ(2)):
-                u0_val = ell - s1 * u1_val / 3
-                img = tschirn_image(s, (u0_val, u1_val, c), field)
-                pts.append((u1_val, field(img.a2) - t2))
-            q = lagrange_interpolate(field, pts)
-            assert q.degree == 2 and q[2] == -a_s / 3
-            # substitute u1 = 3(ell - X)/s1 to express the block in u0 = X
-            block = q.compose(UniPoly(field, (3 * ell / s1, -3 / s1))).monic()
-        out = out * block
-    assert out.degree == 6
+    if not cubic_invariants(s, field).B:
+        # D12 = 0 and F2 = G^2 with G = X^3 + (f2[4]/2) X + f2[3]/2
+        out = UniPoly.one(field)
+        doubles = set(rational_roots(UniPoly(field, (f2[3] / 2, f2[4] / 2, 0, 1))))
+        if len(doubles) != 3:
+            raise MathDomainError("B_s = 0 needs F2 = G^2 with G split over Q")
+    elif degeneracy_indicator(s, t, field):
+        return resolvent_F0(s, t, field)
+    else:
+        double, simple, cubic = degenerate_f2_blocks(s, t, field)
+        out = _transport_block(simple * cubic, s, t, field)
+        doubles = (-double.coeffs[0],)
+    m = s.values(field)[0] / 3
+    for c in doubles:
+        # the fiber's roots u1 mapped to u0 = u0(0) - m u1, also for m = 0:
+        # Res_u1(q(u1), m u1 + X - u0(0)) / q2
+        q0, q1, q2 = _double_root_fiber(s, t, c, field).coeffs
+        d = UniPoly(field, (-_trace_u0(s, t, 0, c, field), 1))
+        out = out * (d * d * q2 - d * (m * q1) + m * m * q0) / q2
     return out
 
 

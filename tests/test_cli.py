@@ -71,6 +71,14 @@ class TestResolvent:
         assert code == 1
         assert "degenerate" in err
 
+    def test_zero_B_s_names_the_precondition(self, capsys):
+        # X^3 - X has B = 0, so D12 vanishes identically; the pair is off
+        # the multiple-root locus
+        code, _, err = run_cli(capsys, "resolvent", "--a", "0,-1,0",
+                               "--b", "7,14,8", "--index", "0")
+        assert code == 1
+        assert "B_s must be nonzero" in err and "degenerate" not in err
+
     def test_json_coeffs(self, capsys):
         code, doc, _ = run_json(capsys, "resolvent", "--a", "0,3,-2",
                                 "--b", "3,-3,3")

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tschirn.decide as decide_mod
@@ -32,6 +32,7 @@ from tschirn.decide import (
     verify_transformation,
 )
 from tschirn.factorq import rational_roots
+from tschirn.families import family_s3
 from tschirn.fields import QQ, MathDomainError
 from tschirn.resolvent import (
     CubicTriple,
@@ -39,6 +40,8 @@ from tschirn.resolvent import (
     degeneracy_indicator,
     recovery_D12_0,
     recovery_polys,
+    resolvent_F0_degenerate,
+    resolvent_F1,
     resolvent_F2,
     shanks_triple,
     tschirn_image,
@@ -320,6 +323,79 @@ class TestAllRationalTransformations:
             all_rational_transformations(
                 CubicTriple.from_roots((0, 1, 2)), CubicTriple(0, 3, -2)
             )
+
+
+def _locus_pairs(count):
+    """Seeded irreducible pairs on the multiple-root locus: with
+    k = -A_a^3 / D_a, b = X^3 + kX + k satisfies A_a^3 B_b^2 = 27 A_b^3 D_a."""
+    rng = random.Random(29)
+    pairs = []
+    while len(pairs) < count:
+        a = random_irreducible(rng)
+        ja = cubic_invariants(a)
+        if not (ja.A and ja.B):
+            continue
+        k = -ja.A**3 / ja.D
+        b = CubicTriple(0, k, -k)
+        jb = cubic_invariants(b)
+        if jb.D and jb.A * jb.B and not rational_roots(b.poly()):
+            pairs.append((a, b))
+    return pairs
+
+
+class TestMultipleRootLocus:
+    def test_consumers_agree(self):
+        """Every witness lies on F0, F1 and F2, and the decision picks one."""
+        for a, b in _locus_pairs(15) + [PAIR_CYCLIC]:
+            assert degeneracy_indicator(a, b) == 0
+            ws = all_rational_transformations(a, b)
+            f0 = resolvent_F0_degenerate(a, b)
+            f1, f2 = resolvent_F1(a, b), resolvent_F2(a, b)
+            for w in ws:
+                assert f0.eval(w.c0) == f1.eval(w.c1) == f2.eval(w.c2) == 0
+            equal, witness = decide_same_splitting(a, b)
+            assert equal and witness in ws
+
+
+irreducible_cubics = (
+    st.tuples(small_int, small_int, small_int)
+    .map(lambda v: CubicTriple(*(Fraction(x) for x in v)))
+    .filter(lambda a: cubic_invariants(a).D and not rational_roots(a.poly()))
+)
+
+
+class TestMetamorphic:
+    """Invariances of the decision over small irreducible cubics."""
+
+    @given(irreducible_cubics, irreducible_cubics)
+    @settings(max_examples=40, deadline=None)
+    def test_symmetric(self, a, b):
+        assert decide_same_splitting(a, b)[0] == decide_same_splitting(b, a)[0]
+
+    @given(irreducible_cubics, irreducible_cubics,
+           st.tuples(small_int, small_int, small_int))
+    @settings(max_examples=40, deadline=None)
+    def test_separable_image_keeps_the_field(self, a, b, u):
+        image = tschirn_image(a, u)
+        assume(cubic_invariants(image).D)
+        equal, w = decide_same_splitting(a, image)
+        assert equal and verify_transformation(a, image, w)
+        assert decide_same_splitting(image, b)[0] == decide_same_splitting(a, b)[0]
+
+    @given(st.integers(min_value=-30, max_value=30),
+           st.fractions(min_value=-9, max_value=9, max_denominator=4))
+    @settings(max_examples=40, deadline=None)
+    def test_family_s3_partners_are_equal(self, s, u):
+        a = CubicTriple(0, s, -s)
+        assume(cubic_invariants(a).D and not rational_roots(a.poly()))
+        try:
+            t = family_s3(s, u)
+        except MathDomainError:
+            assume(False)
+        b = CubicTriple(0, t, -t)
+        assume(cubic_invariants(b).D)
+        equal, w = decide_same_splitting(a, b)
+        assert equal and verify_transformation(a, b, w)
 
 
 class TestClassifySubfield:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tschirn.factorq as factorq_mod
 from tschirn.factorq import factor_over_Q, rational_roots
 from tschirn.fields import QQ, MathDomainError, PrimeField, gf_build
 from tschirn.poly import (
@@ -460,6 +461,58 @@ class TestDegenerateSplitPairs:
             assert resolvent_F0_degenerate(s, t) == oracle_resolvent(rt, 0)
             double, simple, cubic = degenerate_f2_blocks(s, t)
             assert double**2 * simple * cubic == oracle_resolvent(rt, 2)
+
+
+class TestF0Degenerate:
+    """F0 where D12 vanishes at double roots of F2, read from closed forms."""
+
+    def test_locus_pair_runs_no_factorization(self, monkeypatch):
+        calls = []
+        original = factorq_mod._yun_squarefree_q
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factorq_mod, "_yun_squarefree_q", counting)
+        a, b = PAIR_DEGEN
+        assert resolvent_F0_degenerate(a, b) == X**2 * (X - 3) * UniPoly(
+            QQ, (-4, 0, -3, 1)
+        )
+        assert calls == []
+
+    def test_off_the_locus_equals_resolvent_F0(self):
+        a, b = PAIR_DEGEN[0], CubicTriple(0, -1, 1)
+        assert degeneracy_indicator(a, b)
+        assert resolvent_F0_degenerate(a, b) == resolvent_F0(a, b)
+
+    def test_zero_A_locus_pair_rejected(self):
+        a, b = CubicTriple(0, 0, 2), CubicTriple(0, 0, 3)
+        assert degeneracy_indicator(a, b) == 0
+        with pytest.raises(MathDomainError):
+            resolvent_F0_degenerate(a, b)
+
+    def test_zero_B_s_split_pairs_match_oracle(self):
+        # roots in arithmetic progression give B_s = 0, so F2 is a square
+        for xs in ((-1, 0, 1), (0, 1, 2)):
+            for ys in ((1, 2, 4), (-3, 0, 5)):
+                xs_q = tuple(Fraction(x) for x in xs)
+                ys_q = tuple(Fraction(y) for y in ys)
+                s, t = CubicTriple.from_roots(xs_q), CubicTriple.from_roots(ys_q)
+                assert cubic_invariants(s).B == 0
+                with pytest.raises(MathDomainError, match="B_s"):
+                    resolvent_F0(s, t)
+                rt = RootTuple(xs=xs_q, ys=ys_q)
+                assert resolvent_F0_degenerate(s, t) == oracle_resolvent(rt, 0)
+
+    def test_zero_B_s_without_three_rational_double_roots_rejected(self):
+        split_s = CubicTriple.from_roots((Fraction(-1), Fraction(0), Fraction(1)))
+        for s, t in (
+            (CubicTriple(0, 1, 0), CubicTriple(0, -1, 1)),  # G irreducible
+            (split_s, CubicTriple.from_roots((Fraction(1), Fraction(1), Fraction(2)))),
+        ):
+            with pytest.raises(MathDomainError, match="B_s = 0"):
+                resolvent_F0_degenerate(s, t)
 
 
 # --------------------------------------------------------------------------
