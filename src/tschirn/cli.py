@@ -52,6 +52,7 @@ from .resolvent import (
     degeneracy_indicator,
     oracle_resolvent,
     resolvent_F0,
+    resolvent_F0_degenerate,
     resolvent_F1,
     resolvent_F2,
     shanks_triple,
@@ -204,10 +205,12 @@ def _cmd_invariants(parser, ns) -> int:
 def _cmd_resolvent(parser, ns) -> int:
     a = _resolve_triple(parser, ns, "a")
     b = _resolve_triple(parser, ns, "b")
-    builder = {0: resolvent_F0, 1: resolvent_F1, 2: resolvent_F2}[ns.index]
+    locus = degeneracy_indicator(a, b) == 0
+    f0 = resolvent_F0_degenerate if locus else resolvent_F0
+    builder = {0: f0, 1: resolvent_F1, 2: resolvent_F2}[ns.index]
     poly = builder(a, b)
     diagnostics = []
-    if degeneracy_indicator(a, b) == 0:
+    if locus:
         diagnostics.append("degenerate locus: the sextic has a multiple root")
     result = {
         "index": ns.index,

@@ -1,7 +1,14 @@
 """Normal forms and parametric families of cubics with a shared splitting
 field: the depressed form, the one-parameter family X^3 + aX + a, Shanks'
 simplest cubics, the explicit b(u) / n(z) parameterizations, and an exact
-integer scan for equal-splitting Shanks pairs."""
+integer scan for equal-splitting Shanks pairs.
+
+The scan asks whether a monic integer cubic has an integer root.  It first
+looks the cubic up in tables of the cubics Y^3 + aY + b that have a root mod
+each prime l from 5 to 47: an integer root is also a root mod every l, so no
+root mod some l proves no integer root.  Only the few cubics that pass every
+table go on to the exact integer bisection, so every "has a root" answer is
+still exact."""
 
 from __future__ import annotations
 
@@ -9,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from multiprocessing import Pool
 
 from .decide import TschirnCoeffs, _avoid_zero_A, galois_type, verify_transformation
@@ -157,11 +165,38 @@ def rationals_by_height(max_height: int):
 # --------------------------------------------------------------------------
 
 
+_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@cache
+def _cubic_root_tables() -> tuple:
+    """For each sieve prime l, the pair (l, table): table[a*l + b] is 1 when
+    Y^3 + aY + b has a root mod l, else 0.  Built on first use."""
+    tables = []
+    for ell in _SIEVE_PRIMES:
+        table = bytearray(ell * ell)
+        for a in range(ell):
+            for y in range(ell):
+                table[a * ell + (-(y * y * y + a * y)) % ell] = 1
+        tables.append((ell, bytes(table)))
+    return tuple(tables)
+
+
 def _monic_depressed_cubic_has_integer_root(p: int, q: int) -> bool:
-    """Whether Y^3 + pY + q (integer coefficients) has an integer root,
-    by exact integer bisection over the monotone segments."""
+    """Whether Y^3 + pY + q (integer coefficients) has an integer root: no
+    root mod a sieve prime proves no integer root (see the module
+    docstring); the rest go to the exact bisection."""
     if q == 0:
         return True
+    for ell, table in _cubic_root_tables():
+        if not table[(p % ell) * ell + q % ell]:
+            return False
+    return _bisect_integer_root(p, q)
+
+
+def _bisect_integer_root(p: int, q: int) -> bool:
+    """Whether Y^3 + pY + q has an integer root, by exact integer bisection
+    over the monotone segments."""
 
     def g(y: int) -> int:
         return y * y * y + p * y + q
@@ -201,7 +236,10 @@ def shanks_pair_equal(m: int, n: int) -> bool:
     """Whether the Shanks cubics at integer parameters m and n share a
     splitting field.  Decided by an integer rational-root test on the two
     cubic factors of the pair resolvent, rescaled to the monic integral
-    models Y^3 - (Da Db) Y -+ k Da Db with k = (m-n) resp. -(m+n+3)."""
+    models Y^3 - (Da Db) Y -+ k Da Db with k = (m-n) resp. -(m+n+3).  A
+    factor with no root mod one of the sieve primes 5..47 has no integer
+    root (reduce an integer root mod l), so tables of the cubics with a
+    root mod l reject almost every pair before the exact bisection runs."""
     if m == n:
         return True
     prod = int(shanks_delta(m) * shanks_delta(n))

@@ -4,10 +4,12 @@ and output determinism."""
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from tschirn import cli
+from tschirn.decide import all_rational_transformations
 from tschirn.resolvent import CubicTriple, resolvent_F2
 
 
@@ -66,10 +68,19 @@ class TestResolvent:
         code, out, _ = run_cli(capsys, "resolvent", "--a", "0,3,-2",
                                "--b", "3,-3,3")
         assert code == 0 and "degenerate locus" in out
-        code, _, err = run_cli(capsys, "resolvent", "--a", "0,3,-2",
-                               "--b", "3,-3,3", "--index", "0")
-        assert code == 1
-        assert "degenerate" in err
+        # on the locus F0 comes from resolvent_F0_degenerate: it vanishes
+        # at the u0 of every transformation
+        code, doc, _ = run_json(capsys, "resolvent", "--a", "0,3,-2",
+                                "--b", "3,-3,3", "--index", "0")
+        assert code == 0
+        assert "degenerate locus" in " ".join(doc["diagnostics"])
+        f0 = [Fraction(c) for c in doc["result"]["coeffs"]]
+        found = all_rational_transformations(CubicTriple(0, 3, -2),
+                                             CubicTriple(3, -3, 3))
+        assert found
+        for w in found:
+            u0 = w.as_tuple()[0]
+            assert sum(c * u0**i for i, c in enumerate(f0)) == 0
 
     def test_zero_B_s_names_the_precondition(self, capsys):
         # X^3 - X has B = 0, so D12 vanishes identically; the pair is off

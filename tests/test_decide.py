@@ -32,7 +32,7 @@ from tschirn.decide import (
     verify_transformation,
 )
 from tschirn.factorq import rational_roots
-from tschirn.families import family_s3
+from tschirn.families import family_c3, family_s3
 from tschirn.fields import QQ, MathDomainError
 from tschirn.resolvent import (
     CubicTriple,
@@ -396,6 +396,48 @@ class TestMetamorphic:
         assume(cubic_invariants(b).D)
         equal, w = decide_same_splitting(a, b)
         assert equal and verify_transformation(a, b, w)
+
+    @given(st.integers(min_value=-6, max_value=8),
+           st.fractions(min_value=-5, max_value=5, max_denominator=3))
+    @settings(max_examples=40, deadline=None)
+    def test_family_c3_partners_are_equal(self, m, z):
+        try:
+            partners = family_c3(m, z)
+        except MathDomainError:
+            assume(False)
+        a = shanks_triple(m)
+        for n in partners:
+            b = shanks_triple(n)
+            if rational_roots(b.poly()):
+                continue
+            equal, w = decide_same_splitting(a, b)
+            assert equal and verify_transformation(a, b, w)
+            # a cyclic field has three automorphisms
+            assert len(all_rational_transformations(a, b)) == 3
+
+    @pytest.mark.parametrize("a, b, on_locus, count", [
+        (shanks_triple(-1), shanks_triple(Fraction(-55, 13)), False, 3),
+        (shanks_triple(-1), shanks_triple(Fraction(16, 13)), False, 3),
+        (shanks_triple(-1), shanks_triple(12), True, 3),
+        (CubicTriple(0, -1, -1),
+         tschirn_image(CubicTriple(0, -1, -1), (1, 2, 1)), False, 1),
+    ])
+    def test_transformation_count_on_and_off_the_locus(self, a, b, on_locus,
+                                                       count):
+        # S3 on the locus: see test_s3_degenerate_pair_has_one
+        assert (degeneracy_indicator(a, b) == 0) == on_locus
+        assert galois_type(a).tag == ("C3" if count == 3 else "S3")
+        ws = all_rational_transformations(a, b)
+        assert len(ws) == count
+        assert all(verify_transformation(a, b, w) for w in ws)
+
+    @given(irreducible_cubics, st.tuples(small_int, small_int, small_int))
+    @settings(max_examples=40, deadline=None)
+    def test_transformation_count_matches_galois_type(self, a, u):
+        image = tschirn_image(a, u)
+        assume(cubic_invariants(image).D)
+        count = {"C3": 3, "S3": 1}[galois_type(a).tag]
+        assert len(all_rational_transformations(a, image)) == count
 
 
 class TestClassifySubfield:

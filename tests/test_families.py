@@ -1,6 +1,7 @@
 """Normal-form reductions, the explicit same-field parameterizations, and
 the integer scan over Shanks pairs."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -383,3 +384,83 @@ class TestShanksScan:
         d = res.to_dict()
         assert d["pairs"] == [[0, 3], [0, 54], [1, 66]]
         assert d["classes"] == [[0, 3, 54], [1, 66]]
+
+
+def _has_integer_root_by_divisors(p, q):
+    """Brute force for q != 0: an integer root of Y^3 + pY + q divides q."""
+    n = abs(q)
+    divisors = set()
+    for d in range(1, math.isqrt(n) + 1):
+        if n % d == 0:
+            divisors.update((d, -d, n // d, -n // d))
+    return any(y * y * y + p * y + q == 0 for y in divisors)
+
+
+# Y^3 + pY + q with |p| <= 10^4 and 0 < |q| <= 10^5: free coefficients (most
+# have no integer root), and (Y - r)(Y^2 + rY + s), which has the root r.
+_free_cubics = st.tuples(
+    st.integers(min_value=-10**4, max_value=10**4),
+    st.integers(min_value=-10**5, max_value=10**5).filter(bool),
+)
+_rooted_cubics = st.builds(
+    lambda r, s: (s - r * r, -r * s),
+    st.integers(min_value=-90, max_value=90),
+    st.integers(min_value=-2000, max_value=2000),
+).filter(lambda pq: abs(pq[0]) <= 10**4 and 0 < abs(pq[1]) <= 10**5)
+
+# every equal pair of the acceptance scan m in [-1, 12], n <= 2500
+_KNOWN_SCAN_PAIRS = ((-1, 5), (-1, 12), (-1, 1259), (0, 3), (0, 54), (1, 66),
+                     (2, 2389), (3, 54), (5, 12), (5, 1259), (12, 1259))
+
+
+class TestRootSieve:
+    def test_tables_match_brute_force(self):
+        tables = families._cubic_root_tables()
+        assert tuple(ell for ell, _ in tables) == families._SIEVE_PRIMES
+        for ell, table in tables:
+            assert len(table) == ell * ell
+            for a in range(ell):
+                for b in range(ell):
+                    has_root = any((y**3 + a * y + b) % ell == 0
+                                   for y in range(ell))
+                    assert table[a * ell + b] == has_root, (ell, a, b)
+
+    @given(st.one_of(_free_cubics, _rooted_cubics))
+    @settings(max_examples=300)
+    def test_sieved_test_matches_divisor_search(self, pq):
+        p, q = pq
+        assert _monic_depressed_cubic_has_integer_root(p, q) == (
+            _has_integer_root_by_divisors(p, q)
+        )
+
+    def test_pair_predicate_matches_decision_on_scan_range(self):
+        rng = random.Random(61)
+        pairs = set(_KNOWN_SCAN_PAIRS)
+        while len(pairs) < 150:
+            m = rng.randint(-1, 12)
+            pairs.add((m, rng.randint(m + 1, 2500)))
+        for m, n in sorted(pairs):
+            want, _ = decide_same_splitting(shanks_triple(m), shanks_triple(n))
+            assert shanks_pair_equal(m, n) == want, (m, n)
+            assert want == ((m, n) in _KNOWN_SCAN_PAIRS), (m, n)
+
+    def test_sieve_rejects_before_bisection(self, monkeypatch):
+        calls = {}
+
+        def counting(name):
+            fn = getattr(families, name)
+
+            def wrapper(p, q):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(p, q)
+
+            monkeypatch.setattr(families, name, wrapper)
+
+        counting("_monic_depressed_cubic_has_integer_root")
+        counting("_bisect_integer_root")
+        res = scan_equal_splitting((-1, 5), 100)
+        assert len(res.pairs) == 7
+        # of the 1,370 root tests of 686 pairs, only the 7 cubics that have
+        # an integer root pass every table
+        assert calls == {"_monic_depressed_cubic_has_integer_root": 1370,
+                         "_bisect_integer_root": 7}
