@@ -8,11 +8,18 @@ falls back to exhaustive trial division (degrees here are <= 6).  This core
 works on the int lists of ``zpoly``; ``factor_over_Fp`` converts from and
 to ``UniPoly`` only at its entry and exit.
 
-Over Q: clear denominators to a primitive integer polynomial, monicize,
-squarefree-split by Yun's algorithm, factor the image modulo a good prime
-with the int-list F_p core, Hensel-lift (quadratic steps, binary factor
-tree, ``zpoly`` arithmetic modulo p^(2^i)) above the Landau–Mignotte
-coefficient bound, and recombine factor subsets exhaustively.
+Over Q: squarefree-split the monic input by Yun's algorithm, pass each
+part to its monic integer model ell^d f(X/ell) (``integer_model``), factor
+the image modulo a good prime with the int-list F_p core, Hensel-lift
+(quadratic steps, binary factor tree, ``zpoly`` arithmetic modulo p^(2^i))
+above the Landau–Mignotte coefficient bound, and recombine factor subsets
+exhaustively.
+
+Rational roots of a cubic over Q need no factoring: they are the integer
+roots of its monic integer model divided by ell, and those are found by
+exact integer bisection over the monotone segments of the cubic, with the
+last two from the quotient quadratic (``_cubic_integer_roots``).  Roots of
+other degrees are read off ``factor_over_Q``.
 """
 
 from __future__ import annotations
@@ -56,6 +63,26 @@ class Factorization:
 
     def __iter__(self):
         return iter(self.factors)
+
+
+# --------------------------------------------------------------------------
+# The monic integer model of a monic rational polynomial.
+# --------------------------------------------------------------------------
+
+
+def integer_model(f: UniPoly) -> tuple:
+    """(H, ell) for a monic rational f of degree d: ell is the lcm of the
+    denominators of f's coefficients and H = ell^d f(X / ell), a monic
+    polynomial with integer coefficients, as an int list.  The roots of H
+    are ell times the roots of f.
+
+    >>> integer_model(UniPoly(QQ, (Fraction(1, 4), Fraction(-1, 2), 0, 1)))
+    ([16, -8, 0, 1], 4)
+    """
+    ell = math.lcm(*(c.denominator for c in f.coeffs))
+    d = f.degree
+    return [c.numerator * (ell ** (d - i) // c.denominator)
+            for i, c in enumerate(f.coeffs)], ell
 
 
 # --------------------------------------------------------------------------
@@ -328,23 +355,11 @@ def _factor_squarefree_q(q: UniPoly) -> list:
     """Monic squarefree rational polynomial -> monic rational irreducibles."""
     if q.degree == 1:
         return [q]
-    lcm_den = 1
-    for c in q.coeffs:
-        lcm_den = lcm_den * c.denominator // math.gcd(lcm_den, c.denominator)
-    ints = [int(c * lcm_den) for c in q.coeffs]
-    content = 0
-    for c in ints:
-        content = math.gcd(content, c)
-    ints = [c // content for c in ints]
-    ell = ints[-1]  # leading coefficient of the primitive integer model
-    d = len(ints) - 1
-    # Monicize: H(X) = ell^{d-1} · g(X/ell) is monic with integer coefficients.
-    H = [ints[j] * ell ** (d - 1 - j) for j in range(d)] + [1]
+    H, ell = integer_model(q)
     out = []
     for hj in _factor_monic_int_squarefree(H):
-        hq = UniPoly(QQ, hj)
-        dj = hq.degree
-        back = UniPoly(QQ, (hq.coeffs[i] * Fraction(ell) ** i for i in range(dj + 1)))
+        # hj(ell X) / ell^deg is the monic rational factor of q
+        back = UniPoly(QQ, (c * Fraction(ell) ** i for i, c in enumerate(hj)))
         out.append(back.monic())
     return out
 
@@ -373,14 +388,81 @@ def factor_over_Q(f: UniPoly) -> Factorization:
 
 
 def rational_roots(f: UniPoly) -> list:
-    """All rational roots with multiplicity, ascending."""
+    """All rational roots with multiplicity, ascending.  A cubic over Q is
+    not factored: its roots are ell^-1 times the integer roots of its monic
+    integer model (see integer_model and _cubic_integer_roots).  Other
+    degrees read the linear factors of factor_over_Q."""
     if not f:
         raise ValueError("every rational is a root of the zero polynomial")
+    if f.degree == 3 and f.field is QQ:
+        H, ell = integer_model(f.monic())
+        return [Fraction(r, ell) for r in _cubic_integer_roots(H)]
     roots = []
     for g, m in factor_over_Q(f).factors:
         if g.degree == 1:
             roots.extend([-g.coeffs[0]] * m)
     return sorted(roots)
+
+
+def _cubic_integer_roots(H: list) -> list:
+    """The integer roots, with multiplicity and ascending, of the monic
+    integer cubic H = [c0, c1, c2, 1], with no factoring.
+
+    H' = 3X^2 + 2 c2 X + c1 vanishes at (-c2 -+ sqrt(c2^2 - 3 c1)) / 3.
+    With s = isqrt(c2^2 - 3 c1) and e1, e2 the floors of (-c2 -+ s) / 3,
+    the critical points lie in (e1 - 1, e1 + 1) and [e2, e2 + 1), so the
+    integers within 2 of e1 and e2 are tried directly and H is strictly
+    monotone on [.., e1 - 2], [e1 + 2, e2 - 2] and [e2 + 2, ..]; with no
+    critical points it increases everywhere.  Each segment, cut to the
+    Fujiwara bound on the roots, is bisected exactly.  The first root r
+    found is divided out and the quotient quadratic solved with isqrt."""
+    c0, c1, c2 = H[0], H[1], H[2]
+
+    def h(x: int) -> int:
+        return ((x + c2) * x + c1) * x + c0
+
+    # Fujiwara: |root| <= 2 max(|c2|, |c1|^(1/2), |c0/2|^(1/3)); a power
+    # of two above each root of a coefficient keeps this exact.
+    bound = 2 * max(abs(c2), 1 << -(-abs(c1).bit_length() // 2),
+                    1 << -(-abs(c0).bit_length() // 3))
+    segments = [(-bound, bound, 1)]
+    root = None
+    crit = c2 * c2 - 3 * c1
+    if crit > 0:
+        s = math.isqrt(crit)
+        e1, e2 = (-c2 - s) // 3, (-c2 + s) // 3
+        root = next((x for e in (e1, e2) for x in range(e - 2, e + 3) if not h(x)), None)
+        segments = [(-bound, e1 - 2, 1), (e1 + 2, e2 - 2, -1), (e2 + 2, bound, 1)]
+    for lo, hi, sign in segments:
+        if root is not None:
+            break
+        root = _monotone_integer_root(h, lo, hi, sign)
+    if root is None:
+        return []
+    # H = (X - root)(X^2 + q1 X + q0)
+    q1 = c2 + root
+    q0 = c1 + root * q1
+    assert c0 + root * q0 == 0, "integer cubic root search found a non-root"
+    disc = q1 * q1 - 4 * q0
+    t = math.isqrt(disc) if disc >= 0 else -1
+    if t * t != disc:
+        return [root]
+    # t and q1 have the same parity, since disc = q1^2 mod 4
+    return sorted((root, (-q1 - t) // 2, (-q1 + t) // 2))
+
+
+def _monotone_integer_root(h, lo: int, hi: int, sign: int):
+    """The integer root of h in [lo, hi], on which sign * h increases
+    strictly, or None; by exact bisection."""
+    if lo > hi or sign * h(lo) > 0 or sign * h(hi) < 0:
+        return None
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if sign * h(mid) <= 0:
+            lo = mid
+        else:
+            hi = mid
+    return next((x for x in (lo, hi) if not h(x)), None)
 
 
 def is_square_rat(r: Fraction):

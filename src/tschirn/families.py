@@ -17,7 +17,6 @@ import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from multiprocessing import Pool
 
 from .decide import TschirnCoeffs, _avoid_zero_A, galois_type, verify_transformation
 from .factorq import is_square_rat
@@ -290,6 +289,14 @@ def _merge_classes(pairs) -> tuple:
     for x in parent:
         groups.setdefault(find(x), []).append(x)
     return tuple(sorted(tuple(sorted(g)) for g in groups.values()))
+
+
+def Pool(processes: int):
+    """A ``multiprocessing.Pool``; the module is imported only when a scan
+    fans out, so importing tschirn does not load it."""
+    from multiprocessing import Pool as pool
+
+    return pool(processes)
 
 
 def scan_equal_splitting(m_range, n_max: int, jobs: int = 1) -> ScanResult:

@@ -28,10 +28,12 @@ double root of F2 where that map degenerates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 
-from .factorq import is_square_rat, rational_roots
+from . import zpoly
+from .factorq import integer_model, is_square_rat, rational_roots
 from .fields import QQ, MathDomainError, field_of
 from .poly import (
     RootTuple,
@@ -107,29 +109,48 @@ class CubicInvariants:
 def cubic_invariants(s: CubicTriple, field=None) -> CubicInvariants:
     """A, B, C, D, E of the triple, computed once per triple and kept on it;
     only an explicit field other than ``s.field`` computes them afresh.  Each
-    computation cross-checks D against the resultant route and asserts the
-    identity 4A^3 - B^2 = 27D, so the checks also run once per triple."""
+    computation asserts the identity 4A^3 - B^2 = 27D and cross-checks D
+    against a second route: over Q the integer discriminant of the monic
+    integer model H = X^3 - t1 X^2 + t2 X - t3, t_i = ell^i s_i (see
+    ``factorq.integer_model``), as a 5x5 Sylvester determinant by Bareiss
+    elimination; over F_p and GF(p^k) the resultant discriminant of f3(s).
+    So the checks also run once per triple."""
     if field is None or field == s.field:
         return s._invariants
     return _compute_invariants(s, field)
 
 
-def _compute_invariants(s: CubicTriple, field) -> CubicInvariants:
-    s1, s2, s3 = s.values(field)
-    A = s1**2 - 3 * s2
-    B = 2 * s1**3 - 9 * s1 * s2 + 27 * s3
-    C = s1**4 - 4 * s1**2 * s2 + s2**2 + 6 * s1 * s3
-    D = (
+def _invariant_formulas(s1, s2, s3) -> tuple:
+    """(A, B, C, D, E) of (s1, s2, s3), in any commutative ring."""
+    return (
+        s1**2 - 3 * s2,
+        2 * s1**3 - 9 * s1 * s2 + 27 * s3,
+        s1**4 - 4 * s1**2 * s2 + s2**2 + 6 * s1 * s3,
         s1**2 * s2**2
         - 4 * s2**3
         - 4 * s1**3 * s3
         + 18 * s1 * s2 * s3
-        - 27 * s3**2
+        - 27 * s3**2,
+        s1 * s2 - 9 * s3,
     )
-    E = s1 * s2 - 9 * s3
-    assert D == poly_discriminant(s.poly(field)), "discriminant routes disagree"
+
+
+def _compute_invariants(s: CubicTriple, field) -> CubicInvariants:
+    if field is QQ:
+        # A, B, C, D, E are weighted homogeneous of weights 2, 3, 4, 6, 3,
+        # so on t_i = ell^i s_i they are ell^weight times those of s.
+        H, ell = integer_model(s.poly(QQ))
+        inv = _invariant_formulas(-H[2], H[1], -H[0])
+        disc = zpoly.discriminant(H)
+    else:
+        inv = _invariant_formulas(*s.values(field))
+        disc = poly_discriminant(s.poly(field))
+    A, B, _, D, _ = inv
+    assert D == disc, "discriminant routes disagree"
     assert 4 * A**3 - B**2 == 27 * D, "4A^3 - B^2 = 27D violated"
-    return CubicInvariants(A, B, C, D, E)
+    if field is QQ:
+        inv = (Fraction(v, ell**w) for v, w in zip(inv, (2, 3, 4, 6, 3)))
+    return CubicInvariants(*inv)
 
 
 def _common_field(s: CubicTriple, t: CubicTriple):

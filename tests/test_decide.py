@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import tschirn.decide as decide_mod
 import tschirn.factorq as factorq_mod
 import tschirn.resolvent as resolvent_mod
+import tschirn.zpoly as zpoly_mod
 from tschirn.decide import (
     FACTOR_PATTERNS,
     TABLE_INSTANCES,
@@ -575,9 +576,12 @@ class TestComputedOnce:
         assert degeneracy_indicator(a, b)
         # fresh triples: the checks above filled the caches of the first ones
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
-        calls = _counting(monkeypatch, [resolvent_mod], "poly_discriminant")
+        # over Q the cross-check of D is the integer discriminant of the
+        # integer model; the resultant route is for F_p and GF(p^k) only
+        calls = _counting(monkeypatch, [zpoly_mod], "discriminant")
+        resultant = _counting(monkeypatch, [resolvent_mod], "poly_discriminant")
         decide_same_splitting(a, b)
-        assert len(calls) == 2
+        assert len(calls) == 2 and not resultant
 
     def test_classify_factors_f2_once(self, monkeypatch):
         a, b = (CubicTriple(*v) for v in TABLE_INSTANCES[("S3", "S3", "Equal")])
@@ -585,6 +589,18 @@ class TestComputedOnce:
         report = classify_subfield(a, b)
         assert report.relation == "Equal" and report.observed_pattern == (1, 2, 3)
         assert len(calls) <= 3
+
+    @pytest.mark.parametrize(
+        "pair",
+        [((1, 3, 3), (0, 3, 0)),     # reducible: both C2
+         ((0, 3, -2), (3, -3, 3))],  # irreducible, on the locus
+    )
+    def test_no_factoring_off_the_generic_branch(self, monkeypatch, pair):
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        calls = _counting(monkeypatch, [factorq_mod, decide_mod], "factor_over_Q")
+        eq, w = decide_same_splitting(a, b)
+        assert eq and verify_transformation(a, b, w)
+        assert not calls
 
     @pytest.mark.parametrize(
         "pair",

@@ -12,9 +12,11 @@ from tschirn.fields import QQ, PrimeField, is_prime
 from tschirn.poly import UniPoly, poly_discriminant, poly_eval
 from tschirn.factorq import (
     Factorization,
+    _cubic_integer_roots,
     _good_prime,
     factor_over_Fp,
     factor_over_Q,
+    integer_model,
     is_square_rat,
     rational_roots,
 )
@@ -266,6 +268,124 @@ class TestRationalRoots:
         # every brute-force root is reported, and nothing false is reported
         assert brute <= set(found)
         assert all(poly_eval(f, r) == 0 for r in found)
+
+
+def _factored_roots(f: UniPoly) -> list:
+    """Rational roots with multiplicity, ascending, from the linear factors
+    of factor_over_Q: the route rational_roots takes for other degrees."""
+    roots = []
+    for g, m in factor_over_Q(f).factors:
+        if g.degree == 1:
+            roots.extend([-g.coeffs[0]] * m)
+    return sorted(roots)
+
+
+def _from_roots(r, s, t) -> UniPoly:
+    return qpoly(-r * s * t, r * s + r * t + s * t, -(r + s + t), 1)
+
+
+HEIGHT = 10**12
+big_ints = st.integers(-HEIGHT, HEIGHT)
+# roots of height up to 10^4, so the coefficients reach about 10^12
+root_rats = st.builds(Fraction, st.integers(-10**4, 10**4), st.integers(1, 36))
+coeff_rats = st.builds(Fraction, big_ints, st.integers(1, 10**3))
+
+
+@st.composite
+def shaped_cubics(draw):
+    """Monic rational cubics of every root shape the search must handle:
+    three distinct roots, (X - r)^2 (X - s), (X - r)^3, a zero root, two
+    roots next to a critical point, one root and an irreducible quadratic,
+    and free coefficients (almost always irreducible)."""
+    shape = draw(st.sampled_from(
+        ("split", "double", "triple", "zero", "near_critical", "lin_quad", "free")))
+    r, s = draw(root_rats), draw(root_rats)
+    if shape == "split":
+        return _from_roots(r, s, draw(root_rats))
+    if shape == "double":
+        return _from_roots(r, r, s)
+    if shape == "triple":
+        return _from_roots(r, r, r)
+    if shape == "zero":
+        return qpoly(0, draw(coeff_rats), draw(coeff_rats), 1)
+    if shape == "near_critical":
+        # a critical point lies between r and r + delta
+        return _from_roots(r, r + Fraction(draw(st.sampled_from((1, 2))), r.denominator), s)
+    if shape == "lin_quad":
+        return qpoly(-r, 1) * qpoly(draw(coeff_rats), draw(coeff_rats), 1)
+    return qpoly(draw(coeff_rats), draw(coeff_rats), draw(coeff_rats), 1)
+
+
+@st.composite
+def integer_cubics(draw):
+    """Monic integer cubics [c0, c1, c2, 1]: from integer roots at and
+    next to the critical points, with a zero root, or free."""
+    shape = draw(st.sampled_from(("roots", "near_critical", "lin_quad", "free")))
+    r, s = draw(st.integers(-10**4, 10**4)), draw(st.integers(-10**4, 10**4))
+    if shape == "free":
+        return [draw(big_ints), draw(big_ints), draw(big_ints), 1]
+    if shape == "lin_quad":
+        p, q = draw(st.integers(-10**8, 10**8)), draw(st.integers(-10**8, 10**8))
+        return [-r * q, q - r * p, p - r, 1]  # (X - r)(X^2 + pX + q)
+    if shape == "roots":
+        roots = (r, draw(st.sampled_from((r, s, 0))), draw(st.sampled_from((r, s, 0))))
+    else:
+        roots = (r, r + draw(st.integers(0, 3)), s)
+    return [int(c) for c in _from_roots(*map(Fraction, roots)).coeffs]
+
+
+class TestCubicRootSearch:
+    """rational_roots on a cubic over Q searches the integer roots of its
+    integer model instead of factoring; checked against factor_over_Q."""
+
+    @given(shaped_cubics())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_factoring_route(self, f):
+        roots = rational_roots(f)
+        assert roots == _factored_roots(f)
+        assert roots == sorted(roots)
+        assert all(isinstance(r, Fraction) and not f.eval(r) for r in roots)
+
+    @given(shaped_cubics(), st.builds(Fraction, st.integers(-99, 99).filter(bool),
+                                      st.integers(1, 99)))
+    @settings(max_examples=100, deadline=None)
+    def test_non_monic_input(self, f, lead):
+        assert rational_roots(f * lead) == _factored_roots(f * lead)
+
+    @given(integer_cubics())
+    @settings(max_examples=300, deadline=None)
+    def test_integer_search_matches_factoring_route(self, H):
+        expected = _factored_roots(UniPoly(QQ, H))
+        assert all(r.denominator == 1 for r in expected)
+        assert _cubic_integer_roots(H) == [int(r) for r in expected]
+
+    @pytest.mark.parametrize(
+        "roots",
+        [(0, 0, 0), (2, 2, -1), (-1, 2, 2), (5, 5, 5), (0, 0, 7), (0, 3, 4),
+         (-2, 0, 2), (1, 2, 3), (10**6, 10**6 + 1, -10**6),
+         (Fraction(1, 2), Fraction(1, 2), Fraction(-2, 3)),
+         (Fraction(-7, 6), Fraction(1, 4), 0)],
+    )
+    def test_root_shapes(self, roots):
+        f = _from_roots(*map(Fraction, roots))
+        assert rational_roots(f) == sorted(map(Fraction, roots))
+
+    @pytest.mark.parametrize(
+        "coeffs",
+        [(-2, 0, 0), (1, -3, 0), (-1, 0, Fraction(1, 2)), (HEIGHT + 1, 0, 0),
+         (3, 0, 1), (Fraction(1, 9), 5, 0)],
+    )
+    def test_no_roots(self, coeffs):
+        f = qpoly(*coeffs, 1)
+        assert rational_roots(f) == [] == _factored_roots(f)
+
+    def test_integer_model(self):
+        f = qpoly(Fraction(-5, 12), Fraction(1, 6), Fraction(-3, 4), 1)
+        H, ell = integer_model(f)
+        assert ell == 12 and H[-1] == 1
+        assert all(isinstance(c, int) for c in H)
+        assert UniPoly(QQ, H) == UniPoly(QQ, [c * ell**(3 - i) for i, c in enumerate(f.coeffs)])
+        assert integer_model(qpoly(-6, 11, -6, 1)) == ([-6, 11, -6, 1], 1)
 
 
 class TestIsSquareRat:

@@ -2,7 +2,10 @@
 the integer scan over Shanks pairs."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -366,6 +369,12 @@ class TestShanksScan:
         monkeypatch.setattr(families.os, "cpu_count", lambda: None)
         assert scan_equal_splitting((-1, 5), 100, jobs=64) == single
         assert sizes == [3, 2]
+
+    def test_import_leaves_multiprocessing_unloaded(self):
+        code = ("import sys, tschirn, tschirn.cli; "
+                "sys.exit('multiprocessing' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_empty_range(self):
         res = scan_equal_splitting((5, 4), 100)

@@ -169,6 +169,25 @@ class TestInvariants:
         s = CubicTriple(*tr)
         assert cubic_invariants(s).D == poly_discriminant(s.poly())
 
+    @given(st.tuples(*[st.builds(Fraction, st.integers(-10**12, 10**12),
+                                 st.integers(1, 10**4))] * 3))
+    @settings(max_examples=200)
+    def test_integer_route_matches_fraction_closed_form(self, tr):
+        # over Q the invariants come from the integer model and are scaled
+        # back; here they are evaluated on the Fractions directly
+        s1, s2, s3 = tr
+        inv = cubic_invariants(CubicTriple(s1, s2, s3))
+        assert (inv.A, inv.B, inv.C, inv.D, inv.E) == (
+            s1 * s1 - 3 * s2,
+            2 * s1**3 - 9 * s1 * s2 + 27 * s3,
+            s1**4 - 4 * s1 * s1 * s2 + s2 * s2 + 6 * s1 * s3,
+            s1 * s1 * s2 * s2 - 4 * s2**3 - 4 * s1**3 * s3
+            + 18 * s1 * s2 * s3 - 27 * s3 * s3,
+            s1 * s2 - 9 * s3,
+        )
+        assert all(isinstance(v, Fraction) for v in (inv.A, inv.B, inv.C, inv.D, inv.E))
+        assert inv.D == poly_discriminant(CubicTriple(s1, s2, s3).poly())
+
     def test_char3_specialization(self):
         K = gf_build(3, 2, 1)
         rng = random.Random(5)
