@@ -20,6 +20,7 @@ import random
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 # Lets option values like "-1,-2,1" or "-27/8" parse as arguments rather
 # than being mistaken for option names.
@@ -623,8 +624,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built on its first call and kept for the
+    rest of the process: parsing leaves no state in an argparse parser, and
+    building one costs more than most commands."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command and return its exit code; may be called repeatedly
+    in one process."""
+    parser = _main_parser()
     ns = parser.parse_args(argv)
     try:
         return ns.handler(parser, ns)

@@ -15,11 +15,13 @@ the image modulo a good prime with the int-list F_p core, Hensel-lift
 above the Landau–Mignotte coefficient bound, and recombine factor subsets
 exhaustively.
 
-Rational roots of a cubic over Q need no factoring: they are the integer
-roots of its monic integer model divided by ell, and those are found by
-exact integer bisection over the monotone segments of the cubic, with the
-last two from the quotient quadratic (``_cubic_integer_roots``).  Roots of
-other degrees are read off ``factor_over_Q``.
+Rational roots of a quadratic or a cubic over Q need no factoring: they
+are the integer roots of its monic integer model divided by ell.  A
+quadratic's come from one isqrt of its discriminant
+(``_quadratic_integer_roots``); a cubic's are found by exact integer
+bisection over its monotone segments, with the last two from the quotient
+quadratic (``_cubic_integer_roots``).  Roots of other degrees are read off
+``factor_over_Q``.
 """
 
 from __future__ import annotations
@@ -388,15 +390,17 @@ def factor_over_Q(f: UniPoly) -> Factorization:
 
 
 def rational_roots(f: UniPoly) -> list:
-    """All rational roots with multiplicity, ascending.  A cubic over Q is
-    not factored: its roots are ell^-1 times the integer roots of its monic
-    integer model (see integer_model and _cubic_integer_roots).  Other
-    degrees read the linear factors of factor_over_Q."""
+    """All rational roots with multiplicity, ascending.  A quadratic or a
+    cubic over Q is not factored: its roots are ell^-1 times the integer
+    roots of its monic integer model (see integer_model,
+    _quadratic_integer_roots and _cubic_integer_roots).  Other degrees read
+    the linear factors of factor_over_Q."""
     if not f:
         raise ValueError("every rational is a root of the zero polynomial")
-    if f.degree == 3 and f.field is QQ:
+    if f.degree in (2, 3) and f.field is QQ:
         H, ell = integer_model(f.monic())
-        return [Fraction(r, ell) for r in _cubic_integer_roots(H)]
+        search = _cubic_integer_roots if f.degree == 3 else _quadratic_integer_roots
+        return [Fraction(r, ell) for r in search(H)]
     roots = []
     for g, m in factor_over_Q(f).factors:
         if g.degree == 1:
@@ -443,12 +447,20 @@ def _cubic_integer_roots(H: list) -> list:
     q1 = c2 + root
     q0 = c1 + root * q1
     assert c0 + root * q0 == 0, "integer cubic root search found a non-root"
+    return sorted([root] + _quadratic_integer_roots([q0, q1, 1]))
+
+
+def _quadratic_integer_roots(H: list) -> list:
+    """The integer roots, with multiplicity and ascending, of the monic
+    integer quadratic H = [q0, q1, 1]: (-q1 -+ t) / 2 when the discriminant
+    is the square t^2, else none."""
+    q0, q1 = H[0], H[1]
     disc = q1 * q1 - 4 * q0
     t = math.isqrt(disc) if disc >= 0 else -1
     if t * t != disc:
-        return [root]
+        return []
     # t and q1 have the same parity, since disc = q1^2 mod 4
-    return sorted((root, (-q1 - t) // 2, (-q1 + t) // 2))
+    return [(-q1 - t) // 2, (-q1 + t) // 2]
 
 
 def _monotone_integer_root(h, lo: int, hi: int, sign: int):

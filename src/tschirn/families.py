@@ -7,19 +7,18 @@ The scan asks whether a monic integer cubic has an integer root.  It first
 looks the cubic up in tables of the cubics Y^3 + aY + b that have a root mod
 each prime l from 5 to 47: an integer root is also a root mod every l, so no
 root mod some l proves no integer root.  Only the few cubics that pass every
-table go on to the exact integer bisection, so every "has a root" answer is
-still exact."""
+table go on to the exact integer root search of ``factorq``, so every "has a
+root" answer is still exact."""
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
 from .decide import TschirnCoeffs, _avoid_zero_A, galois_type, verify_transformation
-from .factorq import is_square_rat
+from .factorq import _cubic_integer_roots, is_square_rat
 from .fields import QQ, MathDomainError
 from .resolvent import CubicTriple, cubic_invariants, shanks_delta, shanks_triple
 
@@ -184,51 +183,13 @@ def _cubic_root_tables() -> tuple:
 def _monic_depressed_cubic_has_integer_root(p: int, q: int) -> bool:
     """Whether Y^3 + pY + q (integer coefficients) has an integer root: no
     root mod a sieve prime proves no integer root (see the module
-    docstring); the rest go to the exact bisection."""
+    docstring); the rest go to the exact integer root search of factorq."""
     if q == 0:
         return True
     for ell, table in _cubic_root_tables():
         if not table[(p % ell) * ell + q % ell]:
             return False
-    return _bisect_integer_root(p, q)
-
-
-def _bisect_integer_root(p: int, q: int) -> bool:
-    """Whether Y^3 + pY + q has an integer root, by exact integer bisection
-    over the monotone segments."""
-
-    def g(y: int) -> int:
-        return y * y * y + p * y + q
-
-    bound = 1 + max(abs(p), abs(q))
-    segments = []
-    if p >= 0:
-        segments.append((-bound, bound, 1))
-    else:
-        s = math.isqrt((-p) // 3)  # floor of the critical |Y|
-        for y in range(-s - 2, -s + 3):
-            if g(y) == 0:
-                return True
-        for y in range(s - 2, s + 3):
-            if g(y) == 0:
-                return True
-        segments.append((-bound, -s - 2, 1))
-        segments.append((-(s - 2), s - 2, -1))
-        segments.append((s + 2, bound, 1))
-    for lo, hi, sign in segments:
-        if lo > hi:
-            continue
-        if sign * g(lo) > 0 or sign * g(hi) < 0:
-            continue
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if sign * g(mid) <= 0:
-                lo = mid
-            else:
-                hi = mid
-        if g(lo) == 0 or g(hi) == 0:
-            return True
-    return False
+    return bool(_cubic_integer_roots([q, p, 0, 1]))
 
 
 def shanks_pair_equal(m: int, n: int) -> bool:
@@ -238,7 +199,7 @@ def shanks_pair_equal(m: int, n: int) -> bool:
     models Y^3 - (Da Db) Y -+ k Da Db with k = (m-n) resp. -(m+n+3).  A
     factor with no root mod one of the sieve primes 5..47 has no integer
     root (reduce an integer root mod l), so tables of the cubics with a
-    root mod l reject almost every pair before the exact bisection runs."""
+    root mod l reject almost every pair before the exact root search runs."""
     if m == n:
         return True
     prod = int(shanks_delta(m) * shanks_delta(n))

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from tschirn import cli
-from tschirn.decide import all_rational_transformations
+from tschirn.decide import TABLE_INSTANCES, all_rational_transformations
 from tschirn.resolvent import CubicTriple, resolvent_F2
 
 
@@ -376,3 +376,85 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert "equal = true" in proc.stdout
+
+
+def _triple_arg(values) -> str:
+    return ",".join(str(v) for v in values)
+
+
+# Runs of main in one process, each with the $TSCHIRN_JOBS it sees: every
+# kind of exit, and the environment changed between two scans.
+_SCAN = ["scan", "--m-min", "-1", "--m-max", "1", "--n-max", "70"]
+_SESSION = [
+    *((None, ["classify", "--a", _triple_arg(a), "--b", _triple_arg(b), "--json"])
+      for a, b in TABLE_INSTANCES.values()),
+    (None, ["classify", "--a", "0,3,-2", "--b", "3,-3,3"]),
+    (None, ["decide-iso", "--a", "0,-7,7", "--b", "0,-189,189", "--json"]),
+    (None, ["factor", "--coeffs", "2,-3,0,1"]),
+    (None, ["invariants", "--a", "1,2,3", "--monic-a", "1,2,3"]),
+    (None, ["decide-iso", "--a", "1,2"]),
+    (None, ["nonsense"]),
+    (None, ["decide-iso", "--a", "0,0,0", "--b", "0,3,-2"]),
+    (None, ["--help"]),
+    (None, ["classify", "--help"]),
+    ("1", _SCAN),
+    ("two", _SCAN),
+    ("2", _SCAN + ["--json"]),
+    ("1", _SCAN),
+]
+
+
+def _session(capsys, monkeypatch) -> list:
+    """(exit code, stdout, stderr) of each run of _SESSION."""
+    monkeypatch.setenv("COLUMNS", "80")
+    outcomes = []
+    for jobs, argv in _SESSION:
+        if jobs is None:
+            monkeypatch.delenv("TSCHIRN_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("TSCHIRN_JOBS", jobs)
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+    return outcomes
+
+
+class TestReentrantMain:
+    """main keeps one parser per process; each call must behave as if it
+    had built its own."""
+
+    def test_repeated_calls_match_a_fresh_parser(self, capsys, monkeypatch):
+        first = _session(capsys, monkeypatch)
+        again = _session(capsys, monkeypatch)
+        with monkeypatch.context() as mp:
+            mp.setattr(cli, "_main_parser", cli.build_parser)
+            fresh = _session(capsys, monkeypatch)
+        assert first == again == fresh
+        codes = [code for code, _, _ in first]
+        assert set(codes) == {0, 1, 2}
+        assert codes[-4:] == [0, 2, 0, 0]
+        assert first[-4][1] == first[-1][1]
+        assert first[-3][2] == (
+            "error: tschirn: $TSCHIRN_JOBS must be an integer, got 'two'\n")
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        build_parser = cli.build_parser
+        built = []
+
+        def counting_build_parser():
+            parser = build_parser()
+            built.append(parser)
+            return parser
+
+        monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+        cli._main_parser.cache_clear()
+        try:
+            _session(capsys, monkeypatch)
+            assert len(built) == 1
+        finally:
+            cli._main_parser.cache_clear()
+        fresh = build_parser(), build_parser()
+        assert fresh[0] is not fresh[1] and built[0] not in fresh

@@ -1,5 +1,6 @@
 """Tests for factorization over Q and F_p, rational roots, square testing."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -386,6 +387,46 @@ class TestCubicRootSearch:
         assert all(isinstance(c, int) for c in H)
         assert UniPoly(QQ, H) == UniPoly(QQ, [c * ell**(3 - i) for i, c in enumerate(f.coeffs)])
         assert integer_model(qpoly(-6, 11, -6, 1)) == ([-6, 11, -6, 1], 1)
+
+
+@st.composite
+def shaped_quadratics(draw):
+    """Rational quadratics, not always monic: a double root, two distinct
+    roots, X^2 - n with n not a square, and free coefficients (almost
+    always irreducible)."""
+    shape = draw(st.sampled_from(("double", "split", "non_square", "free")))
+    r, s = draw(root_rats), draw(root_rats)
+    if shape == "double":
+        f = qpoly(-r, 1) ** 2
+    elif shape == "split":
+        f = qpoly(-r, 1) * qpoly(-s, 1)
+    elif shape == "non_square":
+        n = draw(st.integers(2, 10**6).filter(lambda n: math.isqrt(n) ** 2 != n))
+        f = qpoly(-Fraction(n, r.denominator**2), 0, 1)
+    else:
+        f = qpoly(draw(coeff_rats), draw(coeff_rats), 1)
+    return f * draw(st.builds(Fraction, st.integers(-99, 99).filter(bool),
+                              st.integers(1, 99)))
+
+
+class TestQuadraticRoots:
+    """rational_roots on a quadratic over Q takes one isqrt on its integer
+    model instead of factoring; checked against factor_over_Q."""
+
+    @given(shaped_quadratics())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_factoring_route(self, f):
+        roots = rational_roots(f)
+        assert roots == _factored_roots(f)
+        assert all(isinstance(r, Fraction) and not f.eval(r) for r in roots)
+
+    @pytest.mark.parametrize(
+        "coeffs, roots",
+        [((Fraction(1, 4), -1), [Fraction(1, 2)] * 2), ((2, 0), []), ((0, 0), [0, 0]),
+         ((-6, 1), [-3, 2]), ((Fraction(-2, 27), Fraction(1, 9)), [Fraction(-1, 3), Fraction(2, 9)])],
+    )
+    def test_root_shapes(self, coeffs, roots):
+        assert rational_roots(qpoly(*coeffs, 1)) == roots
 
 
 class TestIsSquareRat:

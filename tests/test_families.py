@@ -27,7 +27,7 @@ from tschirn.families import (
     scan_equal_splitting,
     shanks_pair_equal,
 )
-from tschirn.factorq import rational_roots
+from tschirn.factorq import _cubic_integer_roots, rational_roots
 from tschirn.fields import QQ, MathDomainError
 from tschirn.poly import UniPoly, poly_discriminant
 from tschirn.resolvent import (
@@ -309,6 +309,25 @@ class TestIntegerRootFinder:
         # the (-1, 5) Shanks pair: Y^3 - 343Y + 2058 has the root 7
         assert _monic_depressed_cubic_has_integer_root(-343, 2058)
 
+    def test_grid_matches_brute_force(self):
+        # an integer root y has |y| <= 1 + max(|p|, |q|)
+        grid = range(-300, 301, 7)
+        rooted = {(p, -y * y * y - p * y) for p in grid for y in range(-301, 302)}
+        for p in grid:
+            for q in grid:
+                expect = (p, q) in rooted
+                assert bool(_cubic_integer_roots([q, p, 0, 1])) == expect, (p, q)
+                assert _monic_depressed_cubic_has_integer_root(p, q) == expect, (p, q)
+
+    def test_planted_roots_found(self):
+        rng = random.Random(7)
+        for _ in range(20_000):
+            r, s = rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)
+            # (Y - r)(Y^2 + rY + s) = Y^3 + (s - r^2) Y - rs
+            p, q = s - r * r, -r * s
+            assert r in _cubic_integer_roots([q, p, 0, 1])
+            assert _monic_depressed_cubic_has_integer_root(p, q)
+
 
 class TestShanksScan:
     def test_pair_predicate(self):
@@ -459,17 +478,17 @@ class TestRootSieve:
         def counting(name):
             fn = getattr(families, name)
 
-            def wrapper(p, q):
+            def wrapper(*args):
                 calls[name] = calls.get(name, 0) + 1
-                return fn(p, q)
+                return fn(*args)
 
             monkeypatch.setattr(families, name, wrapper)
 
         counting("_monic_depressed_cubic_has_integer_root")
-        counting("_bisect_integer_root")
+        counting("_cubic_integer_roots")
         res = scan_equal_splitting((-1, 5), 100)
         assert len(res.pairs) == 7
         # of the 1,370 root tests of 686 pairs, only the 7 cubics that have
         # an integer root pass every table
         assert calls == {"_monic_depressed_cubic_has_integer_root": 1370,
-                         "_bisect_integer_root": 7}
+                         "_cubic_integer_roots": 7}
