@@ -94,10 +94,9 @@ def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
 
 
 def _rat_list(text: str) -> tuple:
-    parts = [p for p in text.split(",") if p.strip()]
-    if not parts:
+    if not text.strip():
         raise argparse.ArgumentTypeError("empty coefficient list")
-    return tuple(_rat(p) for p in parts)
+    return tuple(_rat(p) for p in text.split(","))
 
 
 def _rat_triple(text: str) -> tuple:

@@ -2,11 +2,12 @@
 extraction, and exact square testing.
 
 Over F_p: squarefree decomposition (with the p-th-root step), distinct-degree
-splitting, then Cantor–Zassenhaus equal-degree splitting driven by a PRNG
-seeded deterministically from the input, so output is reproducible.  p = 2
-falls back to exhaustive trial division (degrees here are <= 6).  This core
-works on the int lists of ``zpoly``; ``factor_over_Fp`` converts from and
-to ``UniPoly`` only at its entry and exit.
+splitting (``zpoly.distinct_degree``), then Cantor–Zassenhaus equal-degree
+splitting driven by a PRNG seeded deterministically from the input, so
+output is reproducible; for p = 2 it splits by the trace map instead of a
+(p^d - 1)/2 power.  This core works on the int lists of ``zpoly``;
+``factor_over_Fp`` converts from and to ``UniPoly`` only at its entry and
+exit.
 
 Over Q: squarefree-split the monic input by Yun's algorithm, pass each
 part to its monic integer model ell^d f(X/ell) (``integer_model``), factor
@@ -103,12 +104,7 @@ def _squarefree_decompose_fp(f: list, p: int) -> dict:
     out: dict = {}
     if len(f) <= 1:
         return out
-    df = zpoly.mod([i * f[i] for i in range(1, len(f))], p)
-    if not df:
-        for g, m in _squarefree_decompose_fp(_pth_root_fp(f, p), p).items():
-            out[g] = out.get(g, 0) + m * p
-        return out
-    c = zpoly.gcd(f, df, p)
+    c = zpoly.gcd(f, zpoly.mod([i * f[i] for i in range(1, len(f))], p), p)
     w = zpoly.divmod_mod(f, c, p)[0]
     i = 1
     while len(w) > 1:
@@ -125,61 +121,26 @@ def _squarefree_decompose_fp(f: list, p: int) -> dict:
     return out
 
 
-def _trial_division_fp(f: list, p: int) -> list:
-    """Exhaustive factorization of monic squarefree f (used for p = 2)."""
-    out = []
-    d = 1
-    while 2 * d <= len(f) - 1:
-        for j in range(p**d):
-            cand, v = [], j
-            for _ in range(d):
-                cand.append(v % p)
-                v //= p
-            cand.append(1)
-            q, r = zpoly.divmod_mod(f, cand, p)
-            if not r:
-                out.append(cand)
-                f = q
-                if 2 * d > len(f) - 1:
-                    break
-        d += 1
-    if len(f) > 1:
-        out.append(f)
-    return out
-
-
-def _distinct_degree_fp(f: list, p: int) -> list:
-    """Monic squarefree f -> [(product of irreducibles of degree d, d)]."""
-    x = [0, 1]
-    out = []
-    h = x
-    v = f
-    d = 0
-    while len(v) - 1 >= 2 * (d + 1):
-        d += 1
-        h = zpoly.powmod(h, p, v, p)
-        g = zpoly.gcd(v, zpoly.sub(h, x, p), p)
-        if len(g) > 1:
-            out.append((g, d))
-            v = zpoly.divmod_mod(v, g, p)[0]
-            h = zpoly.divmod_mod(h, v, p)[1]
-    if len(v) > 1:
-        out.append((v, len(v) - 1))
-    return out
-
-
 def _equal_degree_split_fp(f: list, d: int, p: int, rng: random.Random) -> list:
-    """Cantor–Zassenhaus split of a product of degree-d irreducibles, p odd."""
+    """Cantor–Zassenhaus split of a product of degree-d irreducibles: by the
+    gcd with r^((p^d - 1)/2) - 1 for odd p, and with the trace
+    r + r^2 + r^4 + ... + r^(2^(d-1)) for p = 2."""
     if len(f) - 1 == d:
         return [f]
-    exponent = (p**d - 1) // 2
     while True:
         r = zpoly.trim([rng.randrange(p) for _ in range(len(f) - 1)])
         if len(r) < 2:
             continue
         g = zpoly.gcd(f, r, p)
         if len(g) == 1:
-            g = zpoly.gcd(f, zpoly.sub(zpoly.powmod(r, exponent, f, p), [1], p), p)
+            if p == 2:
+                s = t = r
+                for _ in range(d - 1):
+                    s = zpoly.powmod(s, 2, f, 2)
+                    t = zpoly.add(t, s, 2)
+            else:
+                t = zpoly.sub(zpoly.powmod(r, (p**d - 1) // 2, f, p), [1], p)
+            g = zpoly.gcd(f, t, p)
         if 1 < len(g) < len(f):
             return _equal_degree_split_fp(g, d, p, rng) + _equal_degree_split_fp(
                 zpoly.divmod_mod(f, g, p)[0], d, p, rng
@@ -192,15 +153,10 @@ def _factor_fp(f: list, p: int) -> list:
     rng = random.Random(f"fp:{p}:" + ",".join(str(c) for c in f))
     found: dict = {}
     for piece, mult in _squarefree_decompose_fp(f, p).items():
-        if p == 2:
-            irreducibles = _trial_division_fp(piece, p)
-        else:
-            irreducibles = []
-            for prod, d in _distinct_degree_fp(piece, p):
-                irreducibles.extend(_equal_degree_split_fp(prod, d, p, rng))
-        for h in irreducibles:
-            h = tuple(h)
-            found[h] = found.get(h, 0) + mult
+        for prod, d in zpoly.distinct_degree(piece, p):
+            for h in _equal_degree_split_fp(prod, d, p, rng):
+                h = tuple(h)
+                found[h] = found.get(h, 0) + mult
     return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 

@@ -274,14 +274,10 @@ class FpElement:
 
 
 def _irreducible_mod_p(f, p) -> bool:
-    """Monic f of degree k is irreducible over F_p iff it shares no factor
-    with X^{p^d} - X for any d <= k/2 (catches every factor of degree <= k/2)."""
-    h = [0, 1]
-    for _ in range((len(f) - 1) // 2):
-        h = zpoly.powmod(h, p, f, p)
-        if len(zpoly.gcd(f, zpoly.sub(h, [0, 1], p), p)) > 1:
-            return False
-    return True
+    """Monic f of degree k >= 1 over F_p is irreducible iff its first
+    distinct-degree part is all of f; this holds for f not squarefree too,
+    as a repeated factor has degree <= k/2 and is found before degree k."""
+    return zpoly.distinct_degree(f, p)[0][1] == len(f) - 1
 
 
 class ExtField:
@@ -303,7 +299,7 @@ class ExtField:
         self.k = k
         self.modulus = modulus
         self.zero = GFElement(self, (0,) * k)
-        self.one = GFElement(self, (1,) + (0,) * (k - 1)) if k >= 1 else None
+        self.one = GFElement(self, (1,) + (0,) * (k - 1))
 
     @property
     def char(self) -> int:
@@ -327,10 +323,7 @@ class ExtField:
         raise TypeError(f"cannot coerce {x!r} into GF({self.p}^{self.k})")
 
     def gen(self) -> "GFElement":
-        """The class of X (a generator of the F_p-algebra)."""
-        if self.k == 1:
-            # X reduces to the root of the degree-1 modulus X + c, i.e. -c.
-            return self(-self.modulus[0])
+        """The class of X, a generator of the F_p-algebra (-c for modulus X + c)."""
         return self([0, 1])
 
     def order(self) -> int:
@@ -443,14 +436,8 @@ class GFElement:
     def __pow__(self, n: int):
         if n < 0:
             return self.inverse() ** (-n)
-        result = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        fld = self.field
+        return fld(zpoly.powmod(zpoly.trim(list(self.coeffs)), n, fld.modulus, fld.p))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

@@ -2,11 +2,13 @@
 
 The one low-level polynomial kernel of the package: ``fields`` builds
 GF(p^k) arithmetic on it and ``factorq`` runs F_p factoring and Hensel
-lifting on it.  A polynomial is a list (or tuple) of ints, constant term
-first; results are trimmed lists, so the zero polynomial is ``[]``.  The
-functions taking a modulus ``m`` return coefficients reduced into
-[0, m); gcd, xgcd and powmod need a prime modulus ``p``.  Algorithms are the
-classical ones (von zur Gathen–Gerhard, *Modern Computer Algebra*, ch. 2-3).
+lifting on it; both use its distinct-degree step, ``fields`` to test a
+modulus for irreducibility.  A polynomial is a list (or tuple) of ints,
+constant term first; results are trimmed lists, so the zero polynomial is
+``[]``.  The functions taking a modulus ``m`` return coefficients reduced
+into [0, m); gcd, xgcd, powmod and distinct_degree need a prime modulus
+``p``.  Algorithms are the classical ones (von zur Gathen–Gerhard, *Modern
+Computer Algebra*, ch. 2-3 and 14).
 """
 
 from __future__ import annotations
@@ -125,6 +127,31 @@ def powmod(base, e: int, modulus, p: int) -> list:
         base = divmod_mod(mul(base, base, p), modulus, p)[1]
         e >>= 1
     return result
+
+
+def distinct_degree(f, p: int) -> list:
+    """Monic f over F_p -> [(g_d, d)], d ascending: g_d = gcd(v, X^(p^d) - X)
+    with v what is left of f, and the last part is the rest once its degree
+    is below 2(d + 1).  For squarefree f, g_d is the product of the degree-d
+    irreducible factors.  For any f the first part is (f, deg f) iff f is
+    irreducible: a factor g with deg g <= deg f / 2, repeated or not, is
+    found by step deg g."""
+    x = [0, 1]
+    out = []
+    h = x
+    v = f
+    d = 0
+    while len(v) - 1 >= 2 * (d + 1):
+        d += 1
+        h = powmod(h, p, v, p)
+        g = gcd(v, sub(h, x, p), p)
+        if len(g) > 1:
+            out.append((g, d))
+            v = divmod_mod(v, g, p)[0]
+            h = divmod_mod(h, v, p)[1]
+    if len(v) > 1:
+        out.append((v, len(v) - 1))
+    return out
 
 
 def det(rows) -> int:

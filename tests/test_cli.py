@@ -348,6 +348,11 @@ class TestPlumbing:
         for text in ("1.5", "1e3", "1/0"):
             cases.append(({}, ["decide-iso", "--a", f"{text},2,3",
                                "--b", "0,0,2"]))
+        # an empty entry is an error, not a dropped coefficient
+        for argv in (["factor", "--coeffs", "1,,2"], ["factor", "--coeffs", "1,2,"],
+                     ["factor", "--coeffs", ",1"], ["factor", "--coeffs", "1, ,2"],
+                     ["invariants", "--a", "0,,3,-2"]):
+            cases.append(({}, argv))
         for env, argv in cases:
             with monkeypatch.context() as mp:
                 for name, value in env.items():

@@ -170,6 +170,40 @@ def test_ext_field_rejects_reducible_modulus():
         ExtField(2, 2, (1, 0, 1))  # X^2 + 1 = (X+1)^2 over F_2
 
 
+@pytest.mark.parametrize("modulus, p", [
+    ((0, 0, 1), 3),  # X^2
+    ((1, 0, 2, 0, 1), 3),  # (X^2 + 1)^2, a square of an irreducible quadratic
+    ((1, 1, 0, 1, 1), 2),  # (X + 1)^2 (X^2 + X + 1)
+])
+def test_ext_field_rejects_non_squarefree_modulus(modulus, p):
+    with pytest.raises(ValueError, match="reducible"):
+        ExtField(p, len(modulus) - 1, modulus)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_gf_degree_one_generator_is_root_of_modulus(p):
+    for seed in range(p):
+        K = gf_build(p, 1, seed)
+        assert K.gen() == K(-K.modulus[0])
+
+
+@pytest.mark.parametrize("p, k", [(2, 4), (3, 3), (5, 2), (7, 3)])
+def test_gf_powers_match_repeated_products(p, k):
+    K = gf_build(p, k, 0)
+    x = K.gen()
+    for a in (K.zero, K.one, x, x + 1, 2 * x * x - x + 1):
+        power = K.one
+        for n in range(2 * (p**k - 1) + 2):
+            assert a**n == power, (a, n)
+            power = power * a
+        if a:
+            assert a**-1 == a.inverse()
+            assert a**-3 * a**3 == K.one
+        else:
+            with pytest.raises(ZeroDivisionError):
+                a**-1
+
+
 def test_gf27_all_inverses():
     K = gf_build(3, 3, 0)
     n = 0

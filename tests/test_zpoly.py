@@ -1,8 +1,10 @@
 """The int-list polynomial kernel against UniPoly over PrimeField, and
 factor_over_Fp (built on it) against brute-force irreducibility checks."""
 
+from collections import Counter
 from itertools import product
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -164,6 +166,31 @@ def test_factor_over_fp_pth_power_and_repeated_examples():
     assert factor_over_Fp(g).factors == ((UniPoly(F2, [1, 1, 1]), 2),)
     for h in (f, g):
         assert_complete_factorization(h)
+
+
+# Every irreducible cubic and quartic over F_2, and three of the six quintics.
+F2_SAME_DEGREE = (
+    ([1, 1, 0, 1], [1, 0, 1, 1]),
+    ([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1]),
+    ([1, 0, 1, 0, 0, 1], [1, 0, 0, 1, 0, 1], [1, 1, 1, 1, 0, 1]),
+)
+
+
+@pytest.mark.parametrize("irreducibles", F2_SAME_DEGREE)
+@pytest.mark.parametrize("cofactor", [[], [[1, 1, 1], [1, 1, 1]], [[0, 1], [1, 1]]],
+                         ids=["alone", "square", "X(X+1)"])
+def test_f2_products_of_same_degree_irreducibles(irreducibles, cofactor):
+    """Over F_2 the equal-degree split of two or more irreducibles of one
+    degree d >= 2 runs on the trace map."""
+    for n in range(2, len(irreducibles) + 1):
+        planted = list(irreducibles[:n]) + cofactor
+        f = up(2, [1])
+        for g in planted:
+            f = f * up(2, g)
+        expect = sorted(Counter(map(tuple, planted)).items(),
+                        key=lambda kv: (len(kv[0]), kv[0]))
+        assert [(tuple(ints(g)), m) for g, m in factor_over_Fp(f).factors] == expect
+        assert_complete_factorization(f)
 
 
 @given(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=6),
