@@ -16,7 +16,6 @@ import sys
 from tschirn.decide import (
     all_rational_transformations,
     decide_same_splitting,
-    degenerate_factorization,
     galois_type,
     verify_transformation,
 )
@@ -24,6 +23,7 @@ from tschirn.resolvent import (
     CubicTriple,
     cubic_invariants,
     degeneracy_indicator,
+    degenerate_f2_blocks,
     resolvent_F0_degenerate,
     resolvent_F1,
     resolvent_F2,
@@ -53,10 +53,9 @@ def show_pair(title: str, a: CubicTriple, b: CubicTriple) -> None:
     print(f"  F0~ = {resolvent_F0_degenerate(a, b)}")
 
     if ind == 0:
-        split = degenerate_factorization(a, b)
-        double_root = -split.factors[0][0].coeffs[0]
-        print(f"  degenerate split: double root {double_root},"
-              f" simple root {split.simple_root}")
+        double, simple, _ = degenerate_f2_blocks(a, b)
+        print(f"  degenerate split: double root {-double.coeffs[0]},"
+              f" simple root {-simple.coeffs[0]}")
 
     equal, witness = decide_same_splitting(a, b)
     print(f"  same splitting field: {equal}")

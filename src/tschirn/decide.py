@@ -23,7 +23,6 @@ from .resolvent import (
     cubic_invariants,
     degeneracy_indicator,
     degenerate_f2_blocks,
-    recovery_D12_0,
     recovery_polys,
     resolvent_F2,
     tschirn_image,
@@ -111,37 +110,6 @@ class TschirnCoeffs:
 
     def poly(self) -> UniPoly:
         return UniPoly(QQ, self.as_tuple())
-
-
-@dataclass(frozen=True)
-class RecoveryFormulas:
-    """The coefficient-recovery data for a pair: u1 = q12(u2)/d12(u2) on
-    resolvent roots, with d12_0 the content multiplier that clears the
-    denominator (it vanishes exactly on the multiple-root locus)."""
-
-    q12: UniPoly
-    d12: UniPoly
-    d12_0: Fraction
-
-    @classmethod
-    def for_pair(cls, a: CubicTriple, b: CubicTriple) -> "RecoveryFormulas":
-        q12, d12 = recovery_polys(a, b)
-        return cls(q12=q12, d12=d12, d12_0=recovery_D12_0(a, b))
-
-
-@dataclass(frozen=True)
-class DegenerateSplit:
-    """Closed-form block factorization of the u2-resolvent on the
-    multiple-root locus; the blocks need not be irreducible over Q."""
-
-    factors: tuple  # ((double, 2), (simple, 1), (cubic, 1))
-    simple_root: Fraction
-
-    def expand(self) -> UniPoly:
-        out = UniPoly.one(QQ)
-        for g, m in self.factors:
-            out = out * g**m
-        return out
 
 
 @dataclass(frozen=True)
@@ -266,25 +234,6 @@ def recover_coeffs(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
 
 
 # --------------------------------------------------------------------------
-# Multiple-root branch.
-# --------------------------------------------------------------------------
-
-
-def degenerate_factorization(a: CubicTriple, b: CubicTriple):
-    """Closed-form factorization of the u2-resolvent on the multiple-root
-    locus, together with its guaranteed-simple rational root."""
-    if rational_roots(a.poly()):
-        raise MathDomainError(
-            "the multiple-root factorization requires f3(a;X) irreducible"
-        )
-    double, simple, cubic = degenerate_f2_blocks(a, b)
-    return DegenerateSplit(
-        factors=((double, 2), (simple, 1), (cubic, 1)),
-        simple_root=-simple.coeffs[0],
-    )
-
-
-# --------------------------------------------------------------------------
 # Same-splitting-field decision.
 # --------------------------------------------------------------------------
 
@@ -391,22 +340,28 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
     return _decide_irreducible(a, *_avoid_zero_A(a), b, *_avoid_zero_A(b))
 
 
-def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
-    """(equal, witness) for irreducible separable a and b, given their A != 0
-    forms (an, hop_a) and (bn, hop_b) from _avoid_zero_A.  On the multiple-
-    root locus the simple root of F2(an, bn) is closed-form; elsewhere the
-    rational roots come from f2, the factorization of F2(an, bn), which is
-    computed here when the caller has none."""
+def _recoverable_f2_roots(an, bn, f2=None) -> list:
+    """The rational roots c2 of F2(an, bn) at which recover_coeffs applies,
+    for irreducible an and bn with A != 0.  On the multiple-root locus this
+    is the closed-form simple root; elsewhere F2 is squarefree and the roots
+    come from f2, the factorization of F2(an, bn), which is computed here
+    when the caller has none."""
     if not degeneracy_indicator(an, bn):
         _, simple, _ = degenerate_f2_blocks(an, bn)
-        c2 = -simple.coeffs[0]
-    else:
-        if f2 is None:
-            f2 = factor_over_Q(resolvent_F2(an, bn))
-        roots = [-g.coeffs[0] for g, _ in f2 if g.degree == 1]
-        if not roots:
-            return False, None
-        c2 = min(roots, key=_height_key)
+        return [-simple.coeffs[0]]
+    if f2 is None:
+        f2 = factor_over_Q(resolvent_F2(an, bn))
+    return [-g.coeffs[0] for g, _ in f2 if g.degree == 1]
+
+
+def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
+    """(equal, witness) for irreducible separable a and b, given their A != 0
+    forms (an, hop_a) and (bn, hop_b) from _avoid_zero_A; the witness is
+    recovered at the least-height root of _recoverable_f2_roots."""
+    roots = _recoverable_f2_roots(an, bn, f2)
+    if not roots:
+        return False, None
+    c2 = min(roots, key=_height_key)
     return True, _stitch(a, hop_a, recover_coeffs(an, bn, c2), b, hop_b)
 
 
@@ -421,19 +376,14 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
         )
     an, hop_a = _avoid_zero_A(a)
     bn, hop_b = _avoid_zero_A(b)
-    found = []
+    found = [recover_coeffs(an, bn, c2) for c2 in _recoverable_f2_roots(an, bn)]
     if not degeneracy_indicator(an, bn):
-        # the simple root, and the fiber over the double root
-        double, simple, _ = degenerate_f2_blocks(an, bn)
-        found.append(recover_coeffs(an, bn, -simple.coeffs[0]))
-        c = -double.coeffs[0]
+        # the fiber over the double root
+        c = -degenerate_f2_blocks(an, bn)[0].coeffs[0]
         for u1 in rational_roots(_double_root_fiber(an, bn, c, QQ)):
             cand = (_trace_u0(an, bn, u1, c, QQ), u1, c)
             if verify_transformation(an, bn, cand):
                 found.append(TschirnCoeffs(*cand))
-    else:
-        for c2 in rational_roots(resolvent_F2(an, bn)):
-            found.append(recover_coeffs(an, bn, c2))
     out = [_stitch(a, hop_a, w, b, hop_b) for w in found]
     return tuple(sorted(out, key=_witness_key))
 

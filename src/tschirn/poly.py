@@ -217,11 +217,15 @@ class UniPoly:
             c = self.coeffs[i]
             if not c:
                 continue
-            if i == 0:
-                term = f"{c}"
-            else:
+            term = f"{c}"
+            if i:
                 xs = "X" if i == 1 else f"X^{i}"
-                term = xs if c == self.field.one else f"{c}*{xs}"
+                if c == self.field.one:
+                    term = xs
+                elif term == "-1":  # only a rational prints as -1
+                    term = "-" + xs
+                else:
+                    term = f"{term}*{xs}"
             parts.append(term)
         out = parts[0]
         for term in parts[1:]:
@@ -420,20 +424,6 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     while g:
         f, g = g, f % g
     return f.monic() if f else f
-
-
-def poly_squarefree_part(f: UniPoly) -> UniPoly:
-    """f / gcd(f, f′), normalized monic (correct in characteristic 0)."""
-    if not f:
-        raise ValueError("squarefree part of the zero polynomial")
-    if f.degree == 0:
-        return UniPoly.one(f.field)
-    g = poly_gcd(f, f.derivative())
-    return (f // g).monic()
-
-
-def poly_eval(f: UniPoly, x):
-    return f.eval(x)
 
 
 def poly_compose_scale(f: UniPoly, c, normalize: bool = False) -> UniPoly:

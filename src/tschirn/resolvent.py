@@ -636,27 +636,36 @@ def _normalize_pair(pair) -> str:
     return pair
 
 
-def sextic_generic(pair, s, t=None, char3: bool = False) -> UniPoly:
+def sextic_generic(pair, s, t=None) -> UniPoly:
     """Two-parameter generic sextics for pairs of cubic Galois groups.
 
     Each pair names the groups of the two underlying cubic families:
     S3 -> X^3 + sX + s, C3 -> the cyclic family X^3 - sX^2 - (s+3)X - 1,
-    C2 -> X^3 - tX, Id -> X^3 - X.
+    C2 -> X^3 - tX, Id -> X^3 - X.  The pair (S3,Id) is (S3,C2) at t = 1,
+    so it ignores t.  The field of the parameters picks the mode; any field
+    other than Q or one of characteristic 3 raises MathDomainError.
 
-    char != 3 mode (over Q): built on F2 of the pair, with the (S3,*)
-    rows rescaled by X -> 3X and 3^-6 when the second family is depressed;
-    pair (S3,Id) ignores t.
+    Rational parameters (char != 3 mode): built on F2 of the pair, with the
+    (S3,*) rows rescaled by X -> 3X and 3^-6 when the second family is
+    depressed.
 
-    char-3 mode (parameters in a char-3 field): built on F0 of the pair;
-    the first argument is the slot sigma = 1/s of the S3/C3 family
-    parameter, so sextic_generic(pair, sigma, t) equals F0 of the pair at
-    s = 1/sigma.  Every char-3 row is polynomial in (sigma, t); each row
-    is validated against the brute-force coset oracle over GF(27).
+    Parameters in a characteristic-3 field: built on F0 of the pair; the
+    first argument is the slot sigma = 1/s of the S3/C3 family parameter,
+    so sextic_generic(pair, sigma, t) equals F0 of the pair at s = 1/sigma.
+    Every char-3 row is polynomial in (sigma, t); each row is validated
+    against the brute-force coset oracle over GF(27).
     """
     pair = _normalize_pair(pair)
-    if char3:
-        return _sextic_generic_char3(pair, s, t)
-    field = QQ
+    if pair == "S3,Id":
+        pair, t = "S3,C2", None
+    # ints and Fractions carry no field: they are rationals
+    field = getattr(s, "field", None) or getattr(t, "field", QQ)
+    if field is not QQ:
+        if field.char != 3:
+            raise MathDomainError(
+                "generic sextics need rational or characteristic-3 parameters"
+            )
+        return _sextic_generic_char3(pair, field, s, t)
     s = field(s)
     t = field(t) if t is not None else field.one
     k = s * (4 * s + 27)
@@ -705,20 +714,6 @@ def sextic_generic(pair, s, t=None, char3: bool = False) -> UniPoly:
                 field.one,
             ),
         )
-    if pair == "S3,Id":
-        _require_nonzero(k, "s (4s + 27)")
-        return UniPoly(
-            field,
-            (
-                1 / (s**4 * (4 * s + 27) ** 3),
-                field.zero,
-                1 / (s**2 * (4 * s + 27) ** 2),
-                field.zero,
-                -2 / k,
-                field.zero,
-                field.one,
-            ),
-        )
     # C3,C2
     w = s**2 + 3 * s + 9
     _require_nonzero(w, "s^2 + 3s + 9")
@@ -736,10 +731,7 @@ def sextic_generic(pair, s, t=None, char3: bool = False) -> UniPoly:
     )
 
 
-def _sextic_generic_char3(pair: str, s, t) -> UniPoly:
-    field = field_of(s)
-    if field is QQ or field.char != 3:
-        raise MathDomainError("char-3 sextics need parameters in a char-3 field")
+def _sextic_generic_char3(pair: str, field, s, t) -> UniPoly:
     s = field(s)
     t = field(t) if t is not None else field.one
     if pair == "S3,S3":
@@ -780,11 +772,6 @@ def _sextic_generic_char3(pair: str, s, t) -> UniPoly:
                 field.zero,
                 field.one,
             ),
-        )
-    if pair == "S3,Id":
-        return UniPoly(
-            field,
-            (s, field.zero, field.one, field.zero, field.one, field.zero, field.one),
         )
     # C3,C2: F0((1/s, -1/s-3, 1), (0,-t,0)) = X^6 + tX^4 + t^2X^2
     # - s^2 t^3 (s^2+1)^2, derived by resultant transport and checked

@@ -13,7 +13,6 @@ from tschirn.decide import (
     all_rational_transformations,
     classify_subfield,
     decide_same_splitting,
-    degenerate_factorization,
     verify_transformation,
 )
 from tschirn.factorq import factor_over_Fp, factor_over_Q, rational_roots
@@ -30,6 +29,7 @@ from tschirn.resolvent import (
     CubicTriple,
     cubic_invariants,
     degeneracy_indicator,
+    degenerate_f2_blocks,
     oracle_resolvent,
     resolvent_F0,
     resolvent_F0_degenerate,
@@ -145,8 +145,7 @@ def test_criterion_04_degenerate_worked_example():
             QQ, (-4, 0, -3, 1)
         )
 
-        split = degenerate_factorization(a, b)
-        assert split.simple_root == 1
+        assert degenerate_f2_blocks(a, b)[1] == X - 1
         equal, witness = decide_same_splitting(a, b)
         assert equal and witness.as_tuple() == (3, -1, 1)
         assert verify_transformation(a, b, witness)

@@ -111,6 +111,18 @@ class TestFactor:
             "degree_pattern = 1,1,1",
         ]
 
+    def test_minus_one_coefficient_text(self, capsys):
+        code, out, _ = run_cli(capsys, "factor", "--coeffs",
+                               "1,0,0,0,0,0,0,0,0,0,0,0,1")
+        assert code == 0
+        assert out.splitlines() == [
+            "input = X^12 + 1",
+            "unit = 1",
+            "factor = X^4 + 1",
+            "factor = X^8 - X^4 + 1",
+            "degree_pattern = 4,8",
+        ]
+
     def test_rational_coefficients(self, capsys):
         code, doc, _ = run_json(capsys, "factor", "--coeffs", "-1/4,0,1")
         assert code == 0

@@ -17,16 +17,13 @@ import tschirn.zpoly as zpoly_mod
 from tschirn.decide import (
     FACTOR_PATTERNS,
     TABLE_INSTANCES,
-    DegenerateSplit,
     GaloisType,
-    RecoveryFormulas,
     SubfieldReport,
     TschirnCoeffs,
     all_rational_transformations,
     classify_subfield,
     compose_transformations,
     decide_same_splitting,
-    degenerate_factorization,
     galois_type,
     invert_transformation,
     recover_coeffs,
@@ -35,12 +32,12 @@ from tschirn.decide import (
 from tschirn.factorq import rational_roots
 from tschirn.families import family_c3, family_s3
 from tschirn.fields import QQ, MathDomainError
+from tschirn.poly import UniPoly
 from tschirn.resolvent import (
     CubicTriple,
     cubic_invariants,
     degeneracy_indicator,
-    recovery_D12_0,
-    recovery_polys,
+    degenerate_f2_blocks,
     resolvent_F0_degenerate,
     resolvent_F1,
     resolvent_F2,
@@ -163,45 +160,24 @@ class TestRecoverCoeffs:
                 assert verify_transformation(a, b, w)
 
 
-class TestRecoveryFormulas:
-    def test_matches_primitives(self):
-        a, b = PAIR_CYCLIC
-        rf = RecoveryFormulas.for_pair(a, b)
-        q12, d12 = recovery_polys(a, b)
-        assert rf.q12 == q12 and rf.d12 == d12
-        assert rf.d12_0 == recovery_D12_0(a, b)
-        ja = cubic_invariants(a)
-        assert rf.d12_0 == 3 * ja.B * degeneracy_indicator(a, b) ** 2
-
-
 class TestDegenerateFactorization:
+    """The closed-form blocks of F2 on the multiple-root locus."""
+
     def test_known_simple_roots(self):
-        a, b = PAIR_DEGEN
-        split = degenerate_factorization(a, b)
-        assert split.simple_root == 1
-        assert split.expand() == resolvent_F2(a, b)
-        a2, b2 = PAIR_CYCLIC
-        split2 = degenerate_factorization(a2, b2)
-        assert split2.simple_root == -2
-        assert split2.expand() == resolvent_F2(a2, b2)
+        for (a, b), root in ((PAIR_DEGEN, 1), (PAIR_CYCLIC, -2)):
+            _, simple, _ = degenerate_f2_blocks(a, b)
+            assert simple == UniPoly(QQ, (-root, 1))
 
     def test_simple_root_formula(self):
         a, b = PAIR_DEGEN
         ja, jb = cubic_invariants(a), cubic_invariants(b)
-        split = degenerate_factorization(a, b)
-        assert split.simple_root == -6 * jb.A**2 / (ja.A * jb.B)
-        (double, m2), (simple, m1), (cubic, m3) = split.factors
-        assert (m2, m1, m3) == (2, 1, 1)
+        double, simple, cubic = degenerate_f2_blocks(a, b)
+        assert -simple.coeffs[0] == -6 * jb.A**2 / (ja.A * jb.B)
         assert double.degree == 1 and simple.degree == 1 and cubic.degree == 3
 
     def test_nondegenerate_pair_rejected(self):
         with pytest.raises(MathDomainError):
-            degenerate_factorization(CubicTriple(0, 3, -2), CubicTriple(0, -1, 1))
-
-    def test_reducible_input_rejected(self):
-        split_triple = CubicTriple.from_roots((0, 1, 2))
-        with pytest.raises(MathDomainError):
-            degenerate_factorization(split_triple, CubicTriple(3, -3, 3))
+            degenerate_f2_blocks(CubicTriple(0, 3, -2), CubicTriple(0, -1, 1))
 
 
 class TestDecideSameSplitting:
@@ -313,6 +289,21 @@ class TestAllRationalTransformations:
             assert len(ws) == expected, (a, b)
             for w in ws:
                 assert verify_transformation(a, b, w)
+
+    @pytest.mark.parametrize(
+        "pair, expected",
+        [(((0, -1, -1), (2, 3, 1)), ((0, 1, 1),)),  # generic S3, off the locus
+         (((-3, -4, -1), (-1, -2, 1)),  # PAIR_CYCLIC, on the locus
+          ((-3, 3, 1), (-2, 4, 1), (4, -7, -2)))],
+    )
+    def test_no_root_search_above_degree_three(self, monkeypatch, pair, expected):
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        calls = _counting(
+            monkeypatch, [factorq_mod, decide_mod, resolvent_mod], "rational_roots"
+        )
+        ws = all_rational_transformations(a, b)
+        assert tuple(w.as_tuple() for w in ws) == expected
+        assert calls and max(f.degree for f, in calls) <= 3
 
     def test_unequal_pair_empty(self):
         assert all_rational_transformations(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tschirn.fields import QQ, PrimeField, is_prime
-from tschirn.poly import UniPoly, poly_discriminant, poly_eval
+from tschirn.poly import UniPoly, poly_discriminant
 from tschirn.factorq import (
     Factorization,
     _cubic_integer_roots,
@@ -244,7 +244,7 @@ class TestRationalRoots:
     def test_roots_actually_vanish(self):
         f = qpoly(-6, 11, -6, 1) * qpoly(5, 0, 1)
         for r in rational_roots(f):
-            assert poly_eval(f, r) == 0
+            assert f.eval(r) == 0
 
     @given(st.lists(st.integers(-6, 6), min_size=2, max_size=5))
     @settings(max_examples=40, deadline=None)
@@ -265,10 +265,10 @@ class TestRationalRoots:
             if c0n % d == 0:
                 candidates.add(Fraction(d))
                 candidates.add(Fraction(-d))
-        brute = {r for r in candidates if poly_eval(f, r) == 0}
+        brute = {r for r in candidates if f.eval(r) == 0}
         # every brute-force root is reported, and nothing false is reported
         assert brute <= set(found)
-        assert all(poly_eval(f, r) == 0 for r in found)
+        assert all(f.eval(r) == 0 for r in found)
 
 
 def _factored_roots(f: UniPoly) -> list:

@@ -17,12 +17,10 @@ from tschirn.poly import (
     linear_solve,
     poly_compose_scale,
     poly_discriminant,
-    poly_eval,
     poly_format,
     poly_gcd,
     poly_parse,
     poly_resultant,
-    poly_squarefree_part,
     vandermonde_solve,
 )
 
@@ -81,7 +79,7 @@ class TestUniPolyBasics:
     def test_eval_and_compose(self):
         f = qpoly(2, 3, 0, 1)
         assert f.eval(Fraction(1)) == 6
-        assert poly_eval(f, Fraction(-2)) == -12
+        assert f.eval(Fraction(-2)) == -12
         g = qpoly(1, 1)  # X + 1
         assert f.compose(g).eval(QQ(0)) == f.eval(QQ(1))
 
@@ -102,6 +100,22 @@ class TestUniPolyBasics:
         f = UniPoly(F, [1, 0, 1])
         g = UniPoly(F, [2, 1])  # X + 2
         assert f % g == UniPoly.zero(F)  # X^2+1 = (X+2)(X+3) over F_5
+
+
+class TestRepr:
+    @pytest.mark.parametrize(
+        "coeffs, text",
+        [((1, -1), "-X + 1"),
+         ((0, 0, -1), "-X^2"),
+         ((1, 0, -1, 1), "X^3 - X^2 + 1"),
+         ((Fraction(-1, 2), -2, 1), "X^2 - 2*X - 1/2")],
+    )
+    def test_rational_unit_coefficients(self, coeffs, text):
+        assert repr(qpoly(*coeffs)) == text
+
+    def test_prime_field_prints_residues(self):
+        F = PrimeField(5)
+        assert repr(UniPoly(F, [1, -1, 1])) == "X^2 + 4*X + 1"
 
 
 class TestTextFormat:
@@ -243,11 +257,6 @@ def test_gcd():
     g = qpoly(-1, 1)
     assert poly_gcd(f, g) == g
     assert poly_gcd(f, qpoly(7)) == UniPoly.one(QQ)
-
-
-def test_squarefree_part():
-    f = UniPoly.from_roots(QQ, [1, 1, -2])
-    assert poly_squarefree_part(f) == UniPoly.from_roots(QQ, [1, -2])
 
 
 def test_compose_scale():

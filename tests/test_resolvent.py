@@ -966,7 +966,7 @@ class TestChar3GenericSextics:
         hits = gf27_split_instances(mk_a, mk_b, count)
         for K, s, t, xs, ys in hits:
             rt = RootTuple(xs=xs, ys=ys)
-            got = sextic_generic(pair, K.one / s, t, char3=True)
+            got = sextic_generic(pair, K.one / s, t)
             assert got == oracle_resolvent(rt, 0), (pair, s, t)
 
     def test_s3_s3_row(self):
@@ -1002,7 +1002,7 @@ class TestChar3GenericSextics:
                 continue
             ys = (K.zero, K.one, -K.one)
             rt = RootTuple(xs=roots, ys=ys)
-            got = sextic_generic("S3,Id", K.one / s, char3=True)
+            got = sextic_generic("S3,Id", K.one / s)
             assert got == oracle_resolvent(rt, 0)
             done += 1
             if done >= 3:
@@ -1022,20 +1022,22 @@ class TestChar3GenericSextics:
         for _ in range(6):
             sigma = rand_field_elt(K, rng, nonzero=True)
             t = rand_field_elt(K, rng, nonzero=True)
-            assert sextic_generic("S3,S3", sigma, t, char3=True) == (
+            assert sextic_generic("S3,S3", sigma, t) == (
                 resolvent_G0_char3(K.one / sigma, t)
             )
 
     def test_s3_id_equals_s3_c2_at_t_one(self):
         K = gf_build(3, 2, 1)
         for sigma in (K((2, 0)), K((0, 1)), K((1, 2))):
-            assert sextic_generic("S3,Id", sigma, char3=True) == sextic_generic(
-                "S3,C2", sigma, K.one, char3=True
+            assert sextic_generic("S3,Id", sigma) == sextic_generic(
+                "S3,C2", sigma, K.one
             )
 
-    def test_char3_mode_rejects_rationals(self):
-        with pytest.raises(MathDomainError):
-            sextic_generic("S3,S3", Fraction(1), Fraction(2), char3=True)
+    def test_other_characteristics_rejected(self):
+        K5, K25 = PrimeField(5), gf_build(5, 2, 0)
+        for sigma, t in ((K5(2), K5(3)), (K25.one, K25.gen()), (1, K5(3))):
+            with pytest.raises(MathDomainError):
+                sextic_generic("S3,S3", sigma, t)
 
 
 # --------------------------------------------------------------------------
