@@ -6,6 +6,17 @@ transformation as witness), coefficient recovery at rational resolvent roots,
 the closed-form branch for resolvents with a multiple root, and the full
 subfield classification by factorization pattern of the degree-six resolvent.
 
+decide_same_splitting takes its branches in this order: a reducible cubic is
+compared by its rational roots; two irreducible cubics whose discriminants
+lie in different square classes are unequal; the rest go through the A = 0
+hop to F2, whose rational roots are read from the closed form on the
+multiple-root locus and from factor_over_Q elsewhere.  The exit needs no
+resolvent: an S3 splitting field has exactly one quadratic subfield,
+Q(sqrt(D)), and a C3 one has none while its D is a square, so equal
+splitting fields force Q(sqrt(D_a)) = Q(sqrt(D_b)), i.e. D_a D_b a square.
+classify_subfield uses the same exit, and on the locus it reads the factor
+pattern of F2 off the same closed form instead of factoring.
+
 Everything here works over Q; the rational arithmetic is exact throughout.
 A transformation witness is a triple (c0, c1, c2) meaning u(X) = c0 + c1 X +
 c2 X^2, and it certifies g3(a, c; X) = f3(b; X), i.e. u maps the roots of
@@ -297,7 +308,7 @@ def _decide_reducible(a: CubicTriple, b: CubicTriple, ra: list, rb: list):
         if not verify_transformation(a, b, w):
             raise MathDomainError("split-cubic witness failed verification")
         return True, w
-    if is_square_rat(cubic_invariants(a).D * cubic_invariants(b).D) is None:
+    if not _same_square_class(a, b):
         return False, None
     return True, _quadratic_pair_witness(a, b, ra[0], rb[0])
 
@@ -329,7 +340,14 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
     """Whether f3(a) and f3(b) generate the same splitting field over Q.
 
     Returns (equal, witness); witness is a TschirnCoeffs transforming a into
-    b whenever equal is True (and None otherwise)."""
+    b whenever equal is True (and None otherwise).
+
+    Branches, in order: a reducible cubic goes to _decide_reducible; two
+    irreducible cubics whose discriminants lie in different square classes
+    are unequal, with no resolvent built; otherwise the A = 0 hop and the
+    resolvent F2 decide.  The exit is sound because equal splitting fields
+    have the same quadratic subfields: Q(sqrt(D_a)) = Q(sqrt(D_b)) for S3,
+    and for C3 each D is itself a square.  Either way D_a D_b is a square."""
     if not cubic_invariants(a).D:
         raise MathDomainError("D_a = 0: first cubic is inseparable")
     if not cubic_invariants(b).D:
@@ -337,7 +355,14 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
     ra, rb = rational_roots(a.poly()), rational_roots(b.poly())
     if ra or rb:
         return _decide_reducible(a, b, ra, rb)
+    if not _same_square_class(a, b):
+        return False, None
     return _decide_irreducible(a, *_avoid_zero_A(a), b, *_avoid_zero_A(b))
+
+
+def _same_square_class(a: CubicTriple, b: CubicTriple) -> bool:
+    """Whether D_a D_b is a rational square (the discriminants are cached)."""
+    return is_square_rat(cubic_invariants(a).D * cubic_invariants(b).D) is not None
 
 
 def _recoverable_f2_roots(an, bn, f2=None) -> list:
@@ -365,6 +390,16 @@ def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
     return True, _stitch(a, hop_a, recover_coeffs(an, bn, c2), b, hop_b)
 
 
+def _degenerate_f2_pattern(an, bn) -> tuple:
+    """The degree pattern of F2(an, bn) on the multiple-root locus, read off
+    the closed form F2 = (X - r)^2 (X + 2r) (cubic) of degenerate_f2_blocks
+    without factoring.  The cubic block has discriminant
+    27^4 A_bn^6 D_bn / (A_an^6 B_bn^4) != 0, so it has 0, 1 or 3 rational
+    roots and factors as (3), (1, 2) or (1, 1, 1)."""
+    n = len(rational_roots(degenerate_f2_blocks(an, bn)[2]))
+    return {0: (1, 1, 1, 3), 1: (1, 1, 1, 1, 2), 3: (1,) * 6}[n]
+
+
 def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     """Every transformation over Q from a onto b, sorted by coefficient
     height.  Both cubics must be irreducible (and separable)."""
@@ -374,6 +409,8 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
         raise MathDomainError(
             "transformation enumeration requires both cubics irreducible"
         )
+    if not _same_square_class(a, b):
+        return ()
     an, hop_a = _avoid_zero_A(a)
     bn, hop_b = _avoid_zero_A(b)
     found = [recover_coeffs(an, bn, c2) for c2 in _recoverable_f2_roots(an, bn)]
@@ -402,7 +439,7 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
         raise MathDomainError("D_a = 0: first cubic is inseparable")
     if not jb.D:
         raise MathDomainError("D_b = 0: second cubic is inseparable")
-    same_square_class = is_square_rat(ja.D * jb.D) is not None
+    same_square_class = _same_square_class(a, b)
     ga, gb = galois_type(a), galois_type(b)
     swapped = ga.order < gb.order
     if swapped:
@@ -418,7 +455,11 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
     else:
         bn, hop_b = b, None
     degenerate = not degeneracy_indicator(an, bn)
-    f2 = factor_over_Q(resolvent_F2(an, bn))
+    if degenerate:
+        f2, observed = None, _degenerate_f2_pattern(an, bn)
+    else:
+        f2 = factor_over_Q(resolvent_F2(an, bn))
+        observed = f2.degree_pattern()
     witness = None
     if gb.tag == "Id":
         relation = "ProperContains"
@@ -429,11 +470,14 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
             relation = "TrivialMeet"
         else:
             relation = "NotContains"
+    elif not same_square_class:
+        # unequal by the exit in decide_same_splitting
+        relation = "TrivialMeet"
     else:
         equal, witness = _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2)
         if equal:
             relation = "Equal"
-        elif ga.tag == gb.tag == "S3" and same_square_class:
+        elif ga.tag == gb.tag == "S3":
             relation = "QuadraticMeet"
         else:
             relation = "TrivialMeet"
@@ -446,7 +490,7 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
         g_b=gb,
         relation=relation,
         predicted_pattern=predicted,
-        observed_pattern=f2.degree_pattern(),
+        observed_pattern=observed,
         degenerate=degenerate,
         witness=witness,
         swapped=swapped,

@@ -466,6 +466,7 @@ def gf_build(p: int, k: int, seed: int) -> ExtField:
     digit), starting at offset ``seed mod p^k`` and wrapping; the first
     irreducible candidate becomes the modulus.  Seed 0 therefore yields the
     lexicographically first irreducible by descending-power coefficients.
+    The irreducibility test is the one in ExtField, run once per candidate.
     """
     if not is_prime(p):
         raise ValueError(f"characteristic {p} is not prime")
@@ -479,7 +480,8 @@ def gf_build(p: int, k: int, seed: int) -> ExtField:
         for _ in range(k):
             coeffs.append(v % p)
             v //= p
-        candidate = coeffs + [1]
-        if _irreducible_mod_p(candidate, p):
-            return ExtField(p, k, tuple(candidate))
+        try:
+            return ExtField(p, k, tuple(coeffs + [1]))
+        except ValueError:  # p and k are valid, so the candidate is reducible
+            continue
     raise RuntimeError(f"no irreducible of degree {k} over F_{p} found (bug)")

@@ -29,7 +29,7 @@ from tschirn.decide import (
     recover_coeffs,
     verify_transformation,
 )
-from tschirn.factorq import rational_roots
+from tschirn.factorq import factor_over_Q, is_square_rat, rational_roots
 from tschirn.families import family_c3, family_s3
 from tschirn.fields import QQ, MathDomainError
 from tschirn.poly import UniPoly
@@ -553,6 +553,12 @@ def _counting(monkeypatch, targets, attr, counts_call=lambda *a: True):
     return calls
 
 
+#: An S3 and a C3 pair on the multiple-root locus (b an affine image of
+#: X^3 + kX + k with k = -A_a^3 / D_a; the C3 cubic a is Shanks' m = 1).
+LOCUS_PAIRS = [((0, -1, -1), (3, Fraction(177, 23), Fraction(-85, 23))),
+               ((1, -4, 1), (3, -49, 53))]
+
+
 class TestComputedOnce:
     """Each derived fact of a decision is computed once."""
 
@@ -595,6 +601,30 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize(
         "pair",
+        [TABLE_INSTANCES[("S3", "S3", "TrivialMeet")],
+         ((0, -3, 1), (0, 3, -2)),   # C3 against S3
+         ((0, 0, 2), (0, -1, 1))],   # A = 0: X^3 - 2 against X^3 - X - 1
+    )
+    def test_no_resolvent_across_square_classes(self, monkeypatch, pair):
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        assert is_square_rat(cubic_invariants(a).D * cubic_invariants(b).D) is None
+        f2 = _counting(monkeypatch, [resolvent_mod, decide_mod], "resolvent_F2")
+        fq = _counting(monkeypatch, [factorq_mod, decide_mod], "factor_over_Q")
+        assert decide_same_splitting(a, b) == (False, None)
+        assert all_rational_transformations(a, b) == ()
+        assert not f2 and not fq
+
+    @pytest.mark.parametrize("pair", LOCUS_PAIRS)
+    def test_classify_does_not_factor_on_the_locus(self, monkeypatch, pair):
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        calls = _counting(monkeypatch, [factorq_mod, decide_mod], "factor_over_Q")
+        report = classify_subfield(a, b)
+        assert report.degenerate and report.relation == "Equal"
+        assert report.observed_pattern == (1, 1, 1, 3)
+        assert not calls
+
+    @pytest.mark.parametrize(
+        "pair",
         [((6, 11, 6), (0, -1, 0)),  # Id: roots 1, 2, 3 and -1, 0, 1
          ((1, 3, 3), (0, 3, 0))],   # C2: (X-1)(X^2+3) and X(X^2+3)
     )
@@ -605,6 +635,59 @@ class TestComputedOnce:
         eq, w = decide_same_splitting(a, b)
         assert eq and verify_transformation(a, b, w)
         assert len(calls) == 2
+
+
+class TestShortcutsAgainstFactoring:
+    """The two facts that let decide and classify skip factoring F2, checked
+    against factor_over_Q on seeded pairs."""
+
+    def test_no_rational_f2_root_across_square_classes(self):
+        rng = random.Random(31)
+        pairs = []
+        while len(pairs) < 10:
+            a = random_irreducible(rng)
+            b = (shanks_triple(rng.randint(-4, 6)) if len(pairs) % 3 == 0
+                 else random_irreducible(rng))
+            if is_square_rat(cubic_invariants(a).D * cubic_invariants(b).D) is None:
+                pairs.append((a, b))
+        for a, b in pairs:
+            (an, _), (bn, _) = decide_mod._avoid_zero_A(a), decide_mod._avoid_zero_A(b)
+            f2 = factor_over_Q(resolvent_F2(an, bn))
+            assert all(g.degree > 1 for g, _ in f2), (a, b)
+            assert not decide_same_splitting(a, b)[0]
+
+    def test_locus_pattern_matches_factoring(self):
+        """Irreducible S3 and C3 cubics a, and reducible ones, which reach
+        the closed form's other two cubic-block patterns."""
+        rng = random.Random(37)
+        kinds = (
+            lambda: random_irreducible(rng),
+            lambda: tschirn_image(shanks_triple(rng.randint(-3, 8)),
+                                  (rng.randint(-2, 2), rng.choice((-2, -1, 1, 2)), 0)),
+            lambda: CubicTriple(*(Fraction(rng.randint(-6, 6)) for _ in range(3))),
+            lambda: CubicTriple.from_roots(rng.sample(range(-5, 6), 3)),
+        )
+        seen = set()
+        for i in range(60):
+            a = kinds[i % 4]()
+            ja = cubic_invariants(a)
+            if not (ja.A and ja.B and ja.D):
+                continue
+            k = -ja.A**3 / ja.D
+            lam = Fraction(rng.choice((-3, -2, -1, 1, 2, 3)), rng.choice((1, 2)))
+            b = tschirn_image(CubicTriple(0, k, -k), (rng.randint(-3, 3), lam, 0))
+            if not cubic_invariants(b).D:
+                continue
+            assert not degeneracy_indicator(a, b)
+            expected = factor_over_Q(resolvent_F2(a, b)).degree_pattern()
+            assert decide_mod._degenerate_f2_pattern(a, b) == expected, (a, b)
+            if rational_roots(a.poly()):
+                seen.add(expected)
+            else:
+                report = classify_subfield(a, b)
+                assert report.degenerate and report.observed_pattern == expected
+                seen.add(galois_type(a).tag)
+        assert seen == {"S3", "C3", (1, 1, 1, 1, 2), (1,) * 6}
 
 
 def _sympy_poly(a: CubicTriple):

@@ -150,6 +150,19 @@ def test_gf_build_gf27_seed0():
     assert x**3 + 2 * x + 1 == K.zero
 
 
+def test_gf_build_tests_each_candidate_once(monkeypatch):
+    import tschirn.fields as fields_mod
+
+    calls = []
+    real = fields_mod._irreducible_mod_p
+    monkeypatch.setattr(fields_mod, "_irreducible_mod_p",
+                        lambda f, p: calls.append(tuple(f)) or real(f, p))
+    K = gf_build(3, 3, 0)
+    # counter values j = 0..7; the eighth, 1 + 2*3, is the modulus
+    assert len(calls) == 8 and len(set(calls)) == 8
+    assert calls[-1] == K.modulus
+
+
 def test_gf_build_degree_one():
     K = gf_build(3, 1, 0)
     assert K.modulus == (0, 1)  # the polynomial X itself
