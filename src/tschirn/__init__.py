@@ -5,6 +5,8 @@ their root fields nest, and exhibits explicit Tschirnhausen transformations
 as checkable witnesses.  Everything is exact (Fraction / F_p / GF(p^k)).
 """
 
+from types import ModuleType as _ModuleType
+
 from .decide import (
     FACTOR_PATTERNS,
     GaloisType,
@@ -76,7 +78,6 @@ from .resolvent import (
     degeneracy_indicator,
     degenerate_f2_blocks,
     oracle_resolvent,
-    recovery_D12_0,
     recovery_h_list,
     recovery_polys,
     resolvent_F0,
@@ -95,90 +96,11 @@ from .resolvent import (
     tschirn_image,
 )
 
-__all__ = [
-    # fields
-    "QQ",
-    "ExtField",
-    "FpElement",
-    "GFElement",
-    "MathDomainError",
-    "PrimeField",
-    "Rat",
-    "RationalField",
-    "field_of",
-    "gf_build",
-    "is_prime",
-    "rat_format",
-    "rat_parse",
-    # poly
-    "RootTuple",
-    "UniPoly",
-    "elementary_symmetric",
-    "lagrange_interpolate",
-    "linear_solve",
-    "poly_compose_scale",
-    "poly_discriminant",
-    "poly_format",
-    "poly_gcd",
-    "poly_parse",
-    "poly_resultant",
-    "vandermonde_solve",
-    # factorq
-    "Factorization",
-    "factor_over_Fp",
-    "factor_over_Q",
-    "is_square_rat",
-    "rational_roots",
-    # resolvent
-    "CubicInvariants",
-    "CubicTriple",
-    "cubic_invariants",
-    "cyclic_F2_pm",
-    "cyclic_h_pm",
-    "degeneracy_indicator",
-    "degenerate_f2_blocks",
-    "oracle_resolvent",
-    "recovery_D12_0",
-    "recovery_h_list",
-    "recovery_polys",
-    "resolvent_F0",
-    "resolvent_F0_char3_depressed",
-    "resolvent_F0_degenerate",
-    "resolvent_F1",
-    "resolvent_F2",
-    "resolvent_F2_char3",
-    "resolvent_F2_split",
-    "resolvent_G0_char3",
-    "resolvent_G2",
-    "resolvent_H",
-    "sextic_generic",
-    "shanks_delta",
-    "shanks_triple",
-    "tschirn_image",
-    # decide
-    "FACTOR_PATTERNS",
-    "GaloisType",
-    "SubfieldReport",
-    "TschirnCoeffs",
-    "all_rational_transformations",
-    "classify_subfield",
-    "compose_transformations",
-    "decide_same_splitting",
-    "galois_type",
-    "invert_transformation",
-    "recover_coeffs",
-    "verify_transformation",
-    # families
-    "NormalForm",
-    "ScanResult",
-    "family_c3",
-    "family_s3",
-    "rationals_by_height",
-    "reduce_depressed",
-    "reduce_one_param",
-    "reduce_shanks",
-    "scan_equal_splitting",
-    "shanks_pair_equal",
-]
+# The imports above are the one list of public names.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)
 
 __version__ = "0.1.0"

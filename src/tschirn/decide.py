@@ -76,15 +76,6 @@ TABLE_INSTANCES = {
     ("C3", "Id", "ProperContains"): ((0, -3, 1), (6, 11, 6)),
 }
 
-RELATIONS = (
-    "Equal",
-    "ProperContains",
-    "QuadraticMeet",
-    "TrivialMeet",
-    "ContainsQuadratic",
-    "NotContains",
-)
-
 
 @dataclass(frozen=True)
 class GaloisType:
@@ -417,7 +408,7 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     if not degeneracy_indicator(an, bn):
         # the fiber over the double root
         c = -degenerate_f2_blocks(an, bn)[0].coeffs[0]
-        for u1 in rational_roots(_double_root_fiber(an, bn, c, QQ)):
+        for u1 in rational_roots(_double_root_fiber(an, bn, c)):
             cand = (_trace_u0(an, bn, u1, c, QQ), u1, c)
             if verify_transformation(an, bn, cand):
                 found.append(TschirnCoeffs(*cand))

@@ -22,19 +22,6 @@ from .factorq import _cubic_integer_roots, is_square_rat
 from .fields import QQ, MathDomainError
 from .resolvent import CubicTriple, cubic_invariants, shanks_delta, shanks_triple
 
-__all__ = [
-    "NormalForm",
-    "ScanResult",
-    "family_c3",
-    "family_s3",
-    "rationals_by_height",
-    "reduce_depressed",
-    "reduce_one_param",
-    "reduce_shanks",
-    "scan_equal_splitting",
-    "shanks_pair_equal",
-]
-
 
 @dataclass(frozen=True)
 class NormalForm:
@@ -265,8 +252,10 @@ def scan_equal_splitting(m_range, n_max: int, jobs: int = 1) -> ScanResult:
     Shanks cubics with equal splitting fields.  Rows are independent, so
     they can be fanned out over worker processes, at most jobs and at most
     one per CPU; output is deterministic and independent of the
-    partitioning."""
+    partitioning.  A range m_range must have step 1."""
     if isinstance(m_range, range):
+        if m_range.step != 1:
+            raise ValueError(f"m_range needs step 1, got {m_range!r}")
         m_range = (m_range.start, m_range.stop - 1)
     m_min, m_max = m_range
     tasks = [(m, n_max) for m in range(m_min, m_max + 1)]

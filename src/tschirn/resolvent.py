@@ -106,18 +106,15 @@ class CubicInvariants:
     E: object
 
 
-def cubic_invariants(s: CubicTriple, field=None) -> CubicInvariants:
-    """A, B, C, D, E of the triple, computed once per triple and kept on it;
-    only an explicit field other than ``s.field`` computes them afresh.  Each
-    computation asserts the identity 4A^3 - B^2 = 27D and cross-checks D
-    against a second route: over Q the integer discriminant of the monic
-    integer model H = X^3 - t1 X^2 + t2 X - t3, t_i = ell^i s_i (see
-    ``factorq.integer_model``), as a 5x5 Sylvester determinant by Bareiss
-    elimination; over F_p and GF(p^k) the resultant discriminant of f3(s).
-    So the checks also run once per triple."""
-    if field is None or field == s.field:
-        return s._invariants
-    return _compute_invariants(s, field)
+def cubic_invariants(s: CubicTriple) -> CubicInvariants:
+    """A, B, C, D, E of the triple in its field, computed once per triple and
+    kept on it.  The computation asserts the identity 4A^3 - B^2 = 27D and
+    cross-checks D against a second route: over Q the integer discriminant
+    of the monic integer model H = X^3 - t1 X^2 + t2 X - t3, t_i = ell^i s_i
+    (see ``factorq.integer_model``), as a 5x5 Sylvester determinant by
+    Bareiss elimination; over F_p and GF(p^k) the resultant discriminant of
+    f3(s).  So the checks also run once per triple."""
+    return s._invariants
 
 
 def _invariant_formulas(s1, s2, s3) -> tuple:
@@ -157,11 +154,16 @@ def _common_field(s: CubicTriple, t: CubicTriple):
     return s.field if s.field is not QQ else t.field
 
 
-def _pair(s: CubicTriple, t: CubicTriple, field):
-    """(field, invariants of s, invariants of t) for a pair function; the
-    field defaults to the first non-rational field of s and t."""
-    field = field or _common_field(s, t)
-    return field, cubic_invariants(s, field), cubic_invariants(t, field)
+def _pair(s: CubicTriple, t: CubicTriple):
+    """(field, invariants of s, invariants of t) for a pair function, in the
+    first non-rational field of s and t, so that an integer triple pairs
+    with a GF(p^k) one."""
+    field = _common_field(s, t)
+    return field, _invariants_in(s, field), _invariants_in(t, field)
+
+
+def _invariants_in(s: CubicTriple, field) -> CubicInvariants:
+    return cubic_invariants(s) if field == s.field else _compute_invariants(s, field)
 
 
 # --------------------------------------------------------------------------
@@ -169,11 +171,11 @@ def _pair(s: CubicTriple, t: CubicTriple, field):
 # --------------------------------------------------------------------------
 
 
-def tschirn_image(s: CubicTriple, coeffs, field=None) -> CubicTriple:
+def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
     """The triple of g(X) = Prod (X - u(alpha_i)) for u = c0 + c1 X + c2 X^2,
     alpha_i the roots of f3(s), computed from the characteristic polynomial
     of the multiplication-by-u(alpha) matrix on the basis 1, alpha, alpha^2."""
-    field = field or s.field
+    field = s.field
     f = s.poly(field)
     u = UniPoly(field, [field(c) for c in coeffs]) % f
     cols = []
@@ -226,52 +228,45 @@ def _require_nonzero(value, name: str):
     return value
 
 
-def resolvent_F2(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
+def _sextic(field, a, v, js: CubicInvariants, jt: CubicInvariants) -> UniPoly:
+    """The closed form that F2 (a = A_s, v = -1) and F1 (a = C_s,
+    v = s1 s2 - s3) share:
+
+        X^6 - 2 a A_t/D_s X^4 - v B_t/D_s X^3 + a^2 A_t^2/D_s^2 X^2
+            + v a A_t B_t/D_s^2 X + (v^2 A_t^3 D_s - a^3 D_t)/D_s^3."""
+    Ds, At, Bt, Dt = js.D, jt.A, jt.B, jt.D
+    _require_nonzero(Ds, "D_s = Disc f3(s)")
+    return UniPoly(
+        field,
+        (
+            (v**2 * At**3 * Ds - a**3 * Dt) / Ds**3,
+            (v * a * At * Bt) / Ds**2,
+            (a**2 * At**2) / Ds**2,
+            -(v * Bt) / Ds,
+            -(2 * a * At) / Ds,
+            field.zero,
+            field.one,
+        ),
+    )
+
+
+def resolvent_F2(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """The sextic whose roots are the quadratic coefficients u2 of the six
     Tschirnhausen transformations from f3(s) to f3(t)."""
-    field, js, jt = _pair(s, t, field)
-    As, Bs, Ds = js.A, js.B, js.D
-    At, Bt, Dt = jt.A, jt.B, jt.D
-    _require_nonzero(Ds, "D_s = Disc f3(s)")
-    return UniPoly(
-        field,
-        (
-            (At**3 * Ds - As**3 * Dt) / Ds**3,
-            -(As * At * Bt) / Ds**2,
-            (As**2 * At**2) / Ds**2,
-            Bt / Ds,
-            -(2 * As * At) / Ds,
-            field.zero,
-            field.one,
-        ),
-    )
+    field, js, jt = _pair(s, t)
+    return _sextic(field, js.A, -1, js, jt)
 
 
-def resolvent_F1(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
+def resolvent_F1(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """The sextic whose roots are the linear coefficients u1."""
-    field, js, jt = _pair(s, t, field)
+    field, js, jt = _pair(s, t)
     s1, s2, s3 = s.values(field)
-    As, Bs, Cs, Ds = js.A, js.B, js.C, js.D
-    At, Bt, Dt = jt.A, jt.B, jt.D
-    _require_nonzero(Ds, "D_s = Disc f3(s)")
-    w = s1 * s2 - s3
-    return UniPoly(
-        field,
-        (
-            (w**2 * At**3 * Ds - Cs**3 * Dt) / Ds**3,
-            (w * At * Bt * Cs) / Ds**2,
-            (At**2 * Cs**2) / Ds**2,
-            -(w * Bt) / Ds,
-            -(2 * At * Cs) / Ds,
-            field.zero,
-            field.one,
-        ),
-    )
+    return _sextic(field, js.C, s1 * s2 - s3, js, jt)
 
 
-def recovery_polys(s: CubicTriple, t: CubicTriple, field=None):
+def recovery_polys(s: CubicTriple, t: CubicTriple):
     """(Q12, D12) as polynomials in u2: the recovery map u1 = Q12/D12."""
-    field, js, jt = _pair(s, t, field)
+    field, js, jt = _pair(s, t)
     s1, _, _ = s.values(field)
     As, Bs, Ds = js.A, js.B, js.D
     At, Bt = jt.A, jt.B
@@ -288,15 +283,12 @@ def recovery_polys(s: CubicTriple, t: CubicTriple, field=None):
     return q12, d12
 
 
-def recovery_D12_0(s: CubicTriple, t: CubicTriple, field=None):
-    """The u2-free denominator D12^0 = 3 B_s (A_s^3 B_t^2 - 27 A_t^3 D_s)^2."""
-    _, js, jt = _pair(s, t, field)
-    return 3 * js.B * (js.A**3 * jt.B**2 - 27 * jt.A**3 * js.D) ** 2
-
-
-def recovery_h_list(s: CubicTriple, t: CubicTriple, field=None) -> list:
-    """Coefficients h_0..h_5 with 1/D12 = (1/D12^0) * sum h_i u2^i mod F2."""
-    field, js, jt = _pair(s, t, field)
+def recovery_h_list(s: CubicTriple, t: CubicTriple) -> list:
+    """The paper's display of 1/D12 mod F2: coefficients h_0..h_5 with
+    1/D12 = (1/D12^0) * sum h_i u2^i mod F2, where the u2-free denominator
+    is D12^0 = 3 B_s degeneracy_indicator(s, t)^2.  No decision path uses
+    it; resolvent_F0 transports the roots of F2 by resultants instead."""
+    _, js, jt = _pair(s, t)
     As, Ds = js.A, js.D
     At, Bt, Dt = jt.A, jt.B, jt.D
     return [
@@ -309,10 +301,10 @@ def recovery_h_list(s: CubicTriple, t: CubicTriple, field=None) -> list:
     ]
 
 
-def degeneracy_indicator(s: CubicTriple, t: CubicTriple, field=None):
+def degeneracy_indicator(s: CubicTriple, t: CubicTriple):
     """A_s^3 B_t^2 - 27 A_t^3 D_s; zero exactly when F2 has multiple roots
     (given B_s D_t != 0), which is also when the recovery map degenerates."""
-    _, js, jt = _pair(s, t, field)
+    _, js, jt = _pair(s, t)
     return js.A**3 * jt.B**2 - 27 * jt.A**3 * js.D
 
 
@@ -322,17 +314,17 @@ def _trace_u0(s: CubicTriple, t: CubicTriple, u1, u2, field):
     return (t.values(field)[0] - s1 * u1 - (s1**2 - 2 * s2) * u2) / 3
 
 
-def _double_root_fiber(s: CubicTriple, t: CubicTriple, c, field):
+def _double_root_fiber(s: CubicTriple, t: CubicTriple, c):
     """The quadratic in u1 whose roots are the u1 of the transformations over
     a double root u2 = c of F2 at which D12 vanishes: the middle coefficient
-    of the image cubic minus t2, with u0 from the trace condition."""
-    t2 = t.values(field)[1]
+    of the image cubic minus t2, with u0 from the trace condition.  Over Q."""
+    t2 = t.values(QQ)[1]
     pts = []
-    for u1 in (field(0), field(1), field(2)):
-        img = tschirn_image(s, (_trace_u0(s, t, u1, c, field), u1, c), field)
-        pts.append((u1, field(img.a2) - t2))
-    q = lagrange_interpolate(field, pts)
-    assert q.degree == 2 and q[2] == -cubic_invariants(s, field).A / 3
+    for u1 in (QQ(0), QQ(1), QQ(2)):
+        img = tschirn_image(s, (_trace_u0(s, t, u1, c, QQ), u1, c))
+        pts.append((u1, QQ(img.a2) - t2))
+    q = lagrange_interpolate(QQ, pts)
+    assert q.degree == 2 and q[2] == -cubic_invariants(s).A / 3
     return q
 
 
@@ -351,7 +343,7 @@ def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
     """Monic image of the u2-block h under the recovery map u0 = N/(3 D12),
     the trace condition at u1 = Q12/D12, by resultant elimination:
     Res_Y(h, 3 X D12(Y) - N(Y)) / Res_Y(h, 3 D12(Y))."""
-    q12, d12 = recovery_polys(s, t, field)
+    q12, d12 = recovery_polys(s, t)
     den = poly_resultant(h, 3 * d12)
     if not den:
         raise MathDomainError(
@@ -369,14 +361,14 @@ def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
     return out
 
 
-def resolvent_F0(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
+def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """The sextic whose roots are the constant coefficients u0, computed by
     transporting the roots of F2 through the recovery map.  Needs B_s != 0
     and a pair off the multiple-root locus (use resolvent_F0_degenerate)."""
-    field = field or _common_field(s, t)
-    f2 = resolvent_F2(s, t, field)
-    _require_nonzero(cubic_invariants(s, field).B, "B_s")
-    if not degeneracy_indicator(s, t, field):
+    f2 = resolvent_F2(s, t)
+    field = _common_field(s, t)
+    _require_nonzero(_invariants_in(s, field).B, "B_s")
+    if not degeneracy_indicator(s, t):
         raise MathDomainError("degenerate pair: use resolvent_F0_degenerate")
     return _transport_block(f2, s, t, field)
 
@@ -387,30 +379,30 @@ def resolvent_F0_degenerate(s: CubicTriple, t: CubicTriple) -> UniPoly:
     when B_s = 0, where F2 = G^2 and G must have three rational roots.  Each
     double root contributes the image of its fiber in u0."""
     field = QQ
-    f2 = resolvent_F2(s, t, field)
-    if not cubic_invariants(s, field).B:
+    f2 = resolvent_F2(s, t)
+    if not cubic_invariants(s).B:
         # D12 = 0 and F2 = G^2 with G = X^3 + (f2[4]/2) X + f2[3]/2
         out = UniPoly.one(field)
         doubles = set(rational_roots(UniPoly(field, (f2[3] / 2, f2[4] / 2, 0, 1))))
         if len(doubles) != 3:
             raise MathDomainError("B_s = 0 needs F2 = G^2 with G split over Q")
-    elif degeneracy_indicator(s, t, field):
-        return resolvent_F0(s, t, field)
+    elif degeneracy_indicator(s, t):
+        return resolvent_F0(s, t)
     else:
-        double, simple, cubic = degenerate_f2_blocks(s, t, field)
+        double, simple, cubic = degenerate_f2_blocks(s, t)
         out = _transport_block(simple * cubic, s, t, field)
         doubles = (-double.coeffs[0],)
     m = s.values(field)[0] / 3
     for c in doubles:
         # the fiber's roots u1 mapped to u0 = u0(0) - m u1, also for m = 0:
         # Res_u1(q(u1), m u1 + X - u0(0)) / q2
-        q0, q1, q2 = _double_root_fiber(s, t, c, field).coeffs
+        q0, q1, q2 = _double_root_fiber(s, t, c).coeffs
         d = UniPoly(field, (-_trace_u0(s, t, 0, c, field), 1))
         out = out * (d * d * q2 - d * (m * q1) + m * m * q0) / q2
     return out
 
 
-def degenerate_f2_blocks(s: CubicTriple, t: CubicTriple, field=None):
+def degenerate_f2_blocks(s: CubicTriple, t: CubicTriple):
     """The closed-form split of F2 on the degenerate locus
     A_s^3 B_t^2 = 27 A_t^3 D_s (requires A_s A_t != 0, whence B_t != 0):
 
@@ -418,11 +410,11 @@ def degenerate_f2_blocks(s: CubicTriple, t: CubicTriple, field=None):
 
     Returns (double_root_factor, simple_factor, cubic_factor).
     """
-    field, js, jt = _pair(s, t, field)
+    field, js, jt = _pair(s, t)
     As, At, Bt = js.A, jt.A, jt.B
     _require_nonzero(As * At, "A_s * A_t")
     _require_nonzero(Bt, "B_t")
-    if degeneracy_indicator(s, t, field):
+    if degeneracy_indicator(s, t):
         raise MathDomainError(
             "closed-form split needs the degenerate locus "
             "A_s^3 B_t^2 - 27 A_t^3 D_s = 0"
@@ -446,7 +438,8 @@ def resolvent_F2_split(s: CubicTriple, t: CubicTriple):
     """Over Q with D_s D_t a nonzero square: the two cubic factors
     F2(+-) = X^3 - (A_s A_t / D_s) X + (B_t -+ B_s e) / (2 D_s), where
     e = sqrt(D_t / D_s).  Their product is F2."""
-    field, js, jt = _pair(s, t, QQ)
+    field = QQ
+    js, jt = _invariants_in(s, field), _invariants_in(t, field)
     _require_nonzero(js.D, "D_s")
     _require_nonzero(jt.D, "D_t")
     e = is_square_rat(jt.D / js.D)
@@ -465,16 +458,15 @@ def resolvent_F2_split(s: CubicTriple, t: CubicTriple):
 # --------------------------------------------------------------------------
 
 
-def resolvent_F2_char3(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
+def resolvent_F2_char3(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """F2 in characteristic 3 (display form; equals the generic F2 mod 3)."""
-    field = field or _common_field(s, t)
+    field, js, jt = _pair(s, t)
     if field.char != 3:
         raise MathDomainError("characteristic-3 display needs a char-3 field")
     s1, _, _ = s.values(field)
     t1, _, _ = t.values(field)
     _require_nonzero(s1 * t1, "s1 * t1")
-    Ds = cubic_invariants(s, field).D
-    Dt = cubic_invariants(t, field).D
+    Ds, Dt = js.D, jt.D
     _require_nonzero(Ds, "D_s")
     return UniPoly(
         field,
@@ -490,11 +482,9 @@ def resolvent_F2_char3(s: CubicTriple, t: CubicTriple, field=None) -> UniPoly:
     )
 
 
-def resolvent_F0_char3_depressed(
-    s: CubicTriple, t: CubicTriple, field=None
-) -> UniPoly:
+def resolvent_F0_char3_depressed(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """F0 in characteristic 3 for depressed triples (s1 = t1 = 0)."""
-    field = field or _common_field(s, t)
+    field = _common_field(s, t)
     if field.char != 3:
         raise MathDomainError("characteristic-3 display needs a char-3 field")
     s1, s2, s3 = s.values(field)
@@ -516,18 +506,15 @@ def resolvent_F0_char3_depressed(
     )
 
 
-def resolvent_G0_char3(s, t, field=None) -> UniPoly:
+def resolvent_G0_char3(s, t) -> UniPoly:
     """G0(s,t;X) = F0(0,s,-s,0,t,-t;X) in characteristic 3 (one-parameter
     S3 x S3 family); discriminant t^15 / s^3."""
-    field = field or field_of(s)
+    a, b = CubicTriple(0, s, -s), CubicTriple(0, t, -t)
+    field = _common_field(a, b)
     if field.char != 3:
         raise MathDomainError("characteristic-3 display needs a char-3 field")
-    s = field(s)
-    t = field(t)
-    _require_nonzero(s, "s")
-    return resolvent_F0_char3_depressed(
-        CubicTriple(field.zero, s, -s), CubicTriple(field.zero, t, -t), field
-    )
+    _require_nonzero(field(s), "s")
+    return resolvent_F0_char3_depressed(a, b)
 
 
 # --------------------------------------------------------------------------

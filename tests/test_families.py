@@ -395,6 +395,11 @@ class TestShanksScan:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
+    def test_range_step_other_than_one_rejected(self):
+        for m_range in (range(0, 12, 5), range(5, 0, -1)):
+            with pytest.raises(ValueError, match="step 1"):
+                scan_equal_splitting(m_range, 100)
+
     def test_empty_range(self):
         res = scan_equal_splitting((5, 4), 100)
         assert res.pairs == () and res.classes == ()

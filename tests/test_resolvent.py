@@ -29,7 +29,6 @@ from tschirn.resolvent import (
     degeneracy_indicator,
     degenerate_f2_blocks,
     oracle_resolvent,
-    recovery_D12_0,
     recovery_h_list,
     recovery_polys,
     resolvent_F0,
@@ -193,7 +192,7 @@ class TestInvariants:
         rng = random.Random(5)
         for _ in range(10):
             s1, s2, s3 = (rand_field_elt(K, rng) for _ in range(3))
-            inv = cubic_invariants(CubicTriple(s1, s2, s3), K)
+            inv = cubic_invariants(CubicTriple(s1, s2, s3))
             assert inv.A == s1**2
             assert inv.B == -(s1**3)
             assert inv.D == s1**2 * s2**2 - s2**3 - s1**3 * s3
@@ -339,7 +338,7 @@ class TestDiscriminantIdentities:
         while hits < 8:
             s = CubicTriple(*(rand_field_elt(K, rng) for _ in range(3)))
             t = CubicTriple(*(rand_field_elt(K, rng) for _ in range(3)))
-            js, jt = cubic_invariants(s, K), cubic_invariants(t, K)
+            js, jt = cubic_invariants(s), cubic_invariants(t)
             s1, t1 = s.values(K)[0], t.values(K)[0]
             if not s1 or not t1 or not js.D:
                 continue
@@ -554,20 +553,19 @@ class TestRecoveryData:
             f2 = resolvent_F2(s, t)
             _, d12 = recovery_polys(s, t)
             h = UniPoly(QQ, recovery_h_list(s, t))
-            d0 = recovery_D12_0(s, t)
+            d0 = 3 * js.B * degeneracy_indicator(s, t) ** 2
             assert (h * d12) % f2 == UniPoly.constant(QQ, QQ(d0))
             done += 1
 
     def test_D12_0_vanishes_exactly_on_degenerate_locus(self):
         a, b = PAIR_DEGEN
         ja = cubic_invariants(a)
-        assert recovery_D12_0(a, b) == 0
+        assert 3 * ja.B * degeneracy_indicator(a, b) ** 2 == 0
         assert ja.B != 0
         # both known pairs are degenerate; swap in a pair off the locus
         c = CubicTriple(0, -1, 0)
         assert degeneracy_indicator(a, c) != 0
-        assert recovery_D12_0(a, c) == 3 * ja.B * degeneracy_indicator(a, c) ** 2
-        assert recovery_D12_0(a, c) != 0
+        assert 3 * ja.B * degeneracy_indicator(a, c) ** 2 != 0
 
     def test_transport_denominator_vanishes_iff_degenerate(self):
         rng = random.Random(43)
@@ -583,6 +581,27 @@ class TestRecoveryData:
             den = poly_resultant(f2, 3 * d12)
             assert bool(den) == bool(degeneracy_indicator(s, t))
             done += 1
+
+
+class TestMixedFieldPair:
+    def test_integer_triple_is_read_in_the_other_field(self):
+        """A pair of an integer triple and a GF(5^2) triple is computed in
+        GF(5^2), in either order."""
+        K = gf_build(5, 2, 0)
+        rng = random.Random(47)
+        done = 0
+        while done < 8:
+            ints = CubicTriple(*(rng.randint(-9, 9) for _ in range(3)))
+            ff = CubicTriple(*(rand_field_elt(K, rng) for _ in range(3)))
+            for s, t in ((ints, ff), (ff, ints)):
+                ks, kt = CubicTriple(*s.values(K)), CubicTriple(*t.values(K))
+                js = cubic_invariants(ks)
+                if not (js.D and js.B and degeneracy_indicator(ks, kt)):
+                    continue
+                for fn in (resolvent_F0, resolvent_F1, resolvent_F2,
+                           recovery_polys, degeneracy_indicator):
+                    assert fn(s, t) == fn(ks, kt), fn.__name__
+                done += 1
 
 
 # --------------------------------------------------------------------------
@@ -883,7 +902,7 @@ class TestChar3Resolvents:
         while True:
             s = CubicTriple(*(rand_field_elt(K, rng) for _ in range(3)))
             t = CubicTriple(*(rand_field_elt(K, rng) for _ in range(3)))
-            js = cubic_invariants(s, K)
+            js = cubic_invariants(s)
             if s.values(K)[0] and t.values(K)[0] and js.D:
                 return s, t
 
@@ -893,7 +912,7 @@ class TestChar3Resolvents:
             rng = random.Random(31 + k)
             for _ in range(6):
                 s, t = self.random_char3_pair(K, rng)
-                assert resolvent_F2_char3(s, t) == resolvent_F2(s, t, K)
+                assert resolvent_F2_char3(s, t) == resolvent_F2(s, t)
 
     def test_f2_char3_matches_oracle(self):
         hits = gf27_split_instances(
