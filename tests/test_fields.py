@@ -267,3 +267,21 @@ def test_gf_element_int_mixing():
     x = K.gen()
     assert 2 * x + 3 == K([3, 2])
     assert (x + 1) - 1 == x
+
+
+@pytest.mark.parametrize("F, other", [
+    (PrimeField(7), PrimeField(11)),
+    (ExtField(5, 2, (2, 0, 1)), ExtField(5, 2, (3, 0, 1))),  # X^2 + 2, X^2 + 3
+], ids=["F_7", "GF(5^2)"])
+def test_element_operators_with_ints(F, other):
+    x = F(3) if isinstance(F, PrimeField) else F([1, 1])  # 1 + X in GF(5^2)
+    assert 4 - x == F(4) - x
+    assert 4 / x == F(4) * x.inverse()
+    assert x ** -2 == (x * x).inverse()
+    assert x ** -2 * x**2 == F.one
+    assert F(3) == 3 and F(3) == 3 + F.char and F(3) != 4
+    assert (x == 3) == (x == F(3))
+    with pytest.raises(TypeError):
+        x + other.one
+    with pytest.raises(TypeError):
+        x * other.one
