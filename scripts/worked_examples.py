@@ -24,7 +24,7 @@ from tschirn.resolvent import (
     cubic_invariants,
     degeneracy_indicator,
     degenerate_f2_blocks,
-    resolvent_F0_degenerate,
+    resolvent_F0,
     resolvent_F1,
     resolvent_F2,
     tschirn_image,
@@ -50,7 +50,7 @@ def show_pair(title: str, a: CubicTriple, b: CubicTriple) -> None:
 
     print(f"  F2 = {resolvent_F2(a, b)}")
     print(f"  F1 = {resolvent_F1(a, b)}")
-    print(f"  F0~ = {resolvent_F0_degenerate(a, b)}")
+    print(f"  F0~ = {resolvent_F0(a, b)}")
 
     if ind == 0:
         double, simple, _ = degenerate_f2_blocks(a, b)

@@ -52,7 +52,6 @@ from .fields import (
     field_of,
     gf_build,
     is_prime,
-    rat_format,
     rat_parse,
 )
 from .poly import (
@@ -63,9 +62,7 @@ from .poly import (
     linear_solve,
     poly_compose_scale,
     poly_discriminant,
-    poly_format,
     poly_gcd,
-    poly_parse,
     poly_resultant,
     vandermonde_solve,
 )
@@ -82,7 +79,6 @@ from .resolvent import (
     recovery_polys,
     resolvent_F0,
     resolvent_F0_char3_depressed,
-    resolvent_F0_degenerate,
     resolvent_F1,
     resolvent_F2,
     resolvent_F2_char3,

@@ -53,7 +53,6 @@ from .resolvent import (
     degeneracy_indicator,
     oracle_resolvent,
     resolvent_F0,
-    resolvent_F0_degenerate,
     resolvent_F1,
     resolvent_F2,
     shanks_triple,
@@ -206,8 +205,7 @@ def _cmd_resolvent(parser, ns) -> int:
     a = _resolve_triple(parser, ns, "a")
     b = _resolve_triple(parser, ns, "b")
     locus = degeneracy_indicator(a, b) == 0
-    f0 = resolvent_F0_degenerate if locus else resolvent_F0
-    builder = {0: f0, 1: resolvent_F1, 2: resolvent_F2}[ns.index]
+    builder = {0: resolvent_F0, 1: resolvent_F1, 2: resolvent_F2}[ns.index]
     poly = builder(a, b)
     diagnostics = []
     if locus:

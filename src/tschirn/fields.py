@@ -52,13 +52,6 @@ def rat_parse(text: str) -> Rat:
     return Fraction(int(text))
 
 
-def rat_format(r: Rat) -> str:
-    """Render a rational as ``p`` or ``p/q`` (inverse of rat_parse)."""
-    if r.denominator == 1:
-        return str(r.numerator)
-    return f"{r.numerator}/{r.denominator}"
-
-
 # --------------------------------------------------------------------------
 # Primality (deterministic Miller-Rabin; moduli stay below 2^62).
 # --------------------------------------------------------------------------
@@ -175,7 +168,47 @@ class PrimeField:
         return hash(("Fp", self.p))
 
 
-class FpElement:
+class _Element:
+    """The operators that F_p and GF(p^k) elements share.  A subclass
+    gives ``field``, ``+``, ``-``, ``*``, unary ``-``, ``inverse``, ``_pow``
+    for n >= 0 and ``_key``, which names the value and its field."""
+
+    __slots__ = ()
+
+    def _lift(self, other):
+        if isinstance(other, _Element):
+            if other.field is not self.field and other.field != self.field:
+                raise TypeError("elements of different fields mixed")
+            return other
+        if isinstance(other, int):
+            return self.field(other)
+        return NotImplemented
+
+    def __rsub__(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is NotImplemented else o - self
+
+    def __truediv__(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is NotImplemented else self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._lift(other)
+        return NotImplemented if o is NotImplemented else o * self.inverse()
+
+    def __pow__(self, n: int):
+        return self.inverse()._pow(-n) if n < 0 else self._pow(n)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, int):
+            other = self.field(other)
+        return isinstance(other, _Element) and other._key() == self._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class FpElement(_Element):
     """An element of F_p.  Arithmetic accepts plain ints on either side."""
 
     __slots__ = ("field", "val")
@@ -183,15 +216,6 @@ class FpElement:
     def __init__(self, field: PrimeField, val: int):
         self.field = field
         self.val = val % field.p
-
-    def _lift(self, other):
-        if isinstance(other, FpElement):
-            if other.field.p != self.field.p:
-                raise TypeError("mixed prime fields")
-            return other
-        if isinstance(other, int):
-            return FpElement(self.field, other)
-        return NotImplemented
 
     def __add__(self, other):
         o = self._lift(other)
@@ -206,12 +230,6 @@ class FpElement:
         if o is NotImplemented:
             return NotImplemented
         return FpElement(self.field, self.val - o.val)
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpElement(self.field, o.val - self.val)
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -229,34 +247,11 @@ class FpElement:
             raise ZeroDivisionError(f"inverse of 0 in F_{self.field.p}")
         return FpElement(self.field, pow(self.val, -1, self.field.p))
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
+    def _pow(self, n: int):
         return FpElement(self.field, pow(self.val, n, self.field.p))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self.val == other % self.field.p
-        return (
-            isinstance(other, FpElement)
-            and other.field.p == self.field.p
-            and other.val == self.val
-        )
-
-    def __hash__(self) -> int:
-        return hash(("Fp", self.field.p, self.val))
+    def _key(self):
+        return ("Fp", self.field.p, self.val)
 
     def __bool__(self) -> bool:
         return self.val != 0
@@ -352,7 +347,7 @@ class ExtField:
         return hash(("GF", self.p, self.k, self.modulus))
 
 
-class GFElement:
+class GFElement(_Element):
     """An element of GF(p^k): an int tuple of length k (ascending powers)."""
 
     __slots__ = ("field", "coeffs")
@@ -361,15 +356,6 @@ class GFElement:
         assert len(coeffs) == field.k
         self.field = field
         self.coeffs = coeffs
-
-    def _lift(self, other):
-        if isinstance(other, GFElement):
-            if other.field != self.field:
-                raise TypeError("mixed extension fields")
-            return other
-        if isinstance(other, int):
-            return self.field(other)
-        return NotImplemented
 
     def __add__(self, other):
         o = self._lift(other)
@@ -390,12 +376,6 @@ class GFElement:
         return GFElement(
             self.field, tuple((a - b) % p for a, b in zip(self.coeffs, o.coeffs))
         )
-
-    def __rsub__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o - self
 
     def __mul__(self, other):
         o = self._lift(other)
@@ -421,35 +401,12 @@ class GFElement:
         assert g == [1]  # gcd with an irreducible modulus is a unit
         return fld(t)
 
-    def __truediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._lift(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
+    def _pow(self, n: int):
         fld = self.field
         return fld(zpoly.powmod(zpoly.trim(list(self.coeffs)), n, fld.modulus, fld.p))
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            return self == self.field(other)
-        return (
-            isinstance(other, GFElement)
-            and other.field == self.field
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash(("GFel", self.field.p, self.field.modulus, self.coeffs))
+    def _key(self):
+        return ("GFel", self.field.p, self.field.modulus, self.coeffs)
 
     def __bool__(self) -> bool:
         return any(self.coeffs)

@@ -6,9 +6,6 @@ Representation: ascending coefficient tuple with a nonzero leading
 coefficient; the zero polynomial is the empty tuple.  Degrees stay tiny
 (<= 6 symbolically, <= 720 inside the brute-force oracle), so the dense
 form is always the right one.
-
-Text format: comma-separated coefficients, constant term first, rationals
-as ``p/q`` — e.g. ``2,3,0,1`` is X^3 + 3X + 2.
 """
 
 from __future__ import annotations
@@ -16,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import QQ, MathDomainError, field_of, rat_format, rat_parse
+from .fields import QQ, MathDomainError, field_of
 
 
 class UniPoly:
@@ -237,26 +234,6 @@ class UniPoly:
 
 
 # --------------------------------------------------------------------------
-# Text format (constant term first).
-# --------------------------------------------------------------------------
-
-
-def poly_parse(text: str) -> UniPoly:
-    """Parse ``c0,c1,...,cd`` (rationals allowed) into a polynomial over Q."""
-    parts = text.split(",")
-    if all(not p.strip() for p in parts):
-        raise ValueError("empty polynomial text")
-    return UniPoly(QQ, [rat_parse(p) for p in parts])
-
-
-def poly_format(f: UniPoly) -> str:
-    """Inverse of poly_parse; the zero polynomial renders as ``0``."""
-    if not f:
-        return "0"
-    return ",".join(rat_format(c) for c in f.coeffs)
-
-
-# --------------------------------------------------------------------------
 # Root tuples: the raw input of the brute-force resolvent oracle.
 # --------------------------------------------------------------------------
 
@@ -426,13 +403,8 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return f.monic() if f else f
 
 
-def poly_compose_scale(f: UniPoly, c, normalize: bool = False) -> UniPoly:
-    """f(cX); with ``normalize`` return c^{−deg f}·f(cX) (monic-preserving)."""
+def poly_compose_scale(f: UniPoly, c) -> UniPoly:
+    """f(cX)."""
     field = f.field
     c = field(c)
-    if normalize and not c:
-        raise MathDomainError("normalized scaling needs c != 0 (c^{-deg} undefined)")
-    scaled = UniPoly(field, (f.coeffs[i] * c**i for i in range(len(f.coeffs))))
-    if normalize:
-        return scaled / c**f.degree
-    return scaled
+    return UniPoly(field, (f.coeffs[i] * c**i for i in range(len(f.coeffs))))

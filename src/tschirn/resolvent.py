@@ -363,31 +363,25 @@ def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
 
 def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """The sextic whose roots are the constant coefficients u0, computed by
-    transporting the roots of F2 through the recovery map.  Needs B_s != 0
-    and a pair off the multiple-root locus (use resolvent_F0_degenerate)."""
+    transporting the roots of F2 through the recovery map.  That map
+    degenerates at double roots of F2: when B_s = 0, where F2 = G^2 and G
+    must have three rational roots, and on the multiple-root locus (see
+    degenerate_f2_blocks).  There each double root contributes the image of
+    its fiber in u0, without factoring F2; that case needs Q."""
     f2 = resolvent_F2(s, t)
     field = _common_field(s, t)
-    _require_nonzero(_invariants_in(s, field).B, "B_s")
-    if not degeneracy_indicator(s, t):
-        raise MathDomainError("degenerate pair: use resolvent_F0_degenerate")
-    return _transport_block(f2, s, t, field)
-
-
-def resolvent_F0_degenerate(s: CubicTriple, t: CubicTriple) -> UniPoly:
-    """F0 over Q without factoring F2, also where D12 vanishes at double
-    roots of F2: on the multiple-root locus (see degenerate_f2_blocks), and
-    when B_s = 0, where F2 = G^2 and G must have three rational roots.  Each
-    double root contributes the image of its fiber in u0."""
-    field = QQ
-    f2 = resolvent_F2(s, t)
-    if not cubic_invariants(s).B:
+    Bs = _invariants_in(s, field).B
+    if Bs and degeneracy_indicator(s, t):
+        return _transport_block(f2, s, t, field)
+    if field is not QQ:
+        _require_nonzero(Bs, "B_s")
+        raise MathDomainError("degenerate pair: F0 on the multiple-root locus needs Q")
+    if not Bs:
         # D12 = 0 and F2 = G^2 with G = X^3 + (f2[4]/2) X + f2[3]/2
         out = UniPoly.one(field)
         doubles = set(rational_roots(UniPoly(field, (f2[3] / 2, f2[4] / 2, 0, 1))))
         if len(doubles) != 3:
             raise MathDomainError("B_s = 0 needs F2 = G^2 with G split over Q")
-    elif degeneracy_indicator(s, t):
-        return resolvent_F0(s, t)
     else:
         double, simple, cubic = degenerate_f2_blocks(s, t)
         out = _transport_block(simple * cubic, s, t, field)

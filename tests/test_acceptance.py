@@ -32,7 +32,6 @@ from tschirn.resolvent import (
     degenerate_f2_blocks,
     oracle_resolvent,
     resolvent_F0,
-    resolvent_F0_degenerate,
     resolvent_F1,
     resolvent_F2,
     resolvent_F2_char3,
@@ -141,7 +140,7 @@ def test_criterion_04_degenerate_worked_example():
         assert resolvent_F1(a, b) == UniPoly(QQ, (Fraction(7, 4), -1, 1)) * (
             X + 1
         ) * UniPoly(QQ, (Fraction(1, 4), Fraction(3, 4), 0, 1))
-        assert resolvent_F0_degenerate(a, b) == X**2 * (X - 3) * UniPoly(
+        assert resolvent_F0(a, b) == X**2 * (X - 3) * UniPoly(
             QQ, (-4, 0, -3, 1)
         )
 
@@ -169,7 +168,7 @@ def test_criterion_05_cyclic_worked_example():
         assert f1 == (X - 3) * (X - 4) * (X + 7) * UniPoly(
             QQ, (Fraction(-601, 7), -37, 0, 1)
         )
-        f0 = resolvent_F0_degenerate(a, b)
+        f0 = resolvent_F0(a, b)
         assert f0 == (X + 3) * (X + 2) * (X - 4) * UniPoly(
             QQ, (Fraction(71, 7), -14, 1, 1)
         )

@@ -10,7 +10,8 @@ import pytest
 
 from tschirn import cli
 from tschirn.decide import TABLE_INSTANCES, all_rational_transformations
-from tschirn.resolvent import CubicTriple, resolvent_F2
+from tschirn.poly import RootTuple
+from tschirn.resolvent import CubicTriple, oracle_resolvent, resolvent_F2
 
 
 def run_cli(capsys, *argv):
@@ -68,7 +69,7 @@ class TestResolvent:
         code, out, _ = run_cli(capsys, "resolvent", "--a", "0,3,-2",
                                "--b", "3,-3,3")
         assert code == 0 and "degenerate locus" in out
-        # on the locus F0 comes from resolvent_F0_degenerate: it vanishes
+        # on the locus F0 maps the double-root fiber onto u0: it vanishes
         # at the u0 of every transformation
         code, doc, _ = run_json(capsys, "resolvent", "--a", "0,3,-2",
                                 "--b", "3,-3,3", "--index", "0")
@@ -83,12 +84,21 @@ class TestResolvent:
             assert sum(c * u0**i for i, c in enumerate(f0)) == 0
 
     def test_zero_B_s_names_the_precondition(self, capsys):
-        # X^3 - X has B = 0, so D12 vanishes identically; the pair is off
-        # the multiple-root locus
-        code, _, err = run_cli(capsys, "resolvent", "--a", "0,-1,0",
+        # X^3 - X has B = 0, so D12 vanishes identically and F2 = G^2; the
+        # pair is off the multiple-root locus and G splits over Q
+        code, out, _ = run_cli(capsys, "resolvent", "--a", "0,-1,0",
                                "--b", "7,14,8", "--index", "0")
+        assert code == 0
+        rt = RootTuple(xs=tuple(Fraction(x) for x in (-1, 0, 1)),
+                       ys=tuple(Fraction(y) for y in (1, 2, 4)))
+        assert out.splitlines() == [f"F0 = {oracle_resolvent(rt, 0)}"]
+        # here G does not split, so F0 has no closed form to read
+        code, _, err = run_cli(capsys, "resolvent", "--a", "0,1,0",
+                               "--b", "0,-1,1", "--index", "0")
         assert code == 1
-        assert "B_s must be nonzero" in err and "degenerate" not in err
+        assert err.splitlines() == [
+            "error: B_s = 0 needs F2 = G^2 with G split over Q"
+        ]
 
     def test_json_coeffs(self, capsys):
         code, doc, _ = run_json(capsys, "resolvent", "--a", "0,3,-2",

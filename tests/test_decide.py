@@ -38,7 +38,7 @@ from tschirn.resolvent import (
     cubic_invariants,
     degeneracy_indicator,
     degenerate_f2_blocks,
-    resolvent_F0_degenerate,
+    resolvent_F0,
     resolvent_F1,
     resolvent_F2,
     shanks_triple,
@@ -341,7 +341,7 @@ class TestMultipleRootLocus:
         for a, b in _locus_pairs(15) + [PAIR_CYCLIC]:
             assert degeneracy_indicator(a, b) == 0
             ws = all_rational_transformations(a, b)
-            f0 = resolvent_F0_degenerate(a, b)
+            f0 = resolvent_F0(a, b)
             f1, f2 = resolvent_F1(a, b), resolvent_F2(a, b)
             for w in ws:
                 assert f0.eval(w.c0) == f1.eval(w.c1) == f2.eval(w.c2) == 0

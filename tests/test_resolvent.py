@@ -33,7 +33,6 @@ from tschirn.resolvent import (
     recovery_polys,
     resolvent_F0,
     resolvent_F0_char3_depressed,
-    resolvent_F0_degenerate,
     resolvent_F1,
     resolvent_F2,
     resolvent_F2_char3,
@@ -358,8 +357,6 @@ class TestKnownDegeneratePair:
     def test_degenerate_detected(self):
         a, b = PAIR_DEGEN
         assert degeneracy_indicator(a, b) == 0
-        with pytest.raises(MathDomainError):
-            resolvent_F0(a, b)
 
     def test_f2_factor_product(self):
         a, b = PAIR_DEGEN
@@ -381,7 +378,7 @@ class TestKnownDegeneratePair:
 
     def test_f0_degenerate_assembly(self):
         a, b = PAIR_DEGEN
-        assert resolvent_F0_degenerate(a, b) == X**2 * (X - 3) * UniPoly(
+        assert resolvent_F0(a, b) == X**2 * (X - 3) * UniPoly(
             QQ, (-4, 0, -3, 1)
         )
 
@@ -434,7 +431,7 @@ class TestKnownCyclicPair:
         expected = (X + 3) * (X + 2) * (X - 4) * UniPoly(
             QQ, (Fraction(71, 7), -14, 1, 1)
         )
-        assert resolvent_F0_degenerate(a, b) == expected
+        assert resolvent_F0(a, b) == expected
 
     def test_all_three_rational_witnesses(self):
         a, b = PAIR_CYCLIC
@@ -444,7 +441,7 @@ class TestKnownCyclicPair:
     def test_double_root_fiber_block(self):
         # the two transformations above u2 = 1 contribute (X+3)(X+2) to F0
         a, b = PAIR_CYCLIC
-        f0 = resolvent_F0_degenerate(a, b)
+        f0 = resolvent_F0(a, b)
         assert f0 % ((X + 3) * (X + 2)) == UniPoly.zero(QQ)
 
 
@@ -476,7 +473,7 @@ class TestDegenerateSplitPairs:
         assert pairs, "no split degenerate pairs in the search range"
         for xs, ys, s, t in pairs:
             rt = RootTuple(xs=xs, ys=ys)
-            assert resolvent_F0_degenerate(s, t) == oracle_resolvent(rt, 0)
+            assert resolvent_F0(s, t) == oracle_resolvent(rt, 0)
             double, simple, cubic = degenerate_f2_blocks(s, t)
             assert double**2 * simple * cubic == oracle_resolvent(rt, 2)
 
@@ -494,21 +491,16 @@ class TestF0Degenerate:
 
         monkeypatch.setattr(factorq_mod, "_yun_squarefree_q", counting)
         a, b = PAIR_DEGEN
-        assert resolvent_F0_degenerate(a, b) == X**2 * (X - 3) * UniPoly(
+        assert resolvent_F0(a, b) == X**2 * (X - 3) * UniPoly(
             QQ, (-4, 0, -3, 1)
         )
         assert calls == []
-
-    def test_off_the_locus_equals_resolvent_F0(self):
-        a, b = PAIR_DEGEN[0], CubicTriple(0, -1, 1)
-        assert degeneracy_indicator(a, b)
-        assert resolvent_F0_degenerate(a, b) == resolvent_F0(a, b)
 
     def test_zero_A_locus_pair_rejected(self):
         a, b = CubicTriple(0, 0, 2), CubicTriple(0, 0, 3)
         assert degeneracy_indicator(a, b) == 0
         with pytest.raises(MathDomainError):
-            resolvent_F0_degenerate(a, b)
+            resolvent_F0(a, b)
 
     def test_zero_B_s_split_pairs_match_oracle(self):
         # roots in arithmetic progression give B_s = 0, so F2 is a square
@@ -518,10 +510,8 @@ class TestF0Degenerate:
                 ys_q = tuple(Fraction(y) for y in ys)
                 s, t = CubicTriple.from_roots(xs_q), CubicTriple.from_roots(ys_q)
                 assert cubic_invariants(s).B == 0
-                with pytest.raises(MathDomainError, match="B_s"):
-                    resolvent_F0(s, t)
                 rt = RootTuple(xs=xs_q, ys=ys_q)
-                assert resolvent_F0_degenerate(s, t) == oracle_resolvent(rt, 0)
+                assert resolvent_F0(s, t) == oracle_resolvent(rt, 0)
 
     def test_zero_B_s_without_three_rational_double_roots_rejected(self):
         split_s = CubicTriple.from_roots((Fraction(-1), Fraction(0), Fraction(1)))
@@ -530,7 +520,7 @@ class TestF0Degenerate:
             (split_s, CubicTriple.from_roots((Fraction(1), Fraction(1), Fraction(2)))),
         ):
             with pytest.raises(MathDomainError, match="B_s = 0"):
-                resolvent_F0_degenerate(s, t)
+                resolvent_F0(s, t)
 
 
 # --------------------------------------------------------------------------
