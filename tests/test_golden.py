@@ -1,9 +1,11 @@
 """Golden CLI outputs: ``decide-iso`` and ``classify``, as text and as
 ``--json``, on the eleven table rows, two pairs on the multiple-root locus
 (S3 and C3), an A = 0 pair across square classes and the pairs of
-``scripts/worked_examples.py``.  Each run's exit code and stdout are compared
-byte for byte with ``tests/data/golden_cli.json``, so a speedup of the
-decision path can show that it changed no verdict, witness or document.
+``scripts/worked_examples.py``; and ``transform`` on each of those pairs'
+first cubics with an integer, a rational and a zero-c2 coefficient triple.
+Each run's exit code and stdout are compared byte for byte with
+``tests/data/golden_cli.json``, so a speedup of the decision path or of the
+image kernel can show that it changed no verdict, witness or document.
 
 To rewrite the data file after an intended output change:
 
@@ -44,6 +46,16 @@ CASES = [
     [command, "--a", a, "--b", b] + extra
     for a, b in PAIRS
     for command in ("decide-iso", "classify")
+    for extra in ([], ["--json"])
+]
+
+# integer, rational, zero c2
+TRANSFORM_COEFFS = ("3,-1,1", "-1/2,2/3,5/7", "7/3,-2,0")
+
+CASES += [
+    ["transform", "--a", a, "--c", c] + extra
+    for a in dict.fromkeys(a for a, _ in PAIRS)
+    for c in TRANSFORM_COEFFS
     for extra in ([], ["--json"])
 ]
 

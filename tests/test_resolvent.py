@@ -56,6 +56,16 @@ PAIR_CYCLIC = (CubicTriple(-3, -4, -1), CubicTriple(-1, -2, 1))
 small_rat = st.fractions(
     min_value=-9, max_value=9, max_denominator=4
 )
+# numerators and denominators up to 10^12
+huge_rat = st.builds(
+    Fraction, st.integers(-(10**12), 10**12), st.integers(1, 10**12)
+)
+IMAGE_FIELDS = {
+    "F_2": PrimeField(2),
+    "F_3": PrimeField(3),
+    "F_7": PrimeField(7),
+    "GF(5^2)": gf_build(5, 2, 0),
+}
 
 
 def rand_field_elt(K, rng, nonzero=False):
@@ -1077,6 +1087,30 @@ class TestTschirnImage:
         images = [u.eval(QQ(r)) for r in roots]
         expected = CubicTriple.from_roots(images)
         assert tschirn_image(s, coeffs).values() == expected.values()
+
+    @pytest.mark.parametrize("name", sorted(IMAGE_FIELDS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_image_is_coset_product_over_finite_fields(self, name, data):
+        # roots may repeat: the identity holds for any root tuple, and F_2
+        # has only two elements
+        field = IMAGE_FIELDS[name]
+        elements = st.sampled_from(list(field.elements()))
+        roots = data.draw(st.lists(elements, min_size=3, max_size=3))
+        coeffs = data.draw(st.lists(elements, min_size=1, max_size=5))
+        u = UniPoly(field, coeffs)
+        expected = CubicTriple.from_roots([u.eval(x) for x in roots])
+        assert tschirn_image(CubicTriple.from_roots(roots), coeffs) == expected
+
+    @given(
+        st.lists(huge_rat, min_size=3, max_size=3),
+        st.lists(huge_rat, min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_image_is_coset_product_over_Q(self, roots, coeffs):
+        u = UniPoly(QQ, coeffs)
+        expected = CubicTriple.from_roots([u.eval(x) for x in roots])
+        assert tschirn_image(CubicTriple.from_roots(roots), coeffs) == expected
 
     def test_composition_matches_modular_composition(self):
         s = CubicTriple.from_roots((0, 1, 3))
