@@ -38,6 +38,7 @@ from .resolvent import (
     resolvent_F2,
     tschirn_image,
     _double_root_fiber,
+    _locus_root,
     _trace_u0,
 )
 
@@ -218,6 +219,12 @@ def recover_coeffs(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
     c2 = QQ(c2)
     if resolvent_F2(a, b).eval(c2):
         raise ValueError(f"{c2} is not a root of the u2-resolvent of the pair")
+    return _recover(a, b, c2)
+
+
+def _recover(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
+    """recover_coeffs without the root test, which rebuilds F2: for callers
+    that took c2 from F2's roots.  The witness is verified either way."""
     q12, d12 = recovery_polys(a, b)
     den = d12.eval(c2)
     if not den:
@@ -275,7 +282,10 @@ def _avoid_zero_A(a: CubicTriple):
 
 def _stitch(a: CubicTriple, hop_a, core: TschirnCoeffs, b: CubicTriple, hop_b):
     """Compose hop_a (a -> a'), core (a' -> b') and the inverse of hop_b
-    (b -> b') into a single witness from a to b."""
+    (b -> b') into a single witness from a to b.  The caller has verified
+    core on (a', b'), so with no hop it is returned as it is."""
+    if hop_a is None and hop_b is None:
+        return core
     w = core
     if hop_a is not None:
         w = compose_transformations(a, hop_a, w)
@@ -338,7 +348,9 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
     are unequal, with no resolvent built; otherwise the A = 0 hop and the
     resolvent F2 decide.  The exit is sound because equal splitting fields
     have the same quadratic subfields: Q(sqrt(D_a)) = Q(sqrt(D_b)) for S3,
-    and for C3 each D is itself a square.  Either way D_a D_b is a square."""
+    and for C3 each D is itself a square.  Either way D_a D_b is a square.
+    A witness is verified once, as it is recovered, and again only when it
+    is composed with an A = 0 hop."""
     if not cubic_invariants(a).D:
         raise MathDomainError("D_a = 0: first cubic is inseparable")
     if not cubic_invariants(b).D:
@@ -359,12 +371,12 @@ def _same_square_class(a: CubicTriple, b: CubicTriple) -> bool:
 def _recoverable_f2_roots(an, bn, f2=None) -> list:
     """The rational roots c2 of F2(an, bn) at which recover_coeffs applies,
     for irreducible an and bn with A != 0.  On the multiple-root locus this
-    is the closed-form simple root; elsewhere F2 is squarefree and the roots
+    is the simple root -2r of the closed form, r = _locus_root(an, bn), read
+    without building its blocks; elsewhere F2 is squarefree and the roots
     come from f2, the factorization of F2(an, bn), which is computed here
     when the caller has none."""
     if not degeneracy_indicator(an, bn):
-        _, simple, _ = degenerate_f2_blocks(an, bn)
-        return [-simple.coeffs[0]]
+        return [-2 * _locus_root(an, bn)]
     if f2 is None:
         f2 = factor_over_Q(resolvent_F2(an, bn))
     return [-g.coeffs[0] for g, _ in f2 if g.degree == 1]
@@ -378,7 +390,7 @@ def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
     if not roots:
         return False, None
     c2 = min(roots, key=_height_key)
-    return True, _stitch(a, hop_a, recover_coeffs(an, bn, c2), b, hop_b)
+    return True, _stitch(a, hop_a, _recover(an, bn, c2), b, hop_b)
 
 
 def _degenerate_f2_pattern(an, bn) -> tuple:
@@ -404,10 +416,10 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
         return ()
     an, hop_a = _avoid_zero_A(a)
     bn, hop_b = _avoid_zero_A(b)
-    found = [recover_coeffs(an, bn, c2) for c2 in _recoverable_f2_roots(an, bn)]
+    found = [_recover(an, bn, c2) for c2 in _recoverable_f2_roots(an, bn)]
     if not degeneracy_indicator(an, bn):
         # the fiber over the double root
-        c = -degenerate_f2_blocks(an, bn)[0].coeffs[0]
+        c = _locus_root(an, bn)
         for u1 in rational_roots(_double_root_fiber(an, bn, c)):
             cand = (_trace_u0(an, bn, u1, c, QQ), u1, c)
             if verify_transformation(an, bn, cand):

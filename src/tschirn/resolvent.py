@@ -27,6 +27,7 @@ double root of F2 where that map degenerates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -37,7 +38,6 @@ from .factorq import integer_model, is_square_rat, rational_roots
 from .fields import QQ, MathDomainError, field_of
 from .poly import (
     RootTuple,
-    _det3,
     UniPoly,
     lagrange_interpolate,
     poly_discriminant,
@@ -173,26 +173,47 @@ def _invariants_in(s: CubicTriple, field) -> CubicInvariants:
 
 def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
     """The triple of g(X) = Prod (X - u(alpha_i)) for u = c0 + c1 X + c2 X^2,
-    alpha_i the roots of f3(s), computed from the characteristic polynomial
-    of the multiplication-by-u(alpha) matrix on the basis 1, alpha, alpha^2."""
+    alpha_i the roots of f3(s); a longer list is first reduced mod f3(s).
+    Over F_p and GF(p^k), _image_formulas runs on field elements.  Over Q it
+    runs on ints: with (H, ell) = integer_model(f3(s)), roots beta = ell alpha,
+    and d the common denominator of the c_j, v = d ell^2 u = k0 + k1 beta +
+    k2 beta^2 has an integer triple, and that of u is it divided by M, M^2,
+    M^3 for M = d ell^2."""
     field = s.field
-    f = s.poly(field)
-    u = UniPoly(field, [field(c) for c in coeffs]) % f
-    cols = []
-    for j in range(3):
-        col = (UniPoly(field, [0] * j + [1]) * u) % f
-        cols.append([col[i] for i in range(3)])
-    m = [[cols[j][i] for j in range(3)] for i in range(3)]
-    tr = m[0][0] + m[1][1] + m[2][2]
-    minors = (
-        m[0][0] * m[1][1]
-        - m[0][1] * m[1][0]
-        + m[0][0] * m[2][2]
-        - m[0][2] * m[2][0]
-        + m[1][1] * m[2][2]
-        - m[1][2] * m[2][1]
+    c = [field(x) for x in coeffs]
+    if len(c) > 3:
+        u = UniPoly(field, c) % s.poly(field)
+        c = [u[i] for i in range(3)]
+    c += [field.zero] * (3 - len(c))
+    if field is not QQ:
+        return CubicTriple(*_image_formulas(*s.values(field), *c))
+    H, ell = integer_model(s.poly(QQ))
+    d = math.lcm(*(x.denominator for x in c))
+    k = [x.numerator * (d // x.denominator) * ell ** (2 - j)
+         for j, x in enumerate(c)]
+    m = d * ell * ell
+    e1, e2, e3 = _image_formulas(-H[2], H[1], -H[0], *k)
+    return CubicTriple(Fraction(e1, m), Fraction(e2, m * m), Fraction(e3, m**3))
+
+
+def _image_formulas(s1, s2, s3, c0, c1, c2) -> tuple:
+    """(e1, e2, e3) of u = c0 + c1 X + c2 X^2 on the roots of f3(s), in any
+    commutative ring.  The multiplication-by-u matrix has the columns u,
+    u alpha, u alpha^2 reduced by alpha^3 = s1 alpha^2 - s2 alpha + s3:
+
+        [ c0   c2 s3   s3 w         ]
+        [ c1   p       c2 s3 - s2 w ]   w = c1 + c2 s1,  p = c0 - c2 s2.
+        [ c2   w       p + s1 w     ]"""
+    w = c1 + c2 * s1
+    p = c0 - c2 * s2
+    m01, m02 = c2 * s3, s3 * w
+    m12, m22 = m01 - s2 * w, p + s1 * w
+    minor0 = p * m22 - m12 * w
+    return (
+        c0 + p + m22,
+        c0 * (p + m22) - m01 * c1 - m02 * c2 + minor0,
+        c0 * minor0 - m01 * (c1 * m22 - m12 * c2) + m02 * (c1 * w - p * c2),
     )
-    return CubicTriple(tr, minors, _det3(field, m))
 
 
 # --------------------------------------------------------------------------
@@ -364,19 +385,25 @@ def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
 def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """The sextic whose roots are the constant coefficients u0, computed by
     transporting the roots of F2 through the recovery map.  That map
-    degenerates at double roots of F2: when B_s = 0, where F2 = G^2 and G
-    must have three rational roots, and on the multiple-root locus (see
-    degenerate_f2_blocks).  There each double root contributes the image of
-    its fiber in u0, without factoring F2; that case needs Q."""
+    degenerates at multiple roots of F2.  If A_s = A_t = 0, F2 = X^3 (X^3 +
+    B_t/D_s), and the fiber of u2 = 0 (u1^3 = B_t/B_s, 3 u0 = t1 - s1 u1)
+    adds (X - t1/3)^3 + (s1/3)^3 B_t/B_s, in any characteristic but 3.  Over
+    Q only: when B_s = 0, F2 = G^2 and G must have three rational roots, and
+    on the rest of the locus (see degenerate_f2_blocks) each double root
+    adds the image of its fiber in u0, without factoring F2."""
     f2 = resolvent_F2(s, t)
-    field = _common_field(s, t)
-    Bs = _invariants_in(s, field).B
-    if Bs and degeneracy_indicator(s, t):
+    field, js, jt = _pair(s, t)
+    if js.B and degeneracy_indicator(s, t):
         return _transport_block(f2, s, t, field)
+    if js.B and not js.A:
+        # on the locus A_s = 0 forces A_t = 0; char 3 has B = 2 s1^3 = 2 A s1
+        s1, t1 = s.values(field)[0], t.values(field)[0]
+        fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * jt.B / js.B
+        return fiber * _transport_block(UniPoly(field, f2.coeffs[3:]), s, t, field)
     if field is not QQ:
-        _require_nonzero(Bs, "B_s")
+        _require_nonzero(js.B, "B_s")
         raise MathDomainError("degenerate pair: F0 on the multiple-root locus needs Q")
-    if not Bs:
+    if not js.B:
         # D12 = 0 and F2 = G^2 with G = X^3 + (f2[4]/2) X + f2[3]/2
         out = UniPoly.one(field)
         doubles = set(rational_roots(UniPoly(field, (f2[3] / 2, f2[4] / 2, 0, 1))))
@@ -400,32 +427,33 @@ def degenerate_f2_blocks(s: CubicTriple, t: CubicTriple):
     """The closed-form split of F2 on the degenerate locus
     A_s^3 B_t^2 = 27 A_t^3 D_s (requires A_s A_t != 0, whence B_t != 0):
 
-        F2 = (X - r)^2 (X + 2r) (X^3 + pX + q),  r = 3 A_t^2 / (A_s B_t).
+        F2 = (X - r)^2 (X + 2r) (X^3 - 3 r^2 X + r^3 (B_t^2 / A_t^3 - 2)),
 
-    Returns (double_root_factor, simple_factor, cubic_factor).
+    r = 3 A_t^2 / (A_s B_t).  Returns (double_root_factor, simple_factor,
+    cubic_factor).
     """
-    field, js, jt = _pair(s, t)
-    As, At, Bt = js.A, jt.A, jt.B
-    _require_nonzero(As * At, "A_s * A_t")
-    _require_nonzero(Bt, "B_t")
+    r = _locus_root(s, t)
     if degeneracy_indicator(s, t):
         raise MathDomainError(
             "closed-form split needs the degenerate locus "
             "A_s^3 B_t^2 - 27 A_t^3 D_s = 0"
         )
-    r = 3 * At**2 / (As * Bt)
-    double = UniPoly(field, (-r, field.one))
-    simple = UniPoly(field, (2 * r, field.one))
-    cubic = UniPoly(
-        field,
-        (
-            -27 * At**3 * (2 * At**3 - Bt**2) / (As**3 * Bt**3),
-            -27 * At**4 / (As**2 * Bt**2),
-            field.zero,
-            field.one,
-        ),
+    field, _, jt = _pair(s, t)
+    q = r**3 * (jt.B**2 / jt.A**3 - 2)
+    return (
+        UniPoly(field, (-r, field.one)),
+        UniPoly(field, (2 * r, field.one)),
+        UniPoly(field, (q, -3 * r * r, field.zero, field.one)),
     )
-    return double, simple, cubic
+
+
+def _locus_root(s: CubicTriple, t: CubicTriple):
+    """r = 3 A_t^2 / (A_s B_t): on the multiple-root locus, the double root
+    of F2, whose simple root is -2r (see degenerate_f2_blocks)."""
+    _, js, jt = _pair(s, t)
+    _require_nonzero(js.A * jt.A, "A_s * A_t")
+    _require_nonzero(jt.B, "B_t")
+    return 3 * jt.A**2 / (js.A * jt.B)
 
 
 def resolvent_F2_split(s: CubicTriple, t: CubicTriple):

@@ -10,7 +10,8 @@ import pytest
 
 from tschirn import cli
 from tschirn.decide import TABLE_INSTANCES, all_rational_transformations
-from tschirn.poly import RootTuple
+from tschirn.fields import PrimeField
+from tschirn.poly import RootTuple, UniPoly
 from tschirn.resolvent import CubicTriple, oracle_resolvent, resolvent_F2
 
 
@@ -99,6 +100,21 @@ class TestResolvent:
         assert err.splitlines() == [
             "error: B_s = 0 needs F2 = G^2 with G split over Q"
         ]
+
+    def test_zero_A_locus_pair_has_f0(self, capsys):
+        # X^3 - 2 and X^3 - 3: every transformation is u1 X or u2 X^2, so
+        # all six u0 are 0; both cubics split mod 307, where the coset
+        # product says the same
+        code, out, _ = run_cli(capsys, "resolvent", "--a", "0,0,2",
+                               "--b", "0,0,3", "--index", "0")
+        assert code == 0
+        assert out.splitlines() == [
+            "F0 = X^6",
+            "warning: degenerate locus: the sextic has a multiple root",
+        ]
+        F = PrimeField(307)
+        xs, ys = (tuple(x for x in F.elements() if x**3 == c) for c in (2, 3))
+        assert oracle_resolvent(RootTuple(xs, ys), 0) == UniPoly.X(F) ** 6
 
     def test_json_coeffs(self, capsys):
         code, doc, _ = run_json(capsys, "resolvent", "--a", "0,3,-2",

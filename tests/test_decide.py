@@ -160,6 +160,31 @@ class TestRecoverCoeffs:
                 assert verify_transformation(a, b, w)
 
 
+class TestOneVerificationPerWitness:
+    """With no A = 0 hop, _stitch passes on the witness that recovery has
+    just verified on the same pair, so decide_same_splitting checks it once."""
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [TABLE_INSTANCES[("S3", "S3", "Equal")], ((0, 3, -2), (3, -3, 3))],
+        ids=["generic", "locus"],
+    )
+    def test_equal_pair_is_verified_once(self, monkeypatch, a, b):
+        a, b = CubicTriple(*a), CubicTriple(*b)
+        assert cubic_invariants(a).A and cubic_invariants(b).A
+        calls = []
+        original = decide_mod.verify_transformation
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(decide_mod, "verify_transformation", counting)
+        equal, w = decide_same_splitting(a, b)
+        assert equal and original(a, b, w)
+        assert len(calls) == 1
+
+
 class TestDegenerateFactorization:
     """The closed-form blocks of F2 on the multiple-root locus."""
 

@@ -506,11 +506,40 @@ class TestF0Degenerate:
         )
         assert calls == []
 
-    def test_zero_A_locus_pair_rejected(self):
-        a, b = CubicTriple(0, 0, 2), CubicTriple(0, 0, 3)
-        assert degeneracy_indicator(a, b) == 0
-        with pytest.raises(MathDomainError):
-            resolvent_F0(a, b)
+    def test_zero_A_locus_pairs_match_oracle(self):
+        # shifted pure cubics (X - k)^3 - g^3 have A = 0, so every pair of
+        # them is on the locus with F2 = X^3 (X^3 + B_t/D_s); 3 is a
+        # primitive cube root of unity in F_13
+        F = PrimeField(13)
+        pairs = (((0, 1), (0, 2)), ((1, 2), (5, 3)), ((4, 1), (2, 6)))
+        for (k, g), (k2, g2) in pairs:
+            xs = tuple(F(k + g * w) for w in (1, 3, 9))
+            ys = tuple(F(k2 + g2 * w) for w in (1, 3, 9))
+            s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
+            assert cubic_invariants(s).A == cubic_invariants(t).A == 0
+            assert degeneracy_indicator(s, t) == 0
+            assert resolvent_F0(s, t) == oracle_resolvent(RootTuple(xs, ys), 0)
+
+    def test_zero_A_locus_pairs_over_Q_reduce_to_the_F13_oracle(self):
+        # (X - k)^3 - c with c a cube mod 13 (1, 5, 8, 12), irreducible
+        # over Q: the answer over Q, reduced mod 13, is the coset product of
+        # the roots mod 13
+        F = PrimeField(13)
+        for s, t in (
+            (CubicTriple(0, 0, 5), CubicTriple(0, 0, 18)),
+            (CubicTriple(3, 3, 6), CubicTriple(-6, 12, 4)),
+            (CubicTriple(0, 0, -5), CubicTriple(3, 3, 22)),
+        ):
+            assert cubic_invariants(s).A == cubic_invariants(t).A == 0
+            assert not rational_roots(s.poly()) and not rational_roots(t.poly())
+            f0 = resolvent_F0(s, t)
+            reduced = UniPoly(F, [F(c.numerator) / F(c.denominator)
+                                  for c in f0.coeffs])
+            xs, ys = (
+                tuple(x for x in F.elements() if not u.poly(F).eval(x))
+                for u in (s, t)
+            )
+            assert reduced == oracle_resolvent(RootTuple(xs, ys), 0)
 
     def test_zero_B_s_split_pairs_match_oracle(self):
         # roots in arithmetic progression give B_s = 0, so F2 is a square
