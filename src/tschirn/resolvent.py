@@ -177,8 +177,8 @@ def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
     Over F_p and GF(p^k), _image_formulas runs on field elements.  Over Q it
     runs on ints: with (H, ell) = integer_model(f3(s)), roots beta = ell alpha,
     and d the common denominator of the c_j, v = d ell^2 u = k0 + k1 beta +
-    k2 beta^2 has an integer triple, and that of u is it divided by M, M^2,
-    M^3 for M = d ell^2."""
+    k2 beta^2 has integer k_j and triple (E1, E2, E3), and u has the triple
+    (E1/M, E2/M^2, E3/M^3) for M = d ell^2."""
     field = s.field
     c = [field(x) for x in coeffs]
     if len(c) > 3:
@@ -396,7 +396,7 @@ def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
     if js.B and degeneracy_indicator(s, t):
         return _transport_block(f2, s, t, field)
     if js.B and not js.A:
-        # on the locus A_s = 0 forces A_t = 0; char 3 has B = 2 s1^3 = 2 A s1
+        # on the locus A_s = 0 forces A_t = 0; char 3 has B = 2 A s1, so A_s != 0
         s1, t1 = s.values(field)[0], t.values(field)[0]
         fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * jt.B / js.B
         return fiber * _transport_block(UniPoly(field, f2.coeffs[3:]), s, t, field)

@@ -508,17 +508,22 @@ class TestF0Degenerate:
 
     def test_zero_A_locus_pairs_match_oracle(self):
         # shifted pure cubics (X - k)^3 - g^3 have A = 0, so every pair of
-        # them is on the locus with F2 = X^3 (X^3 + B_t/D_s); 3 is a
-        # primitive cube root of unity in F_13
-        F = PrimeField(13)
-        pairs = (((0, 1), (0, 2)), ((1, 2), (5, 3)), ((4, 1), (2, 6)))
-        for (k, g), (k2, g2) in pairs:
-            xs = tuple(F(k + g * w) for w in (1, 3, 9))
-            ys = tuple(F(k2 + g2 * w) for w in (1, 3, 9))
-            s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
-            assert cubic_invariants(s).A == cubic_invariants(t).A == 0
-            assert degeneracy_indicator(s, t) == 0
-            assert resolvent_F0(s, t) == oracle_resolvent(RootTuple(xs, ys), 0)
+        # them is on the locus with F2 = X^3 (X^3 + B_t/D_s); both fields
+        # hold a primitive cube root of unity w, and GF(4) has characteristic 2
+        rng = random.Random(13)
+        for F in (PrimeField(13), gf_build(2, 2, 0)):
+            els = list(F.elements())
+            w = next(e for e in els if e**3 == 1 and e != 1)
+            for _ in range(3):
+                (k, g), (k2, g2) = (
+                    (rng.choice(els), rng.choice(els[1:])) for _ in range(2)
+                )
+                xs = tuple(k + g * w**i for i in range(3))
+                ys = tuple(k2 + g2 * w**i for i in range(3))
+                s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
+                assert cubic_invariants(s).A == cubic_invariants(t).A == 0
+                assert degeneracy_indicator(s, t) == 0
+                assert resolvent_F0(s, t) == oracle_resolvent(RootTuple(xs, ys), 0)
 
     def test_zero_A_locus_pairs_over_Q_reduce_to_the_F13_oracle(self):
         # (X - k)^3 - c with c a cube mod 13 (1, 5, 8, 12), irreducible
