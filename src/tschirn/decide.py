@@ -286,9 +286,7 @@ def _stitch(a: CubicTriple, hop_a, core: TschirnCoeffs, b: CubicTriple, hop_b):
     core on (a', b'), so with no hop it is returned as it is."""
     if hop_a is None and hop_b is None:
         return core
-    w = core
-    if hop_a is not None:
-        w = compose_transformations(a, hop_a, w)
+    w = core if hop_a is None else compose_transformations(a, hop_a, core)
     if hop_b is not None:
         w = compose_transformations(a, w, invert_transformation(b, hop_b))
     if not verify_transformation(a, b, w):

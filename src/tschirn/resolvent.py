@@ -182,9 +182,8 @@ def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
     field = s.field
     c = [field(x) for x in coeffs]
     if len(c) > 3:
-        u = UniPoly(field, c) % s.poly(field)
-        c = [u[i] for i in range(3)]
-    c += [field.zero] * (3 - len(c))
+        c = list((UniPoly(field, c) % s.poly(field)).coeffs)
+    c = (c + [field.zero] * 3)[:3]
     if field is not QQ:
         return CubicTriple(*_image_formulas(*s.values(field), *c))
     H, ell = integer_model(s.poly(QQ))
@@ -392,13 +391,15 @@ def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
     on the rest of the locus (see degenerate_f2_blocks) each double root
     adds the image of its fiber in u0, without factoring F2."""
     f2 = resolvent_F2(s, t)
-    field, js, jt = _pair(s, t)
+    field = _common_field(s, t)
+    js = _invariants_in(s, field)
     if js.B and degeneracy_indicator(s, t):
         return _transport_block(f2, s, t, field)
     if js.B and not js.A:
         # on the locus A_s = 0 forces A_t = 0; char 3 has B = 2 A s1, so A_s != 0
         s1, t1 = s.values(field)[0], t.values(field)[0]
-        fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * jt.B / js.B
+        k = _invariants_in(t, field).B / js.B
+        fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * k
         return fiber * _transport_block(UniPoly(field, f2.coeffs[3:]), s, t, field)
     if field is not QQ:
         _require_nonzero(js.B, "B_s")
