@@ -1,11 +1,13 @@
 """Golden CLI outputs: ``decide-iso`` and ``classify``, as text and as
 ``--json``, on the eleven table rows, two pairs on the multiple-root locus
 (S3 and C3), an A = 0 pair across square classes and the pairs of
-``scripts/worked_examples.py``; and ``transform`` on each of those pairs'
-first cubics with an integer, a rational and a zero-c2 coefficient triple.
+``scripts/worked_examples.py``; ``transform`` on each of those pairs'
+first cubics with an integer, a rational and a zero-c2 coefficient triple;
+and ``factor`` on resolvent sextics, X^24 + 1, products of sextics with
+large coefficients and inputs with repeated factors.
 Each run's exit code and stdout are compared byte for byte with
 ``tests/data/golden_cli.json``, so a speedup of the decision path or of the
-image kernel can show that it changed no verdict, witness or document.
+image kernel or of the factorizer can show that it changed no verdict, witness or document.
 
 To rewrite the data file after an intended output change:
 
@@ -56,6 +58,61 @@ CASES += [
     ["transform", "--a", a, "--c", c] + extra
     for a in dict.fromkeys(a for a, _ in PAIRS)
     for c in TRANSFORM_COEFFS
+    for extra in ([], ["--json"])
+]
+
+
+
+def _times(*polys) -> str:
+    """The product of integer polynomials (constant first), as --coeffs."""
+    out = [1]
+    for g in polys:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
+        out = prod
+    return ",".join(str(c) for c in out)
+
+
+# sextics with 12-, 30- and 20-digit coefficients, not monic
+SEXTICS = (
+    (-671280706895, -366229300755, -850781218568, -863891468888,
+     225583620466, 879391951716, 6),
+    (389447619940, 327022681666, 447023118272, -661466571887,
+     732353987233, 563172181477, 8),
+    (-559447214009298417224191252806, 258073884009380985667251810129,
+     166457714554952008640697915896, -826696116799390218391099532142,
+     -297673083036978600540750462385, -131324705893612756851072379441, 2),
+    (806834391486201904387936090638, 377461505918975312336322431410,
+     -535760540172943856465121081064, -283114742051355435087003516619,
+     533896717011407490707731731895, 676182650016111384374707140975, 3),
+    (-74424940653326630363, 62388803177251679541, -11184475058606095448,
+     75762937250057497977, 19229079516000108485, 85294493343863531209, 8),
+)
+
+FACTOR_COEFFS = (
+    # F2 of the A != 0 forms that decide factors, for the table rows
+    # S3/S3 Equal, S3/S3 QuadraticMeet, C3/C3 Equal and S3/S3 TrivialMeet
+    "-152/529,-165/529,225/529,11/23,-30/23,0,1",
+    "-28920783024/196327588830261845,-2066557536/72202832700625,"
+    "76527504/72202832700625,-236232/8497225,17496/8497225,0,1",
+    "42,-91,49,13,-14,0,1",
+    "31/13824,1/64,1/64,-1/8,-1/4,0,1",
+    # X^24 + 1 = (X^8 + 1) Phi_48(X)
+    ",".join(["1"] + ["0"] * 23 + ["1"]),
+    _times(SEXTICS[0], SEXTICS[1]),
+    _times(SEXTICS[2], SEXTICS[3]),
+    _times(SEXTICS[0], SEXTICS[2], SEXTICS[4]),
+    # (X + 1)^2 (X^2 + 2)^3
+    _times((1, 1), (1, 1), (2, 0, 1), (2, 0, 1), (2, 0, 1)),
+    # X^2 - 3 (5 7 ... 29)^2: squarefree, but modulo no prime 5..29
+    _times((-3 * (5 * 7 * 11 * 13 * 17 * 19 * 23 * 29) ** 2, 0, 1)),
+)
+
+CASES += [
+    ["factor", "--coeffs", c] + extra
+    for c in FACTOR_COEFFS
     for extra in ([], ["--json"])
 ]
 
