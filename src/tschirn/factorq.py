@@ -9,12 +9,15 @@ output is reproducible; for p = 2 it splits by the trace map instead of a
 ``factor_over_Fp`` converts from and to ``UniPoly`` only at its entry and
 exit.
 
-Over Q: squarefree-split the monic input by Yun's algorithm, pass each
-part to its monic integer model ell^d f(X/ell) (``integer_model``), factor
-the image modulo a good prime with the int-list F_p core, Hensel-lift
-(quadratic steps, binary factor tree, ``zpoly`` arithmetic modulo p^(2^i))
-above the Landau–Mignotte coefficient bound, and recombine factor subsets
-exhaustively.
+Over Q: take the monic integer model ell^d f(X/ell) (``integer_model``) of
+the monic input.  If gcd(H, H') = 1 modulo a prime p in 5..29, H is
+squarefree over Q and is factored with that p at once; only otherwise is
+the input squarefree-split by Yun's algorithm, each part then going through
+its own integer model.  A squarefree H is factored modulo a good prime p
+with the int-list F_p core, Hensel-lifted (binary factor tree, quadratic
+steps in ``zpoly`` arithmetic, the last one cut) to p^N, the least power
+of p above twice the Landau–Mignotte coefficient bound, and its factor
+subsets are recombined exhaustively.
 
 Rational roots of a quadratic or a cubic over Q need no factoring: they
 are the integer roots of its monic integer model divided by ell.  A
@@ -36,6 +39,10 @@ from itertools import combinations, count, islice
 from . import zpoly
 from .fields import QQ, PrimeField, field_of, is_prime
 from .poly import UniPoly, poly_gcd
+
+# Primes tried by factor_over_Q for a proof that its input is squarefree,
+# before it falls back to Yun's algorithm.
+_SQUAREFREE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
 
 # --------------------------------------------------------------------------
 # Factorization container.
@@ -186,32 +193,46 @@ def _product(polys, m: int) -> list:
     return out
 
 
-def _hensel_step(f, g, h, s, t, m: int):
-    """One quadratic lift: valid data mod m -> valid data mod m^2.
+def _hensel_step(f, g, h, s, t, M: int):
+    """One quadratic lift of the factors (von zur Gathen–Gerhard, Alg.
+    15.10): from modulus m to any M with m | M | m^2, returning monic g1 ≡ g
+    and h1 ≡ h (mod m) with f ≡ g1·h1 (mod M).
 
     Preconditions: f ≡ g·h (mod m), s·g + t·h ≡ 1 (mod m), g and h monic,
     deg s < deg h, deg t < deg g.  All polynomials are int lists.
     """
-    M = m * m
     add, sub, mul = zpoly.add, zpoly.sub, zpoly.mul
     e = sub(f, mul(g, h, M), M)
     q, r = zpoly.divmod_mod(mul(s, e, M), h, M)
     g1 = add(add(g, mul(t, e, M), M), mul(q, g, M), M)
     h1 = add(h, r, M)
+    assert g1 and g1[-1] == 1 and h1 and h1[-1] == 1, "Hensel step broke monicity"
+    return g1, h1
+
+
+def _cofactor_step(g1, h1, s, t, M: int):
+    """The second half of the lift: cofactors s1 ≡ s, t1 ≡ t (mod m) with
+    s1·g1 + t1·h1 ≡ 1 (mod M) for the g1, h1 that _hensel_step returned,
+    m | M | m^2."""
+    add, sub, mul = zpoly.add, zpoly.sub, zpoly.mul
     b = sub(add(mul(s, g1, M), mul(t, h1, M), M), [1], M)
     c, d = zpoly.divmod_mod(mul(s, b, M), h1, M)
     s1 = sub(s, d, M)
     t1 = sub(sub(t, mul(t, b, M), M), mul(c, g1, M), M)
-    assert g1 and g1[-1] == 1 and h1 and h1[-1] == 1, "Hensel step broke monicity"
-    return g1, h1, s1, t1
+    return s1, t1
 
 
-def _lift_pair(f, g0, h0, s0, t0, p: int, m_final: int):
-    g, h, s, t = g0, h0, s0, t0
+def _lift_pair(f, g, h, s, t, p: int, m_final: int):
+    """Lift f ≡ g·h (mod p), with s·g + t·h ≡ 1 (mod p), to f ≡ g·h
+    (mod m_final), m_final a power of p: quadratic steps m -> m^2, the last
+    one cut to m_final, which divides its m^2.  The cofactors are not lifted
+    on the last step, since nothing reads them after it."""
     m = p
     while m < m_final:
-        g, h, s, t = _hensel_step(f, g, h, s, t, m)
-        m = m * m
+        m = min(m * m, m_final)
+        g, h = _hensel_step(f, g, h, s, t, m)
+        if m < m_final:
+            s, t = _cofactor_step(g, h, s, t, m)
     return g, h
 
 
@@ -235,6 +256,15 @@ def _center(c: int, m: int) -> int:
     return c - m if c > m // 2 else c
 
 
+def _squarefree_prime(H: list, primes):
+    """The first p of primes with gcd(H, H') = 1 modulo p, or None.  For
+    monic H such a p proves Disc H != 0 (Res(H, H') reduces to the
+    resultant modulo p, which is not 0), so H is squarefree over Q."""
+    dH = [i * H[i] for i in range(1, len(H))]
+    return next((p for p in primes
+                 if zpoly.gcd(zpoly.mod(H, p), zpoly.mod(dH, p), p) == [1]), None)
+
+
 def _good_prime(H: list) -> int:
     """The least prime p >= 5 modulo which the monic H stays squarefree.  A
     prime that fails divides Disc H, which, unless 0, is below the Hadamard
@@ -243,27 +273,29 @@ def _good_prime(H: list) -> int:
     dH = [i * H[i] for i in range(1, len(H))]
     norm_H, norm_dH = (math.isqrt(sum(c * c for c in g)) + 1 for g in (H, dH))
     b = (norm_H ** (len(H) - 2) * norm_dH ** (len(H) - 1)).bit_length()
-    for p in islice(filter(is_prime, count(5, 2)), b // 2 + 1):
-        if zpoly.gcd(zpoly.mod(H, p), zpoly.mod(dH, p), p) == [1]:
-            return p
-    raise AssertionError("H is not squarefree")
+    p = _squarefree_prime(H, islice(filter(is_prime, count(5, 2)), b // 2 + 1))
+    if p is None:
+        raise AssertionError("H is not squarefree")
+    return p
 
 
-def _factor_monic_int_squarefree(H: list) -> list:
-    """Monic squarefree integer polynomial -> monic integer irreducibles."""
+def _factor_monic_int_squarefree(H: list, p=None) -> list:
+    """Monic squarefree integer polynomial -> monic integer irreducibles,
+    via the prime p modulo which H is squarefree (found by _good_prime when
+    not given)."""
     d = len(H) - 1
     if d <= 1:
         return [H]
-    p = _good_prime(H)
+    p = p or _good_prime(H)
     modular = [g for g, _ in _factor_fp([c % p for c in H], p)]
     if len(modular) == 1:
         return [H]
     # Landau–Mignotte: coefficients of any monic factor are bounded by
-    # 2^deg · ||H||_2; lift until the modulus exceeds twice that.
+    # 2^deg · ||H||_2; lift to the least power of p above twice that.
     bound = (1 << d) * (math.isqrt(sum(c * c for c in H)) + 1)
     m_final = p
     while m_final < 2 * bound + 1:
-        m_final *= m_final
+        m_final *= p
     lifted = _hensel_tree(zpoly.mod(H, m_final), modular, p, m_final)
 
     result = []
@@ -309,13 +341,11 @@ def _yun_squarefree_q(f: UniPoly) -> list:
     return out
 
 
-def _factor_squarefree_q(q: UniPoly) -> list:
-    """Monic squarefree rational polynomial -> monic rational irreducibles."""
-    if q.degree == 1:
-        return [q]
-    H, ell = integer_model(q)
+def _factor_squarefree_q(H: list, ell: int, p=None) -> list:
+    """Monic rational irreducibles of the squarefree monic q whose integer
+    model (integer_model) is (H, ell); p as for _factor_monic_int_squarefree."""
     out = []
-    for hj in _factor_monic_int_squarefree(H):
+    for hj in _factor_monic_int_squarefree(H, p):
         # hj(ell X) / ell^deg is the monic rational factor of q
         back = UniPoly(QQ, (c * Fraction(ell) ** i for i, c in enumerate(hj)))
         out.append(back.monic())
@@ -323,7 +353,9 @@ def _factor_squarefree_q(q: UniPoly) -> list:
 
 
 def factor_over_Q(f: UniPoly) -> Factorization:
-    """Complete factorization into monic rational irreducibles, with unit."""
+    """Complete factorization into monic rational irreducibles, with unit.
+    Yun's squarefree split runs only when no prime of _SQUAREFREE_PRIMES
+    proves the monic input squarefree."""
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     if f.field != QQ:
@@ -332,10 +364,15 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     g = f.monic()
     if g.degree == 0:
         return Factorization(unit, ())
-    found: dict = {}
-    for piece, mult in _yun_squarefree_q(g):
-        for h in _factor_squarefree_q(piece):
-            found[h] = found.get(h, 0) + mult
+    H, ell = integer_model(g)
+    p = _squarefree_prime(H, _SQUAREFREE_PRIMES)
+    if p is not None:
+        found = dict.fromkeys(_factor_squarefree_q(H, ell, p), 1)
+    else:
+        found = {}
+        for piece, mult in _yun_squarefree_q(g):
+            for h in _factor_squarefree_q(*integer_model(piece)):
+                found[h] = found.get(h, 0) + mult
     factors = sorted(found.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
     return Factorization(unit, tuple(factors))
 

@@ -650,6 +650,22 @@ class TestComputedOnce:
 
     @pytest.mark.parametrize(
         "pair",
+        [TABLE_INSTANCES[("S3", "S3", "Equal")],
+         TABLE_INSTANCES[("S3", "S3", "QuadraticMeet")],
+         # A = 0: X^3 - 2 against its image under 1 + X + X^2 (A != 0)
+         ((0, 0, 2), tschirn_image(CubicTriple(0, 0, 2), (1, 1, 1)).as_tuple())],
+    )
+    def test_squarefree_f2_runs_no_yun_step(self, monkeypatch, pair):
+        # F2 off the locus is squarefree, and a prime 5..29 proves it
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        factored = _counting(monkeypatch, [factorq_mod], "_factor_monic_int_squarefree")
+        yun = _counting(monkeypatch, [factorq_mod], "_yun_squarefree_q")
+        decide_same_splitting(a, b)
+        classify_subfield(a, b)
+        assert factored and not yun
+
+    @pytest.mark.parametrize(
+        "pair",
         [((6, 11, 6), (0, -1, 0)),  # Id: roots 1, 2, 3 and -1, 0, 1
          ((1, 3, 3), (0, 3, 0))],   # C2: (X-1)(X^2+3) and X(X^2+3)
     )

@@ -1,19 +1,27 @@
 """Tests for factorization over Q and F_p, rational roots, square testing."""
 
+import json
 import math
 import random
 from fractions import Fraction
+from itertools import count
+from pathlib import Path
 
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tschirn.factorq as factorq_mod
+from tschirn import zpoly
 from tschirn.fields import QQ, PrimeField, is_prime
 from tschirn.poly import UniPoly, poly_discriminant
+from tschirn.resolvent import CubicTriple, cubic_invariants, resolvent_F2, tschirn_image
 from tschirn.factorq import (
     Factorization,
     _cubic_integer_roots,
+    _factor_fp,
+    _factor_monic_int_squarefree,
     _good_prime,
     factor_over_Fp,
     factor_over_Q,
@@ -222,6 +230,142 @@ class TestFactorOverQ:
                     gp = UniPoly(F, [int(c) for c in g.coeffs])
                     refined.extend(factor_over_Fp(gp).degree_pattern())
                 assert tuple(sorted(refined)) == direct
+
+
+def _sympy_factors(f: UniPoly) -> dict:
+    """{monic rational irreducible: multiplicity} of f, by sympy."""
+    x = sympy.symbols("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    out: dict = {}
+    for g, m in sympy.Poly(coeffs, x, domain="QQ").factor_list()[1]:
+        monic = UniPoly(QQ, [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]).monic()
+        out[monic] = out.get(monic, 0) + m
+    return out
+
+
+def _corpus_like_f2s(rng, n: int) -> list:
+    """F2 of n seeded pairs shaped like the benchmark corpus: random cubics
+    with rational coefficients, Tschirnhausen images (F2 has a rational
+    root), Shanks pairs (C3) and the A = 9 forms of pure cubics that the A = 0
+    hop produces (F2 splits as two cubics)."""
+    def rat(h):
+        return Fraction(rng.randint(-10**h, 10**h), rng.randint(1, 10**(h // 2) + 1))
+
+    out = []
+    while len(out) < n:
+        kind = len(out) % 4
+        if kind == 3:
+            m, k = rng.sample(range(2, 60), 2)
+            s, t = (CubicTriple(0, -3, 27 * v + Fraction(1, 27 * v)) for v in (m, k))
+        elif kind == 2:
+            m, k = rng.randint(-20, 20), rng.randint(-20, 20)
+            s, t = CubicTriple(m, -(m + 3), 1), CubicTriple(k, -(k + 3), 1)
+        else:
+            h = rng.randint(1, 6)
+            s = CubicTriple(rat(h), rat(h), rat(h))
+            t = (CubicTriple(rat(h), rat(h), rat(h)) if kind == 0
+                 else tschirn_image(s, (rat(2), rat(2), rat(2))))
+        js, jt = cubic_invariants(s), cubic_invariants(t)
+        if js.A and jt.A and js.D and jt.D:
+            out.append(resolvent_F2(s, t))
+    return out
+
+
+def _golden_factor_inputs() -> list:
+    """The --coeffs of the ``tschirn factor`` runs in the golden CLI data:
+    resolvent sextics, X^24 + 1, products of sextics with 12- to 30-digit
+    coefficients and inputs with repeated factors."""
+    runs = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+    coeffs = dict.fromkeys(r["argv"][2] for r in runs if r["argv"][0] == "factor")
+    return [UniPoly(QQ, [Fraction(c) for c in text.split(",")]) for text in coeffs]
+
+
+class TestFactorOverQAgainstSympy:
+    """factor_over_Q against sympy's factor_list: factors and multiplicities."""
+
+    def test_corpus_like_resolvents(self):
+        patterns = set()
+        for f in _corpus_like_f2s(random.Random(2026), 40):
+            fac = factor_over_Q(f)
+            assert dict(fac.factors) == _sympy_factors(f), f
+            patterns.add(fac.degree_pattern())
+        # the pairs reach the irreducible, (3, 3) and rational-root patterns
+        assert {(6,), (3, 3)} <= patterns and any(1 in p for p in patterns)
+
+    def test_golden_factor_inputs(self):
+        inputs = _golden_factor_inputs()
+        assert len(inputs) == 10
+        for f in inputs:
+            assert dict(factor_over_Q(f).factors) == _sympy_factors(f), f
+
+
+class TestSquarefreeShortcut:
+    """factor_over_Q runs Yun's algorithm only when no prime 5..29 proves
+    the input squarefree."""
+
+    def _yun_calls(self, monkeypatch, f):
+        calls = []
+        original = factorq_mod._yun_squarefree_q
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(factorq_mod, "_yun_squarefree_q", counting)
+        fac = factor_over_Q(f)
+        return fac, len(calls)
+
+    def test_squarefree_input_skips_yun(self, monkeypatch):
+        f = qpoly(-2, 0, 1) * qpoly(-3, 0, 1) * qpoly(-6, 0, 1)
+        fac, calls = self._yun_calls(monkeypatch, f)
+        assert calls == 0 and fac.degree_pattern() == (2, 2, 2)
+
+    def test_repeated_factor_runs_yun(self, monkeypatch):
+        f = qpoly(1, 1) ** 2 * qpoly(2, 0, 1)
+        fac, calls = self._yun_calls(monkeypatch, f)
+        assert calls >= 1
+        assert dict(fac.factors) == {qpoly(1, 1): 2, qpoly(2, 0, 1): 1}
+
+    def test_squarefree_modulo_no_small_prime_runs_yun(self, monkeypatch):
+        # Disc(X^2 - 3c^2) = 12c^2 with c = 5 * 7 * ... * 29
+        c = math.prod(factorq_mod._SQUAREFREE_PRIMES)
+        f = qpoly(-3 * c * c, 0, 1)
+        fac, calls = self._yun_calls(monkeypatch, f)
+        assert calls >= 1 and fac.factors == ((f, 1),)
+
+
+class TestHenselLift:
+    def test_lift_to_least_sufficient_power(self, monkeypatch):
+        # (X^2 + X + 1)(X^2 - 2)(X^3 - 3): p = 5, four modular factors, and
+        # 5^5 is the least power of 5 above 2 * bound + 1, so the steps go
+        # 5 -> 25 -> 625 -> 3125, the last one cut from 625^2
+        H = [6, 6, 3, -5, -5, -1, 1, 1]
+        p = _good_prime(H)
+        bound = (1 << 7) * (math.isqrt(sum(c * c for c in H)) + 1)
+        N = next(n for n in count(1) if p**n >= 2 * bound + 1)
+        assert (p, N) == (5, 5)
+        modular = [g for g, _ in _factor_fp([c % p for c in H], p)]
+        assert len(modular) == 4
+
+        lifts = []
+        original = factorq_mod._hensel_tree
+
+        def recording(f, mod_factors, q, m_final):
+            out = original(f, mod_factors, q, m_final)
+            lifts.append((mod_factors, m_final, out))
+            return out
+
+        monkeypatch.setattr(factorq_mod, "_hensel_tree", recording)
+        assert len(_factor_monic_int_squarefree(H)) == 3
+        mod_factors, m_final, lifted = lifts[-1]  # the outermost call
+        assert mod_factors == modular and m_final == p**N
+        product = [1]
+        for g, g0 in zip(lifted, modular):
+            assert g[-1] == 1 and len(g) == len(g0)
+            assert all(0 <= c < m_final for c in g)
+            assert zpoly.mod(g, p) == list(g0)
+            product = zpoly.mul(product, g, m_final)
+        assert product == zpoly.mod(H, m_final)
 
 
 # ----------------------------------------------------- roots and squares

@@ -492,14 +492,17 @@ class TestF0Degenerate:
     """F0 where D12 vanishes at double roots of F2, read from closed forms."""
 
     def test_locus_pair_runs_no_factorization(self, monkeypatch):
+        # factor_over_Q runs Yun's step only on inputs that no small prime
+        # proves squarefree, so count the integer factorizer as well
         calls = []
-        original = factorq_mod._yun_squarefree_q
+        for name in ("_yun_squarefree_q", "_factor_monic_int_squarefree"):
+            original = getattr(factorq_mod, name)
 
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
+            def counting(*args, _original=original):
+                calls.append(args)
+                return _original(*args)
 
-        monkeypatch.setattr(factorq_mod, "_yun_squarefree_q", counting)
+            monkeypatch.setattr(factorq_mod, name, counting)
         a, b = PAIR_DEGEN
         assert resolvent_F0(a, b) == X**2 * (X - 3) * UniPoly(
             QQ, (-4, 0, -3, 1)
