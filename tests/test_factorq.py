@@ -35,6 +35,18 @@ def qpoly(*coeffs) -> UniPoly:
     return UniPoly(QQ, coeffs)
 
 
+def _sympy_factors(f: UniPoly) -> dict:
+    """{monic rational irreducible: multiplicity} of f, by sympy."""
+    x = sympy.symbols("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
+    out: dict = {}
+    for g, m in sympy.Poly(coeffs, x, domain="QQ").factor_list()[1]:
+        cs = [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]
+        monic = UniPoly(QQ, cs).monic()
+        out[monic] = out.get(monic, 0) + m
+    return out
+
+
 small_rats = st.fractions(min_value=-9, max_value=9, max_denominator=4)
 
 
@@ -184,20 +196,10 @@ class TestFactorOverQ:
     def test_sympy_cross_check(self):
         # Independent oracle: sympy's factor_list on seeded random sextics.
         rng = random.Random(20260814)
-        x = sympy.symbols("x")
         for _ in range(20):
             coeffs = [rng.randint(-8, 8) for _ in range(6)] + [rng.choice([1, 2, 3])]
             f = UniPoly(QQ, coeffs)
-            ours = factor_over_Q(f)
-            expr = sum(c * x**i for i, c in enumerate(coeffs))
-            _, sym_factors = sympy.factor_list(expr)
-            sym_set = {}
-            for g, m in sym_factors:
-                gp = sympy.Poly(g, x)
-                cs = [Fraction(int(c)) for c in reversed(gp.all_coeffs())]
-                mono = UniPoly(QQ, cs).monic()
-                sym_set[mono] = sym_set.get(mono, 0) + m
-            assert dict(ours.factors) == sym_set, f"mismatch for {coeffs}"
+            assert dict(factor_over_Q(f).factors) == _sympy_factors(f), coeffs
 
     def test_degree_pattern_refines_mod_p(self):
         # At a good prime, factoring each rational irreducible factor mod p
@@ -232,24 +234,14 @@ class TestFactorOverQ:
                 assert tuple(sorted(refined)) == direct
 
 
-def _sympy_factors(f: UniPoly) -> dict:
-    """{monic rational irreducible: multiplicity} of f, by sympy."""
-    x = sympy.symbols("x")
-    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(f.coeffs)]
-    out: dict = {}
-    for g, m in sympy.Poly(coeffs, x, domain="QQ").factor_list()[1]:
-        monic = UniPoly(QQ, [Fraction(int(c.p), int(c.q)) for c in reversed(g.all_coeffs())]).monic()
-        out[monic] = out.get(monic, 0) + m
-    return out
-
-
 def _corpus_like_f2s(rng, n: int) -> list:
     """F2 of n seeded pairs shaped like the benchmark corpus: random cubics
     with rational coefficients, Tschirnhausen images (F2 has a rational
     root), Shanks pairs (C3) and the A = 9 forms of pure cubics that the A = 0
     hop produces (F2 splits as two cubics)."""
     def rat(h):
-        return Fraction(rng.randint(-10**h, 10**h), rng.randint(1, 10**(h // 2) + 1))
+        return Fraction(rng.randint(-10**h, 10**h),
+                        rng.randint(1, 10**(h // 2) + 1))
 
     out = []
     while len(out) < n:
@@ -275,7 +267,8 @@ def _golden_factor_inputs() -> list:
     """The --coeffs of the ``tschirn factor`` runs in the golden CLI data:
     resolvent sextics, X^24 + 1, products of sextics with 12- to 30-digit
     coefficients and inputs with repeated factors."""
-    runs = json.loads((Path(__file__).parent / "data" / "golden_cli.json").read_text())
+    data = Path(__file__).resolve().parent / "data" / "golden_cli.json"
+    runs = json.loads(data.read_text())
     coeffs = dict.fromkeys(r["argv"][2] for r in runs if r["argv"][0] == "factor")
     return [UniPoly(QQ, [Fraction(c) for c in text.split(",")]) for text in coeffs]
 
@@ -337,7 +330,7 @@ class TestSquarefreeShortcut:
 class TestHenselLift:
     def test_lift_to_least_sufficient_power(self, monkeypatch):
         # (X^2 + X + 1)(X^2 - 2)(X^3 - 3): p = 5, four modular factors, and
-        # 5^5 is the least power of 5 above 2 * bound + 1, so the steps go
+        # 5^5 is the least power of 5 at least 2 * bound + 1, so the steps go
         # 5 -> 25 -> 625 -> 3125, the last one cut from 625^2
         H = [6, 6, 3, -5, -5, -1, 1, 1]
         p = _good_prime(H)

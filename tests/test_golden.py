@@ -6,8 +6,9 @@ first cubics with an integer, a rational and a zero-c2 coefficient triple;
 and ``factor`` on resolvent sextics, X^24 + 1, products of sextics with
 large coefficients and inputs with repeated factors.
 Each run's exit code and stdout are compared byte for byte with
-``tests/data/golden_cli.json``, so a speedup of the decision path or of the
-image kernel or of the factorizer can show that it changed no verdict, witness or document.
+``tests/data/golden_cli.json``, so a speedup of the decision path, of the
+image kernel or of the factorizer can show that it changed no verdict,
+witness, document or factorization.
 
 To rewrite the data file after an intended output change:
 
