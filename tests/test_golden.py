@@ -3,12 +3,15 @@
 (S3 and C3), an A = 0 pair across square classes and the pairs of
 ``scripts/worked_examples.py``; ``transform`` on each of those pairs'
 first cubics with an integer, a rational and a zero-c2 coefficient triple;
-and ``factor`` on resolvent sextics, X^24 + 1, products of sextics with
-large coefficients and inputs with repeated factors.
-Each run's exit code and stdout are compared byte for byte with
+``factor`` on resolvent sextics, X^24 + 1, products of sextics with
+large coefficients and inputs with repeated factors; and ``resolvent``
+with each index on a generic pair, an A = 0 locus pair, a pair on the
+multiple-root locus and two B_s = 0 pairs, one answered and one rejected.
+Each run's exit code, stdout and stderr (kept when not empty) are compared
+byte for byte with
 ``tests/data/golden_cli.json``, so a speedup of the decision path, of the
 image kernel or of the factorizer can show that it changed no verdict,
-witness, document or factorization.
+witness, document, factorization or resolvent.
 
 To rewrite the data file after an intended output change:
 
@@ -117,12 +120,34 @@ CASES += [
     for extra in ([], ["--json"])
 ]
 
+RESOLVENT_PAIRS = (
+    # generic: the 6x6 transport of all of F2
+    ("1,2,3", "2,3,5"),
+    # A_a = A_b = 0 on the locus: the 3x3 transport of X^3 + B_t/D_s
+    ("0,0,2", "0,0,3"),
+    # on the multiple-root locus: simple root times cubic block
+    ("0,3,-2", "3,-3,3"),
+    # B_a = 0 with G split over Q, then with G irreducible (exit 1)
+    ("0,-1,0", "7,14,8"),
+    ("0,1,0", "0,-1,1"),
+)
+
+CASES += [
+    ["resolvent", "--a", a, "--b", b, "--index", i] + extra
+    for a, b in RESOLVENT_PAIRS
+    for i in "012"
+    for extra in ([], ["--json"])
+]
+
 
 def _run(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return {"argv": list(argv), "code": code, "stdout": out.getvalue()}
+    run = {"argv": list(argv), "code": code, "stdout": out.getvalue()}
+    if err.getvalue():
+        run["stderr"] = err.getvalue()
+    return run
 
 
 def _expected():
