@@ -1,6 +1,7 @@
 """Dense univariate polynomials over an exact field, with resultants,
-discriminants, interpolation, and the Vandermonde solve that produces
-Tschirnhausen coefficient vectors from paired root tuples.
+discriminants, interpolation, characteristic polynomials, and the
+Vandermonde solve that produces Tschirnhausen coefficient vectors from
+paired root tuples.
 
 Representation: ascending coefficient tuple with a nonzero leading
 coefficient; the zero polynomial is the empty tuple.  Degrees stay tiny
@@ -301,6 +302,38 @@ def linear_solve(field, rows, rhs):
                 factor = aug[r][col]
                 aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
     return tuple(aug[i][n] for i in range(n))
+
+
+def charpoly(field, rows) -> UniPoly:
+    """det(X I - M) of the square matrix M, by reduction to Hessenberg form
+    with row and column swaps (Cohen, GTM 138, Algorithm 2.2.9); it divides
+    only by pivots, so it is exact in every characteristic."""
+    n = len(rows)
+    h = [[field(c) for c in row] for row in rows]
+    for m in range(1, n - 1):
+        piv = next((i for i in range(m, n) if h[i][m - 1]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[m], h[piv] = h[piv], h[m]
+            for row in h:
+                row[m], row[piv] = row[piv], row[m]
+        for i in range(m + 1, n):
+            if h[i][m - 1]:
+                u = h[i][m - 1] / h[m][m - 1]
+                h[i] = [a - u * b for a, b in zip(h[i], h[m])]
+                for row in h:
+                    row[m] = row[m] + u * row[i]
+    # p[m] = det(X I - H[:m, :m]), expanded along its last column
+    x = UniPoly.X(field)
+    p = [UniPoly.one(field)]
+    for m in range(n):
+        pm, t = (x - h[m][m]) * p[m], field.one
+        for i in range(m - 1, -1, -1):
+            t = t * h[i + 1][i]
+            pm = pm - p[i] * (t * h[i][m])
+        p.append(pm)
+    return p[n]
 
 
 def _det3(field, m):

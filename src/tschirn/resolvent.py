@@ -20,9 +20,10 @@ linked by the identity 4 A^3 - B^2 = 27 D in every characteristic.
 For two cubics with root tuples (x_i), (y_i) and a Tschirnhausen
 transformation u(X) = u0 + u1 X + u2 X^2 sending x_i to y_{tau(i)}, the
 resolvent F_i(s, t; X) is the product of (X - u_i) over all 3! cosets.
-F2 and F1 have closed forms; F0 is obtained by transporting the roots of
-F2 through the rational recovery map u0(u2), and over the fiber of a
-double root of F2 where that map degenerates.
+F2 and F1 have closed forms.  F0 is the characteristic polynomial of the
+rational recovery map u0(u2) on K[Y]/(F2), or on the blocks of F2 where
+that map is defined, times the image of the fiber of each double root of
+F2 where it degenerates.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .fields import QQ, MathDomainError, field_of
 from .poly import (
     RootTuple,
     UniPoly,
+    charpoly,
     lagrange_interpolate,
     poly_discriminant,
-    poly_resultant,
     vandermonde_solve,
 )
 
@@ -307,7 +308,8 @@ def recovery_h_list(s: CubicTriple, t: CubicTriple) -> list:
     """The paper's display of 1/D12 mod F2: coefficients h_0..h_5 with
     1/D12 = (1/D12^0) * sum h_i u2^i mod F2, where the u2-free denominator
     is D12^0 = 3 B_s degeneracy_indicator(s, t)^2.  No decision path uses
-    it; resolvent_F0 transports the roots of F2 by resultants instead."""
+    it; resolvent_F0 inverts 3 D12 modulo its block of F2 by the extended
+    Euclidean algorithm instead."""
     _, js, jt = _pair(s, t)
     As, Ds = js.A, js.D
     At, Bt, Dt = jt.A, jt.B, jt.D
@@ -348,37 +350,30 @@ def _double_root_fiber(s: CubicTriple, t: CubicTriple, c):
     return q
 
 
-def _sample_points(field, k: int):
-    if field.char == 0:
-        return [field(i) for i in range(k)]
-    pts = []
-    for e in field.elements():
-        pts.append(e)
-        if len(pts) == k:
-            return pts
-    raise MathDomainError(f"field too small: need {k} interpolation points")
-
-
 def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
-    """Monic image of the u2-block h under the recovery map u0 = N/(3 D12),
-    the trace condition at u1 = Q12/D12, by resultant elimination:
-    Res_Y(h, 3 X D12(Y) - N(Y)) / Res_Y(h, 3 D12(Y))."""
+    """Monic image of the monic u2-block h under the recovery map
+    u0 = N/(3 D12), the trace condition at u1 = Q12/D12: the characteristic
+    polynomial of multiplication by g = N (3 D12)^-1 on K[Y]/(h), whose
+    eigenvalues are g at the roots of h.  The inverse, by the extended
+    Euclidean algorithm, exists exactly when Res(h, 3 D12) != 0."""
     q12, d12 = recovery_polys(s, t)
-    den = poly_resultant(h, 3 * d12)
-    if not den:
+    r0, r1, inv, v = h, 3 * d12 % h, UniPoly.zero(field), UniPoly.one(field)
+    while r1:  # inv * 3 D12 = r0 and v * 3 D12 = r1 mod h
+        q, r = divmod(r0, r1)
+        r0, r1, inv, v = r1, r, v, inv - q * v
+    if r0.degree:
         raise MathDomainError(
             "transport denominator Res(h, 3*D12) = 0: degenerate pair"
         )
     y = UniPoly.X(field)
     n_poly = 3 * d12 * _trace_u0(s, t, 0, y, field) - s.values(field)[0] * q12
-    deg = h.degree
-    pts = []
-    for x in _sample_points(field, deg + 1):
-        num = poly_resultant(h, 3 * x * d12 - n_poly)
-        pts.append((x, num / den))
-    out = lagrange_interpolate(field, pts)
-    assert out.degree == deg and out.lc == field.one
-    return out
+    g = n_poly * (inv / r0.lc) % h
+    n = h.degree
+    # rows g Y^j mod h: the transpose of the matrix of g, same char poly
+    rows = [g]
+    for _ in range(n - 1):
+        rows.append(rows[-1] * y % h)
+    return charpoly(field, [[r[i] for i in range(n)] for r in rows])
 
 
 def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:

@@ -1,6 +1,7 @@
 """Tests for univariate polynomial arithmetic, resultants, and the
 Vandermonde solve."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -12,6 +13,7 @@ from tschirn.fields import QQ, MathDomainError, PrimeField, gf_build
 from tschirn.poly import (
     RootTuple,
     UniPoly,
+    charpoly,
     elementary_symmetric,
     lagrange_interpolate,
     linear_solve,
@@ -306,6 +308,94 @@ class TestVandermondeSolve:
 def test_linear_solve_singular():
     with pytest.raises(MathDomainError):
         linear_solve(QQ, [[1, 2], [2, 4]], [1, 2])
+
+
+class TestCharpoly:
+    """The Hessenberg characteristic polynomial against det(x I - M) by the
+    Leibniz formula, which divides by nothing, at a few points x."""
+
+    FIELDS = {
+        "Q": QQ,
+        "F_101": PrimeField(101),
+        "GF(5^2)": gf_build(5, 2, 0),
+        "GF(2^3)": gf_build(2, 3, 0),
+    }
+
+    @staticmethod
+    def _elements(field, rng, count):
+        if field is QQ:
+            return [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                    for _ in range(count)]
+        els = list(field.elements())
+        return [rng.choice(els) for _ in range(count)]
+
+    @staticmethod
+    def _det(field, m):
+        n, total = len(m), field.zero
+        for perm in permutations(range(n)):
+            inversions = sum(perm[i] > perm[j] for i in range(n)
+                             for j in range(i + 1, n))
+            term = field(-1) if inversions % 2 else field.one
+            for i in range(n):
+                term = term * m[i][perm[i]]
+            total = total + term
+        return total
+
+    def _check(self, field, m):
+        m = [[field(c) for c in row] for row in m]
+        p = charpoly(field, m)
+        assert p.degree == len(m) and p.lc == field.one
+        for x in self._elements(field, random.Random(len(m)), 4):
+            xm = [[(x if i == j else field.zero) - c for j, c in enumerate(row)]
+                  for i, row in enumerate(m)]
+            assert p.eval(x) == self._det(field, xm)
+        return p
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_companion_matrix_returns_its_polynomial(self, name):
+        field = self.FIELDS[name]
+        rng = random.Random(name)
+        for n in (2, 3, 6):
+            f = UniPoly(field, self._elements(field, rng, n) + [field.one])
+            # columns X^j mod f: Hessenberg already; its transpose is not
+            comp = [[field.zero] * n for _ in range(n)]
+            for i in range(n):
+                comp[i][n - 1] = -f[i]
+                if i:
+                    comp[i][i - 1] = field.one
+            transpose = [list(col) for col in zip(*comp)]
+            assert charpoly(field, comp) == f
+            assert charpoly(field, transpose) == f
+            assert self._check(field, transpose) == f
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_dense_matrix_is_eliminated_below_the_subdiagonal(self, name):
+        field = self.FIELDS[name]
+        rng = random.Random(name)
+        for n in (4, 5):
+            m = [self._elements(field, rng, n) for _ in range(n)]
+            self._check(field, m)
+
+    def test_zero_subdiagonal_pivot_swaps_rows_and_columns(self):
+        # h[1][0] = 0 and h[2][0] != 0: rows and columns 1 and 2 swap
+        m = [[1, 2, 3], [0, 4, 5], [6, 7, 8]]
+        assert self._check(QQ, m) == UniPoly(QQ, (15, -9, -13, 1))
+        F = PrimeField(7)
+        assert self._check(F, m) == UniPoly(F, (15, -9, -13, 1))
+
+    def test_block_diagonal_column_without_pivot(self):
+        # column 1 is zero below the subdiagonal, so no elimination there
+        m = [[1, 2, 0, 0], [3, 4, 0, 0], [0, 0, 5, 6], [0, 0, 7, 8]]
+        assert self._check(QQ, m) == qpoly(-2, -5, 1) * qpoly(-2, -13, 1)
+        K = gf_build(2, 3, 0)
+        assert self._check(K, m) == (UniPoly(K, (-2, -5, 1))
+                                     * UniPoly(K, (-2, -13, 1)))
+
+    def test_one_by_one(self):
+        assert charpoly(QQ, [[Fraction(3, 2)]]) == qpoly(Fraction(-3, 2), 1)
+        K = gf_build(5, 2, 0)
+        c = list(K.elements())[7]
+        assert charpoly(K, [[c]]) == UniPoly(K, (-c, 1))
 
 
 def test_lagrange_interpolate():

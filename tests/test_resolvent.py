@@ -570,6 +570,72 @@ class TestF0Degenerate:
                 resolvent_F0(s, t)
 
 
+def _split_roots(K, f, els, rng):
+    """The roots of a squarefree f that splits over K, |K| odd, by
+    Cantor-Zassenhaus: gcd(f, (X + a)^((|K| - 1)/2) - 1) is a proper
+    factor of f for about half of all a in K."""
+    if f.degree == 1:
+        return [-f[0] / f[1]]
+    while True:
+        g, base, e = UniPoly.one(K), UniPoly(K, (rng.choice(els), 1)), len(els) // 2
+        while e:
+            if e & 1:
+                g = g * base % f
+            base, e = base * base % f, e >> 1
+        d = poly_gcd(f, g - 1)
+        if 0 < d.degree < f.degree:
+            return _split_roots(K, d, els, rng) + _split_roots(K, f // d, els, rng)
+
+
+class TestF0Transport:
+    """F0 off the multiple-root locus, the characteristic polynomial of u0
+    on K[Y]/(F2), against the coset oracle.  It needs no interpolation
+    points, so it answers over fields with fewer than seven elements."""
+
+    def test_F5_pairs_match_the_oracle_in_GF_5_6(self):
+        # every cubic over F_5 splits over GF(5^6)
+        F, K = PrimeField(5), gf_build(5, 6, 0)
+        els = list(K.elements())
+        rng = random.Random(5)
+        done = 0
+        while done < 4:
+            a, b = ([rng.randrange(5) for _ in range(3)] for _ in range(2))
+            s, t = (CubicTriple(*(F(v) for v in e)) for e in (a, b))
+            js, jt = cubic_invariants(s), cubic_invariants(t)
+            if not (js.D and jt.D and js.B and degeneracy_indicator(s, t)):
+                continue
+            xs, ys = (tuple(_split_roots(K, CubicTriple(*e).poly(K), els, rng))
+                      for e in (a, b))
+            f0 = resolvent_F0(s, t)
+            assert UniPoly(K, [K(c.val) for c in f0.coeffs]) == oracle_resolvent(
+                RootTuple(xs, ys), 0
+            )
+            done += 1
+
+    @pytest.mark.parametrize("name", ["F_7", "F_101", "GF(5^2)", "GF(7^3)"])
+    def test_split_pairs_match_oracle(self, name):
+        field = {"F_7": PrimeField(7), "F_101": PrimeField(101),
+                 "GF(5^2)": gf_build(5, 2, 0), "GF(7^3)": gf_build(7, 3, 0)}[name]
+        els = list(field.elements())
+        rng = random.Random(name)
+        answered = 0
+        for _ in range(60):
+            xs, ys = (tuple(rng.sample(els, 3)) for _ in range(2))
+            s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
+            oracle = oracle_resolvent(RootTuple(xs, ys), 0)
+            if cubic_invariants(s).B and degeneracy_indicator(s, t):
+                assert resolvent_F0(s, t) == oracle
+                answered += 1
+                continue
+            # on the locus or at B_s = 0: the A_s = A_t = 0 closed form, or
+            # a MathDomainError outside Q
+            try:
+                assert resolvent_F0(s, t) == oracle
+            except MathDomainError:
+                pass
+        assert answered >= 12
+
+
 # --------------------------------------------------------------------------
 # Recovery data.
 # --------------------------------------------------------------------------
