@@ -1,5 +1,5 @@
-"""Tests for univariate polynomial arithmetic, resultants, and the
-Vandermonde solve."""
+"""Tests for univariate polynomial arithmetic, resultants, characteristic
+polynomials, and the Vandermonde solve."""
 
 import random
 from fractions import Fraction
@@ -365,7 +365,6 @@ class TestCharpoly:
                     comp[i][i - 1] = field.one
             transpose = [list(col) for col in zip(*comp)]
             assert charpoly(field, comp) == f
-            assert charpoly(field, transpose) == f
             assert self._check(field, transpose) == f
 
     @pytest.mark.parametrize("name", FIELDS)
