@@ -1,10 +1,13 @@
 """Tests for exact scalar arithmetic (Q, F_p, GF(p^k))."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_gcdex, gf_mul, gf_pow_mod, gf_rem
 
 from tschirn.fields import (
     QQ,
@@ -209,6 +212,68 @@ def test_gf_powers_match_repeated_products(p, k):
         else:
             with pytest.raises(ZeroDivisionError):
                 a**-1
+
+
+# GF(p^k) by seed 0 and by a seed half way through the candidates, whose
+# moduli are dense, so every row of the reduction table is exercised
+_ORACLE_FIELDS = [
+    gf_build(p, k, seed)
+    for p, k in ((2, 3), (3, 4), (5, 2), (7, 3), (101, 6))
+    for seed in (0, p**k // 2)
+] + [ExtField(7, 1, (3, 1))]
+
+
+def _desc(el) -> list:
+    """Coefficients in sympy's order: descending, leading zeros dropped."""
+    out = list(reversed(el.coeffs))
+    while out and out[0] == 0:
+        out.pop(0)
+    return out
+
+
+def _from_desc(K, coeffs):
+    return K(list(reversed(coeffs)))
+
+
+def _oracle_elements(K):
+    rng = random.Random(K.p * 1000 + K.k)
+    randoms = [K([rng.randrange(K.p) for _ in range(K.k)]) for _ in range(6)]
+    return [K.zero, K.one, K.gen(), K(-1), K([K.p - 1] * K.k)] + randoms
+
+
+@pytest.mark.parametrize("K", _ORACLE_FIELDS, ids=lambda K: f"{K!r}{K.modulus}")
+class TestKernelAgainstSympy:
+    """Products, powers and inverses against sympy's galoistools, which
+    reduces by polynomial division (not by the table of X^k..X^(2k-2))."""
+
+    def test_products(self, K):
+        m = list(reversed(K.modulus))
+        els = _oracle_elements(K)
+        for a in els:
+            for b in els:
+                want = gf_rem(gf_mul(_desc(a), _desc(b), K.p, ZZ), m, K.p, ZZ)
+                assert a * b == _from_desc(K, want), (a, b)
+
+    def test_inverses(self, K):
+        m = list(reversed(K.modulus))
+        for a in _oracle_elements(K):
+            if not a:
+                continue
+            inv, _, g = gf_gcdex(_desc(a), m, K.p, ZZ)
+            assert g == [1]
+            assert a.inverse() == _from_desc(K, inv) == 1 / a, a
+
+    def test_powers(self, K):
+        m = list(reversed(K.modulus))
+        q = K.p**K.k
+        for a in _oracle_elements(K):
+            for n in (0, 1, 2, 3, q - 2, q - 1, q, 10**6 + 3):
+                want = gf_pow_mod(_desc(a), n, m, K.p, ZZ)
+                assert a**n == _from_desc(K, want), (a, n)
+                if a and n:
+                    inv = gf_gcdex(_desc(a), m, K.p, ZZ)[0]
+                    want = gf_pow_mod(inv, n, m, K.p, ZZ)
+                    assert a**-n == _from_desc(K, want), (a, -n)
 
 
 def test_gf27_all_inverses():
