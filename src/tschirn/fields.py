@@ -7,8 +7,13 @@ Every computation in this package is exact.  Three kinds of scalars occur:
   denominator) is guaranteed by the class itself.
 * ``FpElement`` — elements of a prime field F_p, p a machine-word prime.
 * ``GFElement`` — elements of a small extension GF(p^k), k <= 6, represented
-  as polynomials over F_p modulo a fixed irreducible modulus; their
-  arithmetic runs on the int-list kernel in ``zpoly``.
+  as polynomials over F_p modulo a fixed irreducible modulus.  A product
+  multiplies the two coefficient tuples as int polynomials, folds the
+  degrees k..2k-2 back with the rows X^k..X^(2k-2) mod the modulus (a table
+  each ``ExtField`` builds once) and reduces each coefficient mod p once;
+  a power is square-and-multiply on such products; an inverse is one
+  extended Euclidean run against the modulus in ``zpoly`` (von zur
+  Gathen–Gerhard, *Modern Computer Algebra*, ch. 2 and 4).
 
 Fields are lightweight descriptor objects (``QQ``, ``PrimeField(p)``,
 ``ExtField(p, k, modulus)``) that coerce integers via ``field(n)`` and expose
@@ -276,9 +281,23 @@ def _irreducible_mod_p(f, p) -> bool:
 
 
 class ExtField:
-    """GF(p^k) as F_p[X] modulo a monic irreducible of degree k (k <= 6)."""
+    """GF(p^k) as F_p[X] modulo a monic irreducible of degree k (k <= 6).
 
-    __slots__ = ("p", "k", "modulus", "zero", "one")
+    ``_fold`` holds X^k..X^(2k-2) reduced mod the modulus, the rows that a
+    product folds its high degrees back with.  In GF(7^3) with modulus
+    X^3 + 3X^2 + 3X + 3, X^3 = 4 + 4X + 4X^2 and X^4 = 2 + 6X + 6X^2:
+
+    >>> K = ExtField(7, 3, (3, 3, 3, 1))
+    >>> K._fold
+    ((4, 4, 4), (2, 6, 6))
+    >>> x = K.gen()
+    >>> x * x * x, x**4, (x + 1) * (x * x + 2)
+    ([4,4,4], [2,6,6], [6,6,5])
+    >>> x**(7**3 - 1) == K.one, x**-1 * x == K.one
+    (True, True)
+    """
+
+    __slots__ = ("p", "k", "modulus", "zero", "one", "_fold")
 
     def __init__(self, p: int, k: int, modulus: tuple[int, ...]):
         if not is_prime(p):
@@ -293,6 +312,10 @@ class ExtField:
         self.p = p
         self.k = k
         self.modulus = modulus
+        self._fold = tuple(
+            self._padded(zpoly.divmod_mod([0] * d + [1], modulus, p)[1])
+            for d in range(k, 2 * k - 1)
+        )
         self.zero = GFElement(self, (0,) * k)
         self.one = GFElement(self, (1,) + (0,) * (k - 1))
 
@@ -314,8 +337,30 @@ class ExtField:
             return GFElement(self, tuple(coeffs))
         if isinstance(x, (list, tuple)):
             r = zpoly.divmod_mod(zpoly.mod(x, self.p), self.modulus, self.p)[1]
-            return GFElement(self, tuple(r) + (0,) * (self.k - len(r)))
+            return GFElement(self, self._padded(r))
         raise TypeError(f"cannot coerce {x!r} into GF({self.p}^{self.k})")
+
+    def _padded(self, r) -> tuple:
+        """A reduced coefficient list of length at most k as a k-tuple."""
+        return tuple(r) + (0,) * (self.k - len(r))
+
+    def _mul(self, a: tuple, b: tuple) -> tuple:
+        """The k-tuple of a·b: the schoolbook product on ints, its degrees
+        k..2k-2 folded back by the rows X^k..X^(2k-2) mod the modulus, and
+        one reduction mod p per output coefficient."""
+        k = self.k
+        prod = [0] * (2 * k - 1)
+        for i, ai in enumerate(a):
+            if ai:
+                for j, bj in enumerate(b, i):
+                    prod[j] += ai * bj
+        out = prod[:k]
+        for d, row in zip(prod[k:], self._fold):
+            if d:
+                for j in range(k):
+                    out[j] += d * row[j]
+        p = self.p
+        return tuple([c % p for c in out])
 
     def gen(self) -> "GFElement":
         """The class of X, a generator of the F_p-algebra (-c for modulus X + c)."""
@@ -381,10 +426,7 @@ class GFElement(_Element):
         o = self._lift(other)
         if o is NotImplemented:
             return NotImplemented
-        fld = self.field
-        prod = zpoly.mul(self.coeffs, o.coeffs, fld.p)
-        r = zpoly.divmod_mod(prod, fld.modulus, fld.p)[1]
-        return GFElement(fld, tuple(r) + (0,) * (fld.k - len(r)))
+        return GFElement(self.field, self.field._mul(self.coeffs, o.coeffs))
 
     __rmul__ = __mul__
 
@@ -399,11 +441,19 @@ class GFElement(_Element):
             raise ZeroDivisionError(f"inverse of 0 in {fld!r}")
         g, _, t = zpoly.xgcd(fld.modulus, self.coeffs, fld.p)
         assert g == [1]  # gcd with an irreducible modulus is a unit
-        return fld(t)
+        return GFElement(fld, fld._padded(t))  # deg t < k: already reduced
 
     def _pow(self, n: int):
+        """Square-and-multiply on coefficient tuples (n >= 0)."""
         fld = self.field
-        return fld(zpoly.powmod(zpoly.trim(list(self.coeffs)), n, fld.modulus, fld.p))
+        mul, base, result = fld._mul, self.coeffs, None
+        while n:
+            if n & 1:
+                result = base if result is None else mul(result, base)
+            n >>= 1
+            if n:
+                base = mul(base, base)
+        return GFElement(fld, fld.one.coeffs if result is None else result)
 
     def _key(self):
         return ("GFel", self.field.p, self.field.modulus, self.coeffs)

@@ -318,9 +318,10 @@ def charpoly(field, rows) -> UniPoly:
             h[m], h[piv] = h[piv], h[m]
             for row in h:
                 row[m], row[piv] = row[piv], row[m]
+        inv = field.one / h[m][m - 1]
         for i in range(m + 1, n):
             if h[i][m - 1]:
-                u = h[i][m - 1] / h[m][m - 1]
+                u = h[i][m - 1] * inv
                 h[i] = [a - u * b for a, b in zip(h[i], h[m])]
                 for row in h:
                     row[m] = row[m] + u * row[i]

@@ -254,17 +254,20 @@ def _sextic(field, a, v, js: CubicInvariants, jt: CubicInvariants) -> UniPoly:
     v = s1 s2 - s3) share:
 
         X^6 - 2 a A_t/D_s X^4 - v B_t/D_s X^3 + a^2 A_t^2/D_s^2 X^2
-            + v a A_t B_t/D_s^2 X + (v^2 A_t^3 D_s - a^3 D_t)/D_s^3."""
-    Ds, At, Bt, Dt = js.D, jt.A, jt.B, jt.D
-    _require_nonzero(Ds, "D_s = Disc f3(s)")
+            + v a A_t B_t/D_s^2 X + (v^2 A_t^3 D_s - a^3 D_t)/D_s^3,
+
+    with one inverse 1/D_s and its square for every denominator."""
+    At, Bt, Dt = jt.A, jt.B, jt.D
+    inv = field.one / _require_nonzero(js.D, "D_s = Disc f3(s)")
+    inv2, aAt = inv * inv, a * At
     return UniPoly(
         field,
         (
-            (v**2 * At**3 * Ds - a**3 * Dt) / Ds**3,
-            (v * a * At * Bt) / Ds**2,
-            (a**2 * At**2) / Ds**2,
-            -(v * Bt) / Ds,
-            -(2 * a * At) / Ds,
+            (v * v * At**3 - a**3 * Dt * inv) * inv2,
+            v * aAt * Bt * inv2,
+            aAt * aAt * inv2,
+            -(v * Bt) * inv,
+            -2 * aAt * inv,
             field.zero,
             field.one,
         ),

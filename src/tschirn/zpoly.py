@@ -1,8 +1,8 @@
 """Polynomials as ascending int lists, over Z and over Z/m.
 
-The one low-level polynomial kernel of the package: ``fields`` builds
-GF(p^k) arithmetic on it and ``factorq`` runs F_p factoring and Hensel
-lifting on it; both use its distinct-degree step, ``fields`` to test a
+The one low-level polynomial kernel of the package: ``fields`` reduces
+and inverts GF(p^k) elements with it and ``factorq`` runs F_p factoring
+and Hensel lifting on it; both use its distinct-degree step, ``fields`` to test a
 modulus for irreducibility.  A polynomial is a list (or tuple) of ints,
 constant term first; results are trimmed lists, so the zero polynomial is
 ``[]``.  The functions taking a modulus ``m`` return coefficients reduced
