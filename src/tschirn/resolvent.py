@@ -409,6 +409,11 @@ def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
         if len(doubles) != 3:
             raise MathDomainError("B_s = 0 needs F2 = G^2 with G split over Q")
     else:
+        if not _invariants_in(t, field).A:
+            # A_s B_s != 0 on the locus forces B_t = 0 with A_t, so D_t = 0
+            raise MathDomainError(
+                "f3(t) = (X - t1/3)^3 has a triple root: A_t = B_t = 0"
+            )
         double, simple, cubic = degenerate_f2_blocks(s, t)
         out = _transport_block(simple * cubic, s, t, field)
         doubles = (-double.coeffs[0],)

@@ -6,7 +6,8 @@ first cubics with an integer, a rational and a zero-c2 coefficient triple;
 ``factor`` on resolvent sextics, X^24 + 1, products of sextics with
 large coefficients and inputs with repeated factors; and ``resolvent``
 with each index on a generic pair, an A = 0 locus pair, a pair on the
-multiple-root locus and two B_s = 0 pairs, one answered and one rejected.
+multiple-root locus and two B_s = 0 pairs, one answered and one rejected,
+and ``--index 0`` on a locus pair whose second cubic has a triple root.
 Each run's exit code, stdout and stderr (kept when not empty) are compared
 byte for byte with
 ``tests/data/golden_cli.json``, so a speedup of the decision path, of the
@@ -138,6 +139,8 @@ CASES += [
     for i in "012"
     for extra in ([], ["--json"])
 ]
+# on the locus with A_b = 0: b = (X - 1)^3 has a triple root (exit 1)
+CASES.append(["resolvent", "--a", "-4,-5,1", "--b", "3,3,1", "--index", "0"])
 
 
 def _run(argv):

@@ -569,6 +569,14 @@ class TestF0Degenerate:
             with pytest.raises(MathDomainError, match="B_s = 0"):
                 resolvent_F0(s, t)
 
+    def test_triple_root_t_on_the_locus_is_named(self):
+        # A_s B_s != 0 and A_t = 0 on the locus: f3(t) = (X - 1)^3
+        s, t = CubicTriple(-4, -5, 1), CubicTriple(3, 3, 1)
+        assert cubic_invariants(s).A and cubic_invariants(s).B
+        assert degeneracy_indicator(s, t) == 0
+        with pytest.raises(MathDomainError, match="triple root"):
+            resolvent_F0(s, t)
+
 
 def _split_roots(K, f, els, rng):
     """The roots of a squarefree f that splits over K, |K| odd, by
