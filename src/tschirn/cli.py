@@ -45,7 +45,7 @@ from .families import (
     reduce_shanks,
     scan_equal_splitting,
 )
-from .fields import QQ, MathDomainError, rat_parse
+from .fields import QQ, MathDomainError, gf_build, rat_parse
 from .poly import RootTuple, UniPoly
 from .resolvent import (
     CubicTriple,
@@ -437,6 +437,32 @@ def _check_oracle(rng) -> bool:
     return True
 
 
+def _check_finite_field_oracle(rng) -> bool:
+    """F0, F1 and F2 against the coset oracle on split pairs over GF(5^2)
+    and GF(7^3), with moduli drawn from the seed, off the locus.  Each
+    field's products are first checked against its inverses, so a wrong
+    product fails here instead of stalling a division that waits for a
+    leading coefficient to cancel."""
+    builders = (resolvent_F0, resolvent_F1, resolvent_F2)
+    for p, k in ((5, 2), (7, 3)):
+        K = gf_build(p, k, rng.randrange(p**k))
+        els = list(K.elements())
+        if any(a * a.inverse() != K.one for a in els[1:]):
+            return False
+        done = 0
+        while done < 3:
+            xs, ys = (tuple(rng.sample(els, 3)) for _ in range(2))
+            s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
+            js = cubic_invariants(s)
+            if not (js.D and js.B and degeneracy_indicator(s, t)):
+                continue
+            rt = RootTuple(xs=xs, ys=ys)
+            if any(oracle_resolvent(rt, i) != builders[i](s, t) for i in range(3)):
+                return False
+            done += 1
+    return True
+
+
 def _check_degenerate_example() -> bool:
     a, b = CubicTriple(0, 3, -2), CubicTriple(3, -3, 3)
     ja, jb = cubic_invariants(a), cubic_invariants(b)
@@ -521,6 +547,8 @@ def _cmd_selftest(parser, ns) -> int:
     ]
     if ns.level == "full":
         checks.append(("subfield-table-rows", _check_table_rows))
+        checks.append(("finite-field-resolvents",
+                       lambda: _check_finite_field_oracle(rng)))
         checks.append(("shanks-integer-scan", lambda: _check_scan(jobs)))
     outcomes, lines = [], []
     for name, check in checks:

@@ -2,6 +2,7 @@
 and output determinism."""
 
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -329,6 +330,18 @@ class TestSelftest:
         assert lines[-1] == "passed = 6, failed = 0"
         assert all(line.startswith("ok - ") for line in lines[:-1])
         assert "ok - harness-detects-perturbation" in lines
+
+    def test_full_level_checks_the_finite_field_resolvents(self, capsys):
+        code, out, _ = run_cli(capsys, "selftest", "--level", "full")
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[-1] == "passed = 9, failed = 0"
+        assert "ok - finite-field-resolvents" in lines
+
+    def test_finite_field_check_fails_on_a_wrong_resolvent(self, monkeypatch):
+        # F2 in place of F1: the oracle of index 1 tells them apart
+        monkeypatch.setattr(cli, "resolvent_F1", resolvent_F2)
+        assert not cli._check_finite_field_oracle(random.Random(0))
 
     def test_seed_env_changes_nothing_observable(self, capsys, monkeypatch):
         monkeypatch.setenv("TSCHIRN_SEED", "12345")
