@@ -410,7 +410,7 @@ def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
             raise MathDomainError("B_s = 0 needs F2 = G^2 with G split over Q")
     else:
         if not _invariants_in(t, field).A:
-            # A_s B_s != 0 on the locus forces B_t = 0 with A_t, so D_t = 0
+            # on the locus, A_s B_s != 0 and A_t = 0 force B_t = 0, so D_t = 0
             raise MathDomainError(
                 "f3(t) = (X - t1/3)^3 has a triple root: A_t = B_t = 0"
             )

@@ -2,13 +2,13 @@
 
 The one low-level polynomial kernel of the package: ``fields`` reduces
 and inverts GF(p^k) elements with it and ``factorq`` runs F_p factoring
-and Hensel lifting on it; both use its distinct-degree step, ``fields`` to test a
-modulus for irreducibility.  A polynomial is a list (or tuple) of ints,
-constant term first; results are trimmed lists, so the zero polynomial is
-``[]``.  The functions taking a modulus ``m`` return coefficients reduced
-into [0, m); gcd, xgcd, powmod and distinct_degree need a prime modulus
-``p``.  Algorithms are the classical ones (von zur Gathen–Gerhard, *Modern
-Computer Algebra*, ch. 2-3 and 14).
+and Hensel lifting on it; both use its distinct-degree step, ``fields``
+to test a modulus for irreducibility.  A polynomial is a list (or tuple)
+of ints, constant term first; results are trimmed lists, so the zero
+polynomial is ``[]``.  The functions taking a modulus ``m`` return
+coefficients reduced into [0, m); gcd, xgcd, powmod and distinct_degree
+need a prime modulus ``p``.  Algorithms are the classical ones (von zur
+Gathen–Gerhard, *Modern Computer Algebra*, ch. 2-3 and 14).
 """
 
 from __future__ import annotations
