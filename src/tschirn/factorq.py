@@ -346,9 +346,10 @@ def _factor_squarefree_q(H: list, ell: int, p=None) -> list:
     model (integer_model) is (H, ell); p as for _factor_monic_int_squarefree."""
     out = []
     for hj in _factor_monic_int_squarefree(H, p):
-        # hj(ell X) / ell^deg is the monic rational factor of q
-        back = UniPoly(QQ, (c * Fraction(ell) ** i for i, c in enumerate(hj)))
-        out.append(back.monic())
+        # hj(ell X) / ell^d is the monic rational factor of q
+        d = len(hj) - 1
+        out.append(UniPoly(QQ, (Fraction(c, ell ** (d - i))
+                                for i, c in enumerate(hj))))
     return out
 
 

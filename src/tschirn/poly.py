@@ -148,19 +148,18 @@ class UniPoly:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        q = [self.field.zero] * max(0, self.degree - other.degree + 1)
+        # each step pops the leading term rather than waiting for it to
+        # cancel, so a wrong field arithmetic cannot keep the loop going
+        db = other.degree
+        q = [self.field.zero] * max(0, self.degree - db + 1)
         rem = list(self.coeffs)
         inv_lc = self.field.one / other.lc
-        while len(rem) - 1 >= other.degree and any(rem):
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) - 1 < other.degree:
-                break
-            k = len(rem) - 1 - other.degree
-            coef = rem[-1] * inv_lc
-            q[k] = coef
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - coef * b
+        while len(rem) > db:
+            k = len(rem) - 1 - db
+            coef = q[k] = rem.pop() * inv_lc
+            if coef:
+                for i in range(db):
+                    rem[k + i] = rem[k + i] - coef * other.coeffs[i]
         return UniPoly(self.field, q), UniPoly(self.field, rem)
 
     def __floordiv__(self, other):
@@ -307,7 +306,9 @@ def linear_solve(field, rows, rhs):
 def charpoly(field, rows) -> UniPoly:
     """det(X I - M) of the square matrix M, by reduction to Hessenberg form
     with row and column swaps (Cohen, GTM 138, Algorithm 2.2.9); it divides
-    only by pivots, so it is exact in every characteristic."""
+    only by pivots, so it is exact in every characteristic.  The recurrence
+    for the leading principal minors runs on ascending coefficient lists,
+    and only the result is built as a UniPoly."""
     n = len(rows)
     h = [[field(c) for c in row] for row in rows]
     for m in range(1, n - 1):
@@ -325,16 +326,23 @@ def charpoly(field, rows) -> UniPoly:
                 h[i] = [a - u * b for a, b in zip(h[i], h[m])]
                 for row in h:
                     row[m] = row[m] + u * row[i]
-    # p[m] = det(X I - H[:m, :m]), expanded along its last column
-    x = UniPoly.X(field)
-    p = [UniPoly.one(field)]
+    # p[m] = det(X I - H[:m, :m]), expanded along its last column:
+    # p[m+1] = (X - h_mm) p[m] - sum_i t_i h_im p[i], t_i = h_{i+1,i}..h_{m,m-1}
+    p = [[field.one]]
     for m in range(n):
-        pm, t = (x - h[m][m]) * p[m], field.one
+        c, pm = h[m][m], p[m]
+        nxt = [field.zero] + pm
+        for k, a in enumerate(pm):
+            nxt[k] = nxt[k] - c * a
+        t = field.one
         for i in range(m - 1, -1, -1):
             t = t * h[i + 1][i]
-            pm = pm - p[i] * (t * h[i][m])
-        p.append(pm)
-    return p[n]
+            c = t * h[i][m]
+            if c:
+                for k, a in enumerate(p[i]):
+                    nxt[k] = nxt[k] - c * a
+        p.append(nxt)
+    return UniPoly(field, p[n])
 
 
 def _det3(field, m):

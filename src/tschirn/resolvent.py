@@ -399,6 +399,11 @@ def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
         k = _invariants_in(t, field).B / js.B
         fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * k
         return fiber * _transport_block(UniPoly(field, f2.coeffs[3:]), s, t, field)
+    if js.B and not _invariants_in(t, field).A and field.char != 3:
+        # on the locus, A_s B_s != 0 and A_t = 0 force B_t = 0, so 27 D_t = 0
+        raise MathDomainError(
+            "f3(t) = (X - t1/3)^3 has a triple root: A_t = B_t = 0"
+        )
     if field is not QQ:
         _require_nonzero(js.B, "B_s")
         raise MathDomainError("degenerate pair: F0 on the multiple-root locus needs Q")
@@ -409,11 +414,6 @@ def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
         if len(doubles) != 3:
             raise MathDomainError("B_s = 0 needs F2 = G^2 with G split over Q")
     else:
-        if not _invariants_in(t, field).A:
-            # on the locus, A_s B_s != 0 and A_t = 0 force B_t = 0, so D_t = 0
-            raise MathDomainError(
-                "f3(t) = (X - t1/3)^3 has a triple root: A_t = B_t = 0"
-            )
         double, simple, cubic = degenerate_f2_blocks(s, t)
         out = _transport_block(simple * cubic, s, t, field)
         doubles = (-double.coeffs[0],)

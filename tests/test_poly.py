@@ -33,6 +33,44 @@ def qpoly(*coeffs) -> UniPoly:
     return UniPoly(QQ, coeffs)
 
 
+class _NoCancel:
+    """An element of Q whose subtraction is wrong: a - a = 1."""
+
+    __slots__ = ("field", "v")
+
+    def __init__(self, field, v):
+        self.field, self.v = field, v
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __add__(self, other):
+        return self.field(self.v + other.v)
+
+    def __sub__(self, other):
+        self.field.subtractions += 1
+        assert self.field.subtractions < 1000, "the division does not end"
+        return self.field(self.v - other.v or 1)
+
+    def __mul__(self, other):
+        return self.field(self.v * other.v)
+
+    def __truediv__(self, other):
+        return self.field(self.v / other.v)
+
+    def __neg__(self):
+        return self.field(-self.v)
+
+
+class _NoCancelField:
+    def __init__(self):
+        self.subtractions = 0
+        self.zero, self.one = self(0), self(1)
+
+    def __call__(self, x):
+        return x if isinstance(x, _NoCancel) else _NoCancel(self, Fraction(x))
+
+
 # ------------------------------------------------------------------ basics
 
 
@@ -75,6 +113,16 @@ class TestUniPolyBasics:
         q, r = divmod(f, g)
         assert q * g + r == f
         assert r.degree < g.degree
+
+    def test_divmod_ends_when_subtraction_never_cancels(self):
+        # each quotient step drops the leading term instead of waiting for it
+        # to cancel, so a faulty field cannot hang the division
+        field = _NoCancelField()
+        f = UniPoly(field, (2, 3, 0, 1, 5, 1))
+        g = UniPoly(field, (3, -1, 1))
+        q, r = divmod(f, g)
+        assert q.degree <= f.degree - g.degree and r.degree < g.degree
+        assert field.subtractions <= (f.degree - g.degree + 1) * g.degree
 
     def test_eval_and_compose(self):
         f = qpoly(2, 3, 0, 1)

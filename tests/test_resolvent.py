@@ -570,11 +570,25 @@ class TestF0Degenerate:
                 resolvent_F0(s, t)
 
     def test_triple_root_t_on_the_locus_is_named(self):
-        # A_s B_s != 0 and A_t = 0 on the locus: f3(t) = (X - 1)^3
-        s, t = CubicTriple(-4, -5, 1), CubicTriple(3, 3, 1)
+        # A_s B_s != 0 and A_t = 0 on the locus: f3(t) = (X - 1)^3, over Q
+        # and over F_7 alike
+        for F in (QQ, PrimeField(7)):
+            s, t = (CubicTriple(*(F(v) for v in e))
+                    for e in ((-4, -5, 1), (3, 3, 1)))
+            assert cubic_invariants(s).A and cubic_invariants(s).B
+            assert not cubic_invariants(t).D and degeneracy_indicator(s, t) == 0
+            with pytest.raises(MathDomainError, match="triple root"):
+                resolvent_F0(s, t)
+
+    def test_zero_A_t_on_the_locus_in_characteristic_3_needs_Q(self):
+        # A = s1^2 and B = 2 s1^3 in characteristic 3, so t1 = 0 puts any
+        # pair with s1 != 0 on the locus, while D_t = -t2^3 stays nonzero
+        F = PrimeField(3)
+        s, t = (CubicTriple(*(F(v) for v in e)) for e in ((1, 0, 1), (0, 1, 0)))
         assert cubic_invariants(s).A and cubic_invariants(s).B
+        assert not cubic_invariants(t).A and cubic_invariants(t).D
         assert degeneracy_indicator(s, t) == 0
-        with pytest.raises(MathDomainError, match="triple root"):
+        with pytest.raises(MathDomainError, match="needs Q"):
             resolvent_F0(s, t)
 
 
