@@ -418,7 +418,7 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     if not degeneracy_indicator(an, bn):
         # the fiber over the double root
         c = _locus_root(an, bn)
-        for u1 in rational_roots(_double_root_fiber(an, bn, c)):
+        for u1 in rational_roots(UniPoly(QQ, _double_root_fiber(an, bn, c))):
             cand = (_trace_u0(an, bn, u1, c, QQ), u1, c)
             if verify_transformation(an, bn, cand):
                 found.append(TschirnCoeffs(*cand))

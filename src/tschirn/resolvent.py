@@ -22,8 +22,8 @@ transformation u(X) = u0 + u1 X + u2 X^2 sending x_i to y_{tau(i)}, the
 resolvent F_i(s, t; X) is the product of (X - u_i) over all 3! cosets.
 F2 and F1 have closed forms.  F0 is the characteristic polynomial of the
 rational recovery map u0(u2) on K[Y]/(F2), or on the blocks of F2 where
-that map is defined, times the image of the fiber of each double root of
-F2 where it degenerates.
+that map is defined, times that of u0 on the fibers of the double roots
+of F2 where it degenerates, in every characteristic but 3.
 """
 
 from __future__ import annotations
@@ -35,13 +35,12 @@ from functools import cached_property
 from itertools import permutations
 
 from . import zpoly
-from .factorq import integer_model, is_square_rat, rational_roots
+from .factorq import integer_model, is_square_rat
 from .fields import QQ, MathDomainError, field_of
 from .poly import (
     RootTuple,
     UniPoly,
     charpoly,
-    lagrange_interpolate,
     poly_discriminant,
     vandermonde_solve,
 )
@@ -339,18 +338,37 @@ def _trace_u0(s: CubicTriple, t: CubicTriple, u1, u2, field):
     return (t.values(field)[0] - s1 * u1 - (s1**2 - 2 * s2) * u2) / 3
 
 
-def _double_root_fiber(s: CubicTriple, t: CubicTriple, c):
-    """The quadratic in u1 whose roots are the u1 of the transformations over
-    a double root u2 = c of F2 at which D12 vanishes: the middle coefficient
-    of the image cubic minus t2, with u0 from the trace condition.  Over Q."""
-    t2 = t.values(QQ)[1]
-    pts = []
-    for u1 in (QQ(0), QQ(1), QQ(2)):
-        img = tschirn_image(s, (_trace_u0(s, t, u1, c, QQ), u1, c))
-        pts.append((u1, QQ(img.a2) - t2))
-    q = lagrange_interpolate(QQ, pts)
-    assert q.degree == 2 and q[2] == -cubic_invariants(s).A / 3
-    return q
+def _double_root_fiber(s: CubicTriple, t: CubicTriple, c) -> tuple:
+    """(q0, q1, q2) of A_s u1^2 + (B_s + 2 E_s) c u1 + C_s c^2 - A_t, whose
+    roots are the u1 of the two transformations over a double root u2 = c
+    of F2 at which D12 vanishes.  It is -3 (e2 of the image - t2), u0 from
+    the trace condition, in any commutative ring; c is a field element or
+    a polynomial in c."""
+    _, js, jt = _pair(s, t)
+    return c * c * js.C - jt.A, c * (js.B + 2 * js.E), js.A
+
+
+def _fiber_block(g: UniPoly, s: CubicTriple, t: CubicTriple, field):
+    """Monic image in u0 of the fibers over the roots of g, a monic
+    squarefree block of double roots of F2: the characteristic polynomial
+    of multiplication by u0 = a + m u1, a = u0(0, c), m = -s1/3, on
+    K[c, u1]/(g(c), fiber).  By u1^2 = -(q1 u1 + q0)/q2, q2 = A_s != 0, it
+    is [[a, m], [-m q0/q2, a - m q1/q2]] over K[c]/(g) in the basis 1, u1."""
+    c = UniPoly.X(field)
+    q0, q1, q2 = _double_root_fiber(s, t, c)
+    a, m = _trace_u0(s, t, 0, c, field), -s.values(field)[0] / 3
+    blocks = ((a, m * UniPoly.one(field)), (-m * q0 / q2, a - m * q1 / q2))
+    return charpoly(field, [x + y for p, r in blocks
+                            for x, y in zip(_mul_rows(p, g), _mul_rows(r, g))])
+
+
+def _mul_rows(p: UniPoly, h: UniPoly) -> list:
+    """The coefficient lists of p Y^i mod h, i < deg h: the transpose of
+    the matrix of multiplication by p on K[Y]/(h), same char poly."""
+    y, rows = UniPoly.X(h.field), [p % h]
+    for _ in range(h.degree - 1):
+        rows.append(rows[-1] * y % h)
+    return [[r[i] for i in range(h.degree)] for r in rows]
 
 
 def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
@@ -370,61 +388,46 @@ def _transport_block(h: UniPoly, s: CubicTriple, t: CubicTriple, field):
         )
     y = UniPoly.X(field)
     n_poly = 3 * d12 * _trace_u0(s, t, 0, y, field) - s.values(field)[0] * q12
-    g = n_poly * (inv / r0.lc) % h
-    n = h.degree
-    # rows g Y^j mod h: the transpose of the matrix of g, same char poly
-    rows = [g]
-    for _ in range(n - 1):
-        rows.append(rows[-1] * y % h)
-    return charpoly(field, [[r[i] for i in range(n)] for r in rows])
+    return charpoly(field, _mul_rows(n_poly * (inv / r0.lc), h))
 
 
 def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
     """The sextic whose roots are the constant coefficients u0, computed by
-    transporting the roots of F2 through the recovery map.  That map
-    degenerates at multiple roots of F2.  If A_s = A_t = 0, F2 = X^3 (X^3 +
-    B_t/D_s), and the fiber of u2 = 0 (u1^3 = B_t/B_s, 3 u0 = t1 - s1 u1)
-    adds (X - t1/3)^3 + (s1/3)^3 B_t/B_s, in any characteristic but 3.  Over
-    Q only: when B_s = 0, F2 = G^2 and G must have three rational roots, and
-    on the rest of the locus (see degenerate_f2_blocks) each double root
-    adds the image of its fiber in u0, without factoring F2."""
-    f2 = resolvent_F2(s, t)
+    transporting the roots of F2 through the recovery map, in every
+    characteristic but 3.  The map degenerates at double roots of F2, whose
+    fibers add their image in u0 (_fiber_block): the double root of
+    degenerate_f2_blocks on the locus, and every root of G when B_s = 0 and
+    F2 = G^2.  If A_s = A_t = 0, F2 = X^3 (X^3 + B_t/D_s), and the fiber of
+    u2 = 0 (u1^3 = B_t/B_s, 3 u0 = t1 - s1 u1) adds (X - t1/3)^3 +
+    (s1/3)^3 B_t/B_s."""
     field = _common_field(s, t)
+    if field.char == 3:
+        raise MathDomainError("F0 divides by 3 in characteristic 3: use "
+                              "resolvent_F0_char3_depressed or sextic_generic")
+    f2 = resolvent_F2(s, t)
     js = _invariants_in(s, field)
     if js.B and degeneracy_indicator(s, t):
         return _transport_block(f2, s, t, field)
     if js.B and not js.A:
-        # on the locus A_s = 0 forces A_t = 0; char 3 has B = 2 A s1, so A_s != 0
+        # on the locus A_s = 0 forces A_t = 0
         s1, t1 = s.values(field)[0], t.values(field)[0]
         k = _invariants_in(t, field).B / js.B
         fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * k
         return fiber * _transport_block(UniPoly(field, f2.coeffs[3:]), s, t, field)
-    if js.B and not _invariants_in(t, field).A and field.char != 3:
+    if js.B and not _invariants_in(t, field).A:
         # on the locus, A_s B_s != 0 and A_t = 0 force B_t = 0, so 27 D_t = 0
         raise MathDomainError(
             "f3(t) = (X - t1/3)^3 has a triple root: A_t = B_t = 0"
         )
-    if field is not QQ:
-        _require_nonzero(js.B, "B_s")
-        raise MathDomainError("degenerate pair: F0 on the multiple-root locus needs Q")
-    if not js.B:
-        # D12 = 0 and F2 = G^2 with G = X^3 + (f2[4]/2) X + f2[3]/2
-        out = UniPoly.one(field)
-        doubles = set(rational_roots(UniPoly(field, (f2[3] / 2, f2[4] / 2, 0, 1))))
-        if len(doubles) != 3:
-            raise MathDomainError("B_s = 0 needs F2 = G^2 with G split over Q")
-    else:
+    if js.B:
         double, simple, cubic = degenerate_f2_blocks(s, t)
         out = _transport_block(simple * cubic, s, t, field)
-        doubles = (-double.coeffs[0],)
-    m = s.values(field)[0] / 3
-    for c in doubles:
-        # the fiber's roots u1 mapped to u0 = u0(0) - m u1, also for m = 0:
-        # Res_u1(q(u1), m u1 + X - u0(0)) / q2
-        q0, q1, q2 = _double_root_fiber(s, t, c).coeffs
-        d = UniPoly(field, (-_trace_u0(s, t, 0, c, field), 1))
-        out = out * (d * d * q2 - d * (m * q1) + m * m * q0) / q2
-    return out
+        return out * _fiber_block(double, s, t, field)
+    # D12 = 0 and F2 = G^2 with G = X^3 + p X + q, p = f2[4]/2, q = f2[3]/2
+    p, q = f2[4] / 2, f2[3] / 2
+    if not 4 * p**3 + 27 * q**2:
+        raise MathDomainError("B_s = 0 needs F2 = G^2 with G squarefree")
+    return _fiber_block(UniPoly(field, (q, p, 0, 1)), s, t, field)
 
 
 def degenerate_f2_blocks(s: CubicTriple, t: CubicTriple):

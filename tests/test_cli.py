@@ -86,20 +86,37 @@ class TestResolvent:
             assert sum(c * u0**i for i, c in enumerate(f0)) == 0
 
     def test_zero_B_s_names_the_precondition(self, capsys):
-        # X^3 - X has B = 0, so D12 vanishes identically and F2 = G^2; the
-        # pair is off the multiple-root locus and G splits over Q
+        # X^3 - X has B = 0, so D12 vanishes identically and F2 = G^2 has
+        # only double roots, although the indicator of the pair is -26244
         code, out, _ = run_cli(capsys, "resolvent", "--a", "0,-1,0",
                                "--b", "7,14,8", "--index", "0")
         assert code == 0
         rt = RootTuple(xs=tuple(Fraction(x) for x in (-1, 0, 1)),
                        ys=tuple(Fraction(y) for y in (1, 2, 4)))
-        assert out.splitlines() == [f"F0 = {oracle_resolvent(rt, 0)}"]
-        # here G does not split, so F0 has no closed form to read
-        code, _, err = run_cli(capsys, "resolvent", "--a", "0,1,0",
-                               "--b", "0,-1,1", "--index", "0")
+        assert out.splitlines() == [
+            f"F0 = {oracle_resolvent(rt, 0)}",
+            "warning: degenerate locus: the sextic has a multiple root",
+        ]
+        # G irreducible over Q: both cubics split mod 101, where the coset
+        # product says the same
+        code, doc, _ = run_json(capsys, "resolvent", "--a", "0,1,0",
+                                "--b", "0,-1,1", "--index", "0")
+        assert code == 0 and doc["diagnostics"]
+        F = PrimeField(101)
+        xs, ys = (tuple(x for x in F.elements() if not f.poly(F).eval(x))
+                  for f in (CubicTriple(0, 1, 0), CubicTriple(0, -1, 1)))
+        assert len(xs) == len(ys) == 3
+        coeffs = [Fraction(c) for c in doc["result"]["coeffs"]]
+        assert all(c.denominator == 1 for c in coeffs)
+        assert UniPoly(F, [int(c) for c in coeffs]) == oracle_resolvent(
+            RootTuple(xs, ys), 0
+        )
+        # t = (X - 1)^2 (X - 2) is inseparable, and so is G
+        code, _, err = run_cli(capsys, "resolvent", "--a", "0,-1,0",
+                               "--b", "4,5,2", "--index", "0")
         assert code == 1
         assert err.splitlines() == [
-            "error: B_s = 0 needs F2 = G^2 with G split over Q"
+            "error: B_s = 0 needs F2 = G^2 with G squarefree"
         ]
 
     def test_zero_A_locus_pair_has_f0(self, capsys):

@@ -323,9 +323,10 @@ class TestAllRationalTransformations:
     )
     def test_no_root_search_above_degree_three(self, monkeypatch, pair, expected):
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
-        calls = _counting(
-            monkeypatch, [factorq_mod, decide_mod, resolvent_mod], "rational_roots"
-        )
+        # the resolvent layer searches no roots: F0 reads G and the fibers
+        # as blocks
+        assert not hasattr(resolvent_mod, "rational_roots")
+        calls = _counting(monkeypatch, [factorq_mod, decide_mod], "rational_roots")
         ws = all_rational_transformations(a, b)
         assert tuple(w.as_tuple() for w in ws) == expected
         assert calls and max(f.degree for f, in calls) <= 3

@@ -6,8 +6,9 @@ first cubics with an integer, a rational and a zero-c2 coefficient triple;
 ``factor`` on resolvent sextics, X^24 + 1, products of sextics with
 large coefficients and inputs with repeated factors; and ``resolvent``
 with each index on a generic pair, an A = 0 locus pair, a pair on the
-multiple-root locus and two B_s = 0 pairs, one answered and one rejected,
-and ``--index 0`` on a locus pair whose second cubic has a triple root.
+multiple-root locus and two B_s = 0 pairs, one with G split over Q and
+one with G irreducible, and ``--index 0`` on a locus pair whose second
+cubic has a triple root.
 Each run's exit code, stdout and stderr (kept when not empty) are compared
 byte for byte with
 ``tests/data/golden_cli.json``, so a speedup of the decision path, of the
@@ -128,7 +129,7 @@ RESOLVENT_PAIRS = (
     ("0,0,2", "0,0,3"),
     # on the multiple-root locus: simple root times cubic block
     ("0,3,-2", "3,-3,3"),
-    # B_a = 0 with G split over Q, then with G irreducible (exit 1)
+    # B_a = 0, so F2 = G^2: G split over Q, then G irreducible
     ("0,-1,0", "7,14,8"),
     ("0,1,0", "0,-1,1"),
 )

@@ -23,6 +23,8 @@ from tschirn.poly import (
 )
 from tschirn.resolvent import (
     CubicTriple,
+    _double_root_fiber,
+    _trace_u0,
     cubic_invariants,
     cyclic_F2_pm,
     cyclic_h_pm,
@@ -560,14 +562,59 @@ class TestF0Degenerate:
                 rt = RootTuple(xs=xs_q, ys=ys_q)
                 assert resolvent_F0(s, t) == oracle_resolvent(rt, 0)
 
-    def test_zero_B_s_without_three_rational_double_roots_rejected(self):
-        split_s = CubicTriple.from_roots((Fraction(-1), Fraction(0), Fraction(1)))
-        for s, t in (
-            (CubicTriple(0, 1, 0), CubicTriple(0, -1, 1)),  # G irreducible
-            (split_s, CubicTriple.from_roots((Fraction(1), Fraction(1), Fraction(2)))),
+    def test_zero_B_s_pairs_without_split_G_match_the_GF_5_6_oracle(self):
+        # F2 = G^2 with G irreducible over Q, or with one rational root;
+        # the answer over Q, reduced mod 5, is the coset product of the
+        # roots in GF(5^6), where every cubic over F_5 splits
+        F, K = PrimeField(5), gf_build(5, 6, 0)
+        els = list(K.elements())
+        rng = random.Random(7)
+        for a, b in (
+            ((0, 1, 0), (0, -1, 1)),
+            ((-3, -1, 3), (-4, -4, -4)),
+            ((-3, -1, 3), (-4, -4, 0)),
+            ((-3, 0, 2), (-4, -4, -4)),
         ):
-            with pytest.raises(MathDomainError, match="B_s = 0"):
-                resolvent_F0(s, t)
+            s, t = CubicTriple(*a), CubicTriple(*b)
+            f2 = resolvent_F2(s, t)
+            g = UniPoly(QQ, (f2[3] / 2, f2[4] / 2, 0, 1))
+            assert cubic_invariants(s).B == 0 and g * g == f2
+            assert len(rational_roots(g)) < 3
+            f0 = resolvent_F0(s, t)
+            reduced = UniPoly(F, [F(c.numerator) / F(c.denominator)
+                                  for c in f0.coeffs])
+            xs, ys = (tuple(_split_roots(K, CubicTriple(*e).poly(K), els, rng))
+                      for e in (a, b))
+            assert UniPoly(K, [K(c.val) for c in reduced.coeffs]) == (
+                oracle_resolvent(RootTuple(xs, ys), 0)
+            )
+
+    def test_zero_B_s_with_G_not_squarefree_rejected(self):
+        # t = (X - 1)^2 (X - 2) has D_t = 0, and Disc G = 3^6 D_t / (4 D_s^2)
+        split_s = CubicTriple.from_roots((Fraction(-1), Fraction(0), Fraction(1)))
+        t = CubicTriple.from_roots((Fraction(1), Fraction(1), Fraction(2)))
+        with pytest.raises(MathDomainError, match="G squarefree"):
+            resolvent_F0(split_s, t)
+
+    @pytest.mark.parametrize("name", ["Q", "F_101", "GF(5^2)", "GF(2^3)"])
+    def test_double_root_fiber_is_the_e2_defect_of_the_image(self, name):
+        # q0 + q1 u1 + q2 u1^2 = -3 (e2 - t2) for the image of u0 + u1 X +
+        # c X^2, u0 from the trace condition, at any triples, c and u1
+        field = {"Q": QQ, "F_101": PrimeField(101), "GF(5^2)": gf_build(5, 2, 0),
+                 "GF(2^3)": gf_build(2, 3, 0)}[name]
+        rng = random.Random(name)
+
+        def draw():
+            if field is QQ:
+                return Fraction(rng.randint(-30, 30), rng.randint(1, 5))
+            return rand_field_elt(field, rng)
+
+        for _ in range(20):
+            s, t = (CubicTriple(*(draw() for _ in range(3))) for _ in range(2))
+            c, u1 = draw(), draw()
+            q0, q1, q2 = _double_root_fiber(s, t, c)
+            img = tschirn_image(s, (_trace_u0(s, t, u1, c, field), u1, c))
+            assert q0 + q1 * u1 + q2 * u1 * u1 == -3 * (img.a2 - t.values(field)[1])
 
     def test_triple_root_t_on_the_locus_is_named(self):
         # A_s B_s != 0 and A_t = 0 on the locus: f3(t) = (X - 1)^3, over Q
@@ -580,16 +627,21 @@ class TestF0Degenerate:
             with pytest.raises(MathDomainError, match="triple root"):
                 resolvent_F0(s, t)
 
-    def test_zero_A_t_on_the_locus_in_characteristic_3_needs_Q(self):
+    def test_characteristic_3_is_named(self):
         # A = s1^2 and B = 2 s1^3 in characteristic 3, so t1 = 0 puts any
-        # pair with s1 != 0 on the locus, while D_t = -t2^3 stays nonzero
+        # pair with s1 != 0 on the locus, while D_t = -t2^3 stays nonzero;
+        # off the locus, 3 D12 = 0 all the same
         F = PrimeField(3)
         s, t = (CubicTriple(*(F(v) for v in e)) for e in ((1, 0, 1), (0, 1, 0)))
         assert cubic_invariants(s).A and cubic_invariants(s).B
         assert not cubic_invariants(t).A and cubic_invariants(t).D
         assert degeneracy_indicator(s, t) == 0
-        with pytest.raises(MathDomainError, match="needs Q"):
-            resolvent_F0(s, t)
+        s2, t2 = (CubicTriple(*(F(v) for v in e)) for e in ((1, 2, 0), (2, 0, 1)))
+        assert cubic_invariants(s2).B and degeneracy_indicator(s2, t2)
+        for a, b in ((s, t), (s2, t2)):
+            with pytest.raises(MathDomainError,
+                               match="characteristic 3: use resolvent_F0_char3"):
+                resolvent_F0(a, b)
 
 
 def _split_roots(K, f, els, rng):
@@ -634,28 +686,20 @@ class TestF0Transport:
             )
             done += 1
 
-    @pytest.mark.parametrize("name", ["F_7", "F_101", "GF(5^2)", "GF(7^3)"])
+    @pytest.mark.parametrize("name", ["F_7", "F_101", "GF(5^2)", "GF(7^3)",
+                                      "GF(2^3)"])
     def test_split_pairs_match_oracle(self, name):
+        # on and off the multiple-root locus, B_s = 0 included; over GF(2^3)
+        # every pair is on the locus
         field = {"F_7": PrimeField(7), "F_101": PrimeField(101),
-                 "GF(5^2)": gf_build(5, 2, 0), "GF(7^3)": gf_build(7, 3, 0)}[name]
+                 "GF(5^2)": gf_build(5, 2, 0), "GF(7^3)": gf_build(7, 3, 0),
+                 "GF(2^3)": gf_build(2, 3, 0)}[name]
         els = list(field.elements())
         rng = random.Random(name)
-        answered = 0
         for _ in range(60):
             xs, ys = (tuple(rng.sample(els, 3)) for _ in range(2))
             s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
-            oracle = oracle_resolvent(RootTuple(xs, ys), 0)
-            if cubic_invariants(s).B and degeneracy_indicator(s, t):
-                assert resolvent_F0(s, t) == oracle
-                answered += 1
-                continue
-            # on the locus or at B_s = 0: the A_s = A_t = 0 closed form, or
-            # a MathDomainError outside Q
-            try:
-                assert resolvent_F0(s, t) == oracle
-            except MathDomainError:
-                pass
-        assert answered >= 12
+            assert resolvent_F0(s, t) == oracle_resolvent(RootTuple(xs, ys), 0)
 
 
 # --------------------------------------------------------------------------
