@@ -1,14 +1,15 @@
 """Golden CLI outputs: ``decide-iso`` and ``classify``, as text and as
 ``--json``, on the eleven table rows, two pairs on the multiple-root locus
 (S3 and C3), an A = 0 pair across square classes and the pairs of
-``scripts/worked_examples.py``; ``transform`` on each of those pairs'
-first cubics with an integer, a rational and a zero-c2 coefficient triple;
-``factor`` on resolvent sextics, X^24 + 1, products of sextics with
-large coefficients and inputs with repeated factors; and ``resolvent``
-with each index on a generic pair, an A = 0 locus pair, a pair on the
-multiple-root locus and two B_s = 0 pairs, one with G split over Q and
-one with G irreducible, and ``--index 0`` on a locus pair whose second
-cubic has a triple root.
+``scripts/worked_examples.py``; ``decide-iso`` also on a reducible C2
+pair, a split pair and an equal A = 0 pair; ``transform`` on each of the
+first pairs' first cubics with an integer, a rational and a zero-c2
+coefficient triple; ``factor`` on resolvent sextics, X^24 + 1, products
+of sextics with large coefficients and inputs with repeated factors; and
+``resolvent`` with each index on a generic pair, an A = 0 locus pair, a
+pair on the multiple-root locus and two B_s = 0 pairs, one with G split
+over Q and one with G irreducible, and ``--index 0`` on two pairs whose
+second cubic has a triple root: one on the locus, one with A_a = A_b = 0.
 Each run's exit code, stdout and stderr (kept when not empty) are compared
 byte for byte with
 ``tests/data/golden_cli.json``, so a speedup of the decision path, of the
@@ -54,6 +55,17 @@ CASES = [
     [command, "--a", a, "--b", b] + extra
     for a, b in PAIRS
     for command in ("decide-iso", "classify")
+    for extra in ([], ["--json"])
+]
+
+# decide-iso branches that PAIRS does not reach: two reducible C2 cubics
+# over one quadratic field, two split cubics, and an equal A = 0 pair,
+# X^3 - 2 against its image (3, -3, 1) under 1 + X + X^2
+DECIDE_PAIRS = (("1,3,3", "0,3,0"), ("6,11,6", "0,-1,0"), ("0,0,2", "3,-3,1"))
+
+CASES += [
+    ["decide-iso", "--a", a, "--b", b] + extra
+    for a, b in DECIDE_PAIRS
     for extra in ([], ["--json"])
 ]
 
