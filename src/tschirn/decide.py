@@ -17,28 +17,35 @@ splitting fields force Q(sqrt(D_a)) = Q(sqrt(D_b)), i.e. D_a D_b a square.
 classify_subfield uses the same exit, and on the locus it reads the factor
 pattern of F2 off the same closed form instead of factoring.
 
-Everything here works over Q; the rational arithmetic is exact throughout.
-A transformation witness is a triple (c0, c1, c2) meaning u(X) = c0 + c1 X +
-c2 X^2, and it certifies g3(a, c; X) = f3(b; X), i.e. u maps the roots of
-f3(a) onto the roots of f3(b).
+Everything here works over Q; the arithmetic is exact throughout.  Each
+triple keeps one monic integer model (H, ell) with the invariants of H (see
+cubic_invariants), and the branches run on its ints: the root search of the
+reducibility test, the locus root, the recovery of the witness at a root of
+F2, the reducible witnesses, and the composition and inversion of the
+A = 0 hops in Z[X]/(H).  Only the three witness coefficients are divided
+back into Fractions.  A transformation witness is a triple (c0, c1, c2)
+meaning u(X) = c0 + c1 X + c2 X^2, and it certifies g3(a, c; X) = f3(b; X),
+i.e. u maps the roots of f3(a) onto the roots of f3(b).
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .factorq import factor_over_Q, is_square_rat, rational_roots
+from .factorq import factor_over_Q, is_square_rat, rational_roots, _cubic_integer_roots
 from .fields import QQ, MathDomainError
-from .poly import UniPoly, lagrange_interpolate, linear_solve
+from .poly import UniPoly
 from .resolvent import (
     CubicTriple,
     cubic_invariants,
-    degeneracy_indicator,
     degenerate_f2_blocks,
-    recovery_polys,
     resolvent_F2,
     tschirn_image,
     _double_root_fiber,
-    _locus_root,
+    _from_model_coords,
+    _model_coords,
+    _model_mul,
+    _recovery_at,
     _trace_u0,
 )
 
@@ -160,7 +167,7 @@ def galois_type(a: CubicTriple) -> GaloisType:
     inv = cubic_invariants(a)
     if not inv.D:
         raise MathDomainError("discriminant is 0: the cubic is inseparable")
-    n_rational = len(rational_roots(a.poly()))
+    n_rational = len(_cubic_integer_roots(a._model[0]))
     if n_rational == 3:
         return GaloisType("Id")
     if n_rational == 1:
@@ -188,24 +195,33 @@ def verify_transformation(a: CubicTriple, b: CubicTriple, c) -> bool:
 
 def compose_transformations(a: CubicTriple, first, then) -> TschirnCoeffs:
     """The transformation sending a root x of f3(a) to then(first(x)),
-    reduced modulo f3(a)."""
-    f = a.poly()
-    u = UniPoly(QQ, _coeff_tuple(first))
-    v = UniPoly(QQ, _coeff_tuple(then))
-    comp = v.compose(u) % f
-    return TschirnCoeffs(comp[0], comp[1], comp[2])
+    reduced modulo f3(a): then = sum (n_j / d) X^j at u = first(alpha) =
+    U/m in Z[beta] (_model_coords) is sum n_j m^(deg - j) U^j / (d m^deg),
+    by Horner's rule."""
+    U, m = _model_coords(a, _coeff_tuple(first))
+    v = [QQ(x) for x in _coeff_tuple(then)]
+    d = math.lcm(*(x.denominator for x in v))
+    n = [x.numerator * (d // x.denominator) for x in v]
+    acc, scale = [n[-1], 0, 0], 1
+    for nj in reversed(n[:-1]):
+        scale *= m
+        acc = _model_mul(a, acc, U)
+        acc[0] += nj * scale
+    return TschirnCoeffs(*_from_model_coords(a, acc, d * scale))
 
 
 def invert_transformation(a: CubicTriple, c) -> TschirnCoeffs:
     """Given a transformation u from a onto some image triple, the
     transformation v with v(u(X)) = X mod f3(a), i.e. the inverse map from
-    the image back to a.  Requires u to generate Q[X]/f3(a)."""
-    f = a.poly()
-    u = UniPoly(QQ, _coeff_tuple(c)) % f
-    powers = [UniPoly.one(QQ), u, (u * u) % f]
-    rows = [[powers[j][i] for j in range(3)] for i in range(3)]
-    sol = linear_solve(QQ, rows, (QQ(0), QQ(1), QQ(0)))
-    return TschirnCoeffs(*sol)
+    the image back to a.  Requires u to generate Q[X]/f3(a).  Cramer's rule
+    on v0 + v1 u + v2 u^2 = beta/ell in Z[beta], u = U/m, u^2 = W/m^2."""
+    U, m = _model_coords(a, _coeff_tuple(c))
+    W = _model_mul(a, U, U)
+    den = a._model[1] * (U[1] * W[2] - U[2] * W[1])
+    if not den:
+        raise MathDomainError("singular linear system: matrix determinant is 0")
+    return TschirnCoeffs(*(Fraction(x, den) for x in (
+        W[0] * U[2] - U[0] * W[2], m * W[2], -m * m * U[2])))
 
 
 # --------------------------------------------------------------------------
@@ -225,15 +241,7 @@ def recover_coeffs(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
 def _recover(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
     """recover_coeffs without the root test, which rebuilds F2: for callers
     that took c2 from F2's roots.  The witness is verified either way."""
-    q12, d12 = recovery_polys(a, b)
-    den = d12.eval(c2)
-    if not den:
-        raise MathDomainError(
-            "D_{1,2}(c2) = 0: c2 is a multiple resolvent root; "
-            "use the multiple-root branch"
-        )
-    c1 = q12.eval(c2) / den
-    w = TschirnCoeffs(_trace_u0(a, b, c1, c2, QQ), c1, c2)
+    w = TschirnCoeffs(*_recovery_at(a, b, c2))
     if not verify_transformation(a, b, w):
         raise MathDomainError(
             "recovered coefficients do not transform a into b "
@@ -296,43 +304,51 @@ def _stitch(a: CubicTriple, hop_a, core: TschirnCoeffs, b: CubicTriple, hop_b):
 
 def _decide_reducible(a: CubicTriple, b: CubicTriple, ra: list, rb: list):
     """Same-splitting-field test for separable cubics, at least one of them
-    reducible, from their rational roots ra and rb.  Splitting fields of
-    degree 3 or 6 (no root), 2 (one root) and 1 (three roots) never agree;
-    fields of equal degree 1 or 2 are compared directly."""
+    reducible, from the integer roots ra and rb of their integer models.
+    Splitting fields of degree 3 or 6 (no root), 2 (one root) and 1 (three
+    roots) never agree; fields of equal degree 1 or 2 are compared directly.
+    The witness U(Z) = (k0 + k1 Z + k2 Z^2)/den between the models gives
+    u(X) = U(ell_a X)/ell_b."""
     if len(ra) != len(rb):
         return False, None
     if len(ra) == 3:
-        u = lagrange_interpolate(QQ, tuple(zip(ra, rb)))
-        w = TschirnCoeffs(u[0], u[1], u[2])
-        if not verify_transformation(a, b, w):
-            raise MathDomainError("split-cubic witness failed verification")
-        return True, w
-    if not _same_square_class(a, b):
-        return False, None
-    return True, _quadratic_pair_witness(a, b, ra[0], rb[0])
-
-
-def _quadratic_pair_witness(a: CubicTriple, b: CubicTriple, r_a, r_b):
-    """Witness between two cubics that each factor as linear x irreducible
-    quadratic over one quadratic field: match the rational roots r_a, r_b
-    and map the quadratic roots through the square-root identification."""
-    q_a = a.poly() // UniPoly(QQ, (-r_a, QQ(1)))
-    q_b = b.poly() // UniPoly(QQ, (-r_b, QQ(1)))
-    p, q = q_a[1], q_a[0]
-    pp, qp = q_b[1], q_b[0]
-    e = is_square_rat((pp * pp - 4 * qp) / (p * p - 4 * q))
-    if e is None:
-        raise MathDomainError(
-            "quadratic factors generate different fields: discriminant "
-            "ratio is not a square"
-        )
-    lin = UniPoly(QQ, ((e * p - pp) / 2, e))
-    lam = (r_b - lin.eval(r_a)) / q_a.eval(r_a)
-    u = lin + q_a * lam
-    w = TschirnCoeffs(u[0], u[1], u[2])
+        k, den = _split_witness(ra, rb)
+    else:
+        k, den = _quadratic_pair_witness(a._model[0], b._model[0], ra[0], rb[0])
+        if k is None:
+            return False, None
+    w = TschirnCoeffs(*_from_model_coords(a, k, den * b._model[1]))
     if not verify_transformation(a, b, w):
-        raise MathDomainError("quadratic-pair witness failed verification")
-    return w
+        raise MathDomainError("reducible-pair witness failed verification")
+    return True, w
+
+
+def _split_witness(xs, ys) -> tuple:
+    """(k, V) with U(x_i) = y_i: Lagrange's V U = sum_i w_i prod_{j != i}
+    (Z - x_j), V = (x2 - x1)(x3 - x1)(x3 - x2)."""
+    (x1, x2, x3), (y1, y2, y3) = xs, ys
+    w1, w2, w3 = y1 * (x3 - x2), -y2 * (x3 - x1), y3 * (x2 - x1)
+    k = (w1 * x2 * x3 + w2 * x1 * x3 + w3 * x1 * x2,
+         -(w1 * (x2 + x3) + w2 * (x1 + x3) + w3 * (x1 + x2)),
+         w1 + w2 + w3)
+    return k, (x2 - x1) * (x3 - x1) * (x3 - x2)
+
+
+def _quadratic_pair_witness(H, H2, x, y) -> tuple:
+    """(k, den) with U sending the roots of H = (Z - x) q, q = Z^2 + P Z + Q
+    irreducible, to those of H2 = (Z - y)(Z^2 + P2 Z + Q2), or (None, None)
+    when the discriminants g, g2 of the quadratics differ in square class.
+    L = e Z + (e P - P2)/2, e = sqrt(g2/g), maps the roots of q to those of
+    the other quadratic; U = L + lam q, lam = (y - L(x))/q(x)."""
+    P, P2 = H[2] + x, H2[2] + y
+    Q, Q2 = H[1] + x * P, H2[1] + y * P2
+    g, g2 = P * P - 4 * Q, P2 * P2 - 4 * Q2
+    s = math.isqrt(g * g2) if g * g2 >= 0 else -1
+    if s * s != g * g2:
+        return None, None
+    g, qx = abs(g), (x + P) * x + Q  # e = s/g
+    N = 2 * g * y - 2 * s * x - s * P + g * P2  # 2 g qx lam
+    return ((s * P - g * P2) * qx + N * Q, 2 * s * qx + N * P, N), 2 * g * qx
 
 
 def decide_same_splitting(a: CubicTriple, b: CubicTriple):
@@ -353,7 +369,7 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
         raise MathDomainError("D_a = 0: first cubic is inseparable")
     if not cubic_invariants(b).D:
         raise MathDomainError("D_b = 0: second cubic is inseparable")
-    ra, rb = rational_roots(a.poly()), rational_roots(b.poly())
+    ra, rb = _cubic_integer_roots(a._model[0]), _cubic_integer_roots(b._model[0])
     if ra or rb:
         return _decide_reducible(a, b, ra, rb)
     if not _same_square_class(a, b):
@@ -362,19 +378,31 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
 
 
 def _same_square_class(a: CubicTriple, b: CubicTriple) -> bool:
-    """Whether D_a D_b is a rational square (the discriminants are cached)."""
-    return is_square_rat(cubic_invariants(a).D * cubic_invariants(b).D) is not None
+    """Whether D_a D_b = D_Ha D_Hb / (ell_a ell_b)^6 is a rational square."""
+    return is_square_rat(a._model[2][3] * b._model[2][3]) is not None
+
+
+def _model_locus_root(an, bn):
+    """_locus_root(an, bn) on the multiple-root locus, else None, on the
+    invariants of the integer models: degeneracy_indicator(an, bn) is
+    (a^3 beta^2 - 27 alpha^3 delta) / (ell mu)^6."""
+    _, ell, (a, _, _, delta, _) = an._model
+    _, mu, (alpha, beta, _, _, _) = bn._model
+    if a**3 * beta**2 != 27 * alpha**3 * delta:
+        return None
+    return Fraction(3 * alpha * alpha * ell * ell, a * beta * mu)
 
 
 def _recoverable_f2_roots(an, bn, f2=None) -> list:
     """The rational roots c2 of F2(an, bn) at which recover_coeffs applies,
     for irreducible an and bn with A != 0.  On the multiple-root locus this
-    is the simple root -2r of the closed form, r = _locus_root(an, bn), read
-    without building its blocks; elsewhere F2 is squarefree and the roots
-    come from f2, the factorization of F2(an, bn), which is computed here
-    when the caller has none."""
-    if not degeneracy_indicator(an, bn):
-        return [-2 * _locus_root(an, bn)]
+    is the simple root -2r of the closed form, r = _model_locus_root(an, bn),
+    read without building its blocks; elsewhere F2 is squarefree and the
+    roots come from f2, the factorization of F2(an, bn), which is computed
+    here when the caller has none."""
+    r = _model_locus_root(an, bn)
+    if r is not None:
+        return [-2 * r]
     if f2 is None:
         f2 = factor_over_Q(resolvent_F2(an, bn))
     return [-g.coeffs[0] for g, _ in f2 if g.degree == 1]
@@ -406,7 +434,7 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     height.  Both cubics must be irreducible (and separable)."""
     if not (cubic_invariants(a).D and cubic_invariants(b).D):
         raise MathDomainError("inseparable cubic: discriminant is 0")
-    if rational_roots(a.poly()) or rational_roots(b.poly()):
+    if _cubic_integer_roots(a._model[0]) or _cubic_integer_roots(b._model[0]):
         raise MathDomainError(
             "transformation enumeration requires both cubics irreducible"
         )
@@ -415,9 +443,9 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     an, hop_a = _avoid_zero_A(a)
     bn, hop_b = _avoid_zero_A(b)
     found = [_recover(an, bn, c2) for c2 in _recoverable_f2_roots(an, bn)]
-    if not degeneracy_indicator(an, bn):
+    c = _model_locus_root(an, bn)
+    if c is not None:
         # the fiber over the double root
-        c = _locus_root(an, bn)
         for u1 in rational_roots(UniPoly(QQ, _double_root_fiber(an, bn, c))):
             cand = (_trace_u0(an, bn, u1, c, QQ), u1, c)
             if verify_transformation(an, bn, cand):
@@ -455,7 +483,7 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
         bn, hop_b = _avoid_zero_A(b)
     else:
         bn, hop_b = b, None
-    degenerate = not degeneracy_indicator(an, bn)
+    degenerate = _model_locus_root(an, bn) is not None
     if degenerate:
         f2, observed = None, _degenerate_f2_pattern(an, bn)
     else:

@@ -392,7 +392,7 @@ def rational_roots(f: UniPoly) -> list:
     if not f:
         raise ValueError("every rational is a root of the zero polynomial")
     if f.degree in (2, 3) and f.field is QQ:
-        H, ell = integer_model(f.monic())
+        H, ell = integer_model(f if f.lc == 1 else f.monic())
         search = _cubic_integer_roots if f.degree == 3 else _quadratic_integer_roots
         return [Fraction(r, ell) for r in search(H)]
     roots = []

@@ -96,6 +96,13 @@ class CubicTriple:
     def _invariants(self) -> "CubicInvariants":
         return _compute_invariants(self, self.field)
 
+    @cached_property
+    def _model(self) -> tuple:
+        """Over Q: (H, ell) = integer_model(f3(self)) and the invariants
+        (A, B, C, D, E) of H, all ints; built once per triple."""
+        H, ell = integer_model(self.poly(QQ))
+        return H, ell, _invariant_formulas(-H[2], H[1], -H[0])
+
 
 @dataclass(frozen=True)
 class CubicInvariants:
@@ -113,7 +120,9 @@ def cubic_invariants(s: CubicTriple) -> CubicInvariants:
     of the monic integer model H = X^3 - t1 X^2 + t2 X - t3, t_i = ell^i s_i
     (see ``factorq.integer_model``), as a 5x5 Sylvester determinant by
     Bareiss elimination; over F_p and GF(p^k) the resultant discriminant of
-    f3(s).  So the checks also run once per triple."""
+    f3(s).  So the checks also run once per triple.  Over Q, H, ell and the
+    invariants of H as ints stay on the triple too (``_model``), and the
+    decision reads roots, images and recovered witnesses off them."""
     return s._invariants
 
 
@@ -136,8 +145,7 @@ def _compute_invariants(s: CubicTriple, field) -> CubicInvariants:
     if field is QQ:
         # A, B, C, D, E are weighted homogeneous of weights 2, 3, 4, 6, 3,
         # so on t_i = ell^i s_i they are ell^weight times those of s.
-        H, ell = integer_model(s.poly(QQ))
-        inv = _invariant_formulas(-H[2], H[1], -H[0])
+        H, ell, inv = s._model
         disc = zpoly.discriminant(H)
     else:
         inv = _invariant_formulas(*s.values(field))
@@ -175,24 +183,48 @@ def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
     """The triple of g(X) = Prod (X - u(alpha_i)) for u = c0 + c1 X + c2 X^2,
     alpha_i the roots of f3(s); a longer list is first reduced mod f3(s).
     Over F_p and GF(p^k), _image_formulas runs on field elements.  Over Q it
-    runs on ints: with (H, ell) = integer_model(f3(s)), roots beta = ell alpha,
-    and d the common denominator of the c_j, v = d ell^2 u = k0 + k1 beta +
-    k2 beta^2 has integer k_j and triple (E1, E2, E3), and u has the triple
-    (E1/M, E2/M^2, E3/M^3) for M = d ell^2."""
+    runs on ints, on the integer model (H, ell) kept on s: u = v/M with
+    v = k0 + k1 beta + k2 beta^2, beta = ell alpha (_model_coords), and v
+    has the integer triple (E1, E2, E3), so u has (E1/M, E2/M^2, E3/M^3)."""
     field = s.field
+    if field is not QQ:
+        return CubicTriple(*_image_formulas(*s.values(field),
+                                            *_reduced(s, coeffs, field)))
+    H = s._model[0]
+    k, m = _model_coords(s, coeffs)
+    e1, e2, e3 = _image_formulas(-H[2], H[1], -H[0], *k)
+    return CubicTriple(Fraction(e1, m), Fraction(e2, m * m), Fraction(e3, m**3))
+
+
+def _reduced(s: CubicTriple, coeffs, field) -> list:
+    """coeffs in field, reduced mod f3(s) when longer than 3, padded to 3."""
     c = [field(x) for x in coeffs]
     if len(c) > 3:
         c = list((UniPoly(field, c) % s.poly(field)).coeffs)
-    c = (c + [field.zero] * 3)[:3]
-    if field is not QQ:
-        return CubicTriple(*_image_formulas(*s.values(field), *c))
-    H, ell = integer_model(s.poly(QQ))
+    return (c + [field.zero] * 3)[:3]
+
+
+def _model_coords(s: CubicTriple, coeffs) -> tuple:
+    """(k, m), ints, with u = (k0 + k1 beta + k2 beta^2)/m for the rational
+    u = c0 + c1 alpha + c2 alpha^2: m = d ell^2, d the lcm of the
+    denominators, and k_j = c_j m / ell^j."""
+    c, ell = _reduced(s, coeffs, QQ), s._model[1]
     d = math.lcm(*(x.denominator for x in c))
-    k = [x.numerator * (d // x.denominator) * ell ** (2 - j)
-         for j, x in enumerate(c)]
-    m = d * ell * ell
-    e1, e2, e3 = _image_formulas(-H[2], H[1], -H[0], *k)
-    return CubicTriple(Fraction(e1, m), Fraction(e2, m * m), Fraction(e3, m**3))
+    return ([x.numerator * (d // x.denominator) * ell ** (2 - j)
+             for j, x in enumerate(c)], d * ell * ell)
+
+
+def _from_model_coords(s: CubicTriple, k, m) -> tuple:
+    """The rational c_j = k_j ell^j / m: the inverse of _model_coords."""
+    return tuple(Fraction(x * s._model[1] ** j, m) for j, x in enumerate(k))
+
+
+def _model_mul(s: CubicTriple, x, y) -> list:
+    """x y in Z[beta] = Z[X]/(H), on coordinate lists in 1, beta, beta^2."""
+    xy = [sum(x[i] * y[k - i] for i in range(max(0, k - 2), min(k, 2) + 1))
+          for k in range(5)]
+    r = zpoly.divmod_monic(zpoly.trim(xy), s._model[0])[1]
+    return (r + [0, 0, 0])[:3]
 
 
 def _image_formulas(s1, s2, s3, c0, c1, c2) -> tuple:
@@ -306,6 +338,28 @@ def recovery_polys(s: CubicTriple, t: CubicTriple):
     return q12, d12
 
 
+def _recovery_at(s: CubicTriple, t: CubicTriple, c2) -> tuple:
+    """(u0, u1, c2) at a rational u2 = c2 over Q: u1 = Q12(c2)/D12(c2) and
+    u0 from the trace condition, on the integer models.  With s1, s2, ell
+    and a, b, delta of the model of s, t1, mu and alpha, beta of that of t,
+    and c2 = ell^2 n / (mu d): u1 = ell N / (mu d E), 3 mu d E u0 =
+    t1 d E - s1 N - (s1^2 - 2 s2) n E, where E = ell^5 mu^2 D12(c2) / d^2
+    and N = ell^4 mu^3 d^3 Q12(c2)."""
+    Hs, ell, (a, b, _, delta, _) = s._model
+    Ht, mu, (alpha, beta, _, _, _) = t._model
+    n, d = c2.numerator * mu, c2.denominator * ell * ell
+    E = 3 * b * (a * alpha * d * d - 3 * delta * n * n)
+    if not E:
+        raise MathDomainError("D_{1,2}(c2) = 0: c2 is a multiple resolvent "
+                              "root; use the multiple-root branch")
+    s1, a2 = -Hs[2], a * a
+    N = (3 * a2 * beta * d**3 + 6 * delta * (a2 + b * s1) * n**3
+         - alpha * (6 * a2 * a - b * b + 2 * a * b * s1) * n * d * d)
+    u0 = -Ht[2] * d * E - s1 * N - (s1 * s1 - 2 * Hs[1]) * n * E
+    den = mu * d * E
+    return Fraction(u0, 3 * den), Fraction(ell * N, den), c2
+
+
 def recovery_h_list(s: CubicTriple, t: CubicTriple) -> list:
     """The paper's display of 1/D12 mod F2: coefficients h_0..h_5 with
     1/D12 = (1/D12^0) * sum h_i u2^i mod F2, where the u2-free denominator
@@ -405,20 +459,20 @@ def resolvent_F0(s: CubicTriple, t: CubicTriple) -> UniPoly:
         raise MathDomainError("F0 divides by 3 in characteristic 3: use "
                               "resolvent_F0_char3_depressed or sextic_generic")
     f2 = resolvent_F2(s, t)
-    js = _invariants_in(s, field)
+    js, jt = _invariants_in(s, field), _invariants_in(t, field)
     if js.B and degeneracy_indicator(s, t):
         return _transport_block(f2, s, t, field)
-    if js.B and not js.A:
-        # on the locus A_s = 0 forces A_t = 0
-        s1, t1 = s.values(field)[0], t.values(field)[0]
-        k = _invariants_in(t, field).B / js.B
-        fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * k
-        return fiber * _transport_block(UniPoly(field, f2.coeffs[3:]), s, t, field)
-    if js.B and not _invariants_in(t, field).A:
-        # on the locus, A_s B_s != 0 and A_t = 0 force B_t = 0, so 27 D_t = 0
+    if js.B and not (jt.A or jt.B):
+        # on the locus, A_s B_s != 0 and A_t = 0 force B_t = 0 as well
         raise MathDomainError(
             "f3(t) = (X - t1/3)^3 has a triple root: A_t = B_t = 0"
         )
+    if js.B and not js.A:
+        # on the locus A_s = 0 forces A_t = 0
+        s1, t1 = s.values(field)[0], t.values(field)[0]
+        k = jt.B / js.B
+        fiber = (UniPoly.X(field) - t1 / 3) ** 3 + (s1 / 3) ** 3 * k
+        return fiber * _transport_block(UniPoly(field, f2.coeffs[3:]), s, t, field)
     if js.B:
         double, simple, cubic = degenerate_f2_blocks(s, t)
         out = _transport_block(simple * cubic, s, t, field)

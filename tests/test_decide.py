@@ -32,17 +32,20 @@ from tschirn.decide import (
 from tschirn.factorq import factor_over_Q, is_square_rat, rational_roots
 from tschirn.families import family_c3, family_s3
 from tschirn.fields import QQ, MathDomainError
-from tschirn.poly import UniPoly
+from tschirn.poly import UniPoly, lagrange_interpolate, linear_solve
 from tschirn.resolvent import (
     CubicTriple,
     cubic_invariants,
     degeneracy_indicator,
     degenerate_f2_blocks,
+    recovery_polys,
     resolvent_F0,
     resolvent_F1,
     resolvent_F2,
     shanks_triple,
     tschirn_image,
+    _recovery_at,
+    _trace_u0,
 )
 
 PAIR_DEGEN = (CubicTriple(0, 3, -2), CubicTriple(3, -3, 3))
@@ -123,8 +126,67 @@ class TestVerifyTransformation:
         with pytest.raises(MathDomainError):
             invert_transformation(a, (5, 0, 0))
 
+    def test_closed_forms_match_polynomial_algebra(self):
+        # compose and invert on the integer model against v(u) mod f and
+        # the linear system on 1, u, u^2 in Q[X]/f, at rational triples
+        # with ell > 1 and rational coefficients
+        rng = random.Random(23)
+
+        def rat():
+            return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**4))
+
+        for _ in range(20):
+            a = CubicTriple(rat(), rat(), rat())
+            f = a.poly()
+            u, v = (tuple(rat() for _ in range(3)) for _ in range(2))
+            comp = UniPoly(QQ, v).compose(UniPoly(QQ, u)) % f
+            assert compose_transformations(a, u, v).as_tuple() == tuple(
+                comp[i] for i in range(3))
+            uf = UniPoly(QQ, u) % f
+            powers = [UniPoly.one(QQ), uf, uf * uf % f]
+            rows = [[powers[j][i] for j in range(3)] for i in range(3)]
+            assert invert_transformation(a, u).as_tuple() == linear_solve(
+                QQ, rows, (0, 1, 0))
+
 
 class TestRecoverCoeffs:
+    def test_integer_recovery_matches_recovery_polys(self):
+        # _recovery_at on the integer models against Q12(c2)/D12(c2) and the
+        # trace condition on Fractions, at any c2: rational triples with
+        # ell > 1 and heights of 20 digits and more
+        rng = random.Random(29)
+
+        def rat(digits):
+            return Fraction(rng.randint(-10**digits, 10**digits),
+                            rng.randint(2, 10**6))
+
+        for digits in (3, 20, 24, 30):
+            for _ in range(15):
+                s, t = (CubicTriple(*(rat(digits) for _ in range(3)))
+                        for _ in range(2))
+                assert s._model[1] > 1 and t._model[1] > 1
+                c2 = rat(digits)
+                q12, d12 = recovery_polys(s, t)
+                c1 = q12.eval(c2) / d12.eval(c2)
+                assert _recovery_at(s, t, c2) == (
+                    _trace_u0(s, t, c1, c2, QQ), c1, c2)
+
+    def test_integer_recover_returns_the_transformation(self):
+        # b the image of a rational a under u with 20-digit coefficients:
+        # the witness recovered at c2 = u2 is u, as recovery_polys gives it
+        rng = random.Random(31)
+        for _ in range(6):
+            base = random_irreducible(rng)
+            a = tschirn_image(base, (Fraction(rng.randint(1, 6), 7), 1, 0))
+            u = tuple(Fraction(rng.randint(-10**20, 10**20), rng.randint(1, 10**3))
+                      for _ in range(3))
+            b = tschirn_image(a, u)
+            assert a._model[1] > 1 and degeneracy_indicator(a, b)
+            q12, d12 = recovery_polys(a, b)
+            c1 = q12.eval(u[2]) / d12.eval(u[2])
+            w = decide_mod._recover(a, b, u[2])
+            assert w.as_tuple() == (_trace_u0(a, b, c1, u[2], QQ), c1, u[2]) == u
+
     def test_known_degenerate_pair(self):
         a, b = PAIR_DEGEN
         w = recover_coeffs(a, b, Fraction(1))
@@ -327,9 +389,14 @@ class TestAllRationalTransformations:
         # as blocks
         assert not hasattr(resolvent_mod, "rational_roots")
         calls = _counting(monkeypatch, [factorq_mod, decide_mod], "rational_roots")
+        cubic = _counting(monkeypatch, [factorq_mod, decide_mod],
+                          "_cubic_integer_roots")
         ws = all_rational_transformations(a, b)
         assert tuple(w.as_tuple() for w in ws) == expected
-        assert calls and max(f.degree for f, in calls) <= 3
+        # one search per input cubic, on its integer model; F2 is factored
+        # or read off the locus, and the fiber is a quadratic
+        assert len(cubic) == 2 and all(len(H) == 4 for H, in cubic)
+        assert all(f.degree <= 3 for f, in calls)
 
     def test_unequal_pair_empty(self):
         assert all_rational_transformations(
@@ -672,11 +739,32 @@ class TestComputedOnce:
     )
     def test_one_root_search_per_reducible_cubic(self, monkeypatch, pair):
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
-        calls = _counting(monkeypatch, [decide_mod], "rational_roots",
-                          lambda f: f.degree == 3)
+        # the search runs on the integer model kept on each triple
+        calls = _counting(monkeypatch, [factorq_mod, decide_mod],
+                          "_cubic_integer_roots")
+        rebuilt = _counting(monkeypatch, [factorq_mod, decide_mod],
+                            "rational_roots", lambda f: f.degree == 3)
         eq, w = decide_same_splitting(a, b)
         assert eq and verify_transformation(a, b, w)
-        assert len(calls) == 2
+        assert len(calls) == 2 and not rebuilt
+
+    @pytest.mark.parametrize(
+        "pair, hops",
+        [(TABLE_INSTANCES[("S3", "S3", "Equal")], 0),  # generic, equal
+         (((0, 3, -2), (3, -3, 3)), 0),               # on the locus
+         (((1, 3, 3), (0, 3, 0)), 0),                 # reducible, C2
+         (((0, 0, 2), (3, -3, 1)), 1),                # A_a = 0
+         (((0, 0, 2), (0, 0, 16)), 2)],               # A_a = A_b = 0
+    )
+    def test_one_integer_model_per_triple(self, monkeypatch, pair, hops):
+        # a, b and each A = 0 hop's target build their integer model once,
+        # and it serves the invariants, roots, recovery and verification
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        calls = _counting(monkeypatch, [factorq_mod, resolvent_mod],
+                          "integer_model", lambda f: f.degree == 3)
+        eq, w = decide_same_splitting(a, b)
+        assert eq and verify_transformation(a, b, w)
+        assert len(calls) == 2 + hops
 
 
 class TestShortcutsAgainstFactoring:

@@ -154,6 +154,8 @@ CASES += [
 ]
 # on the locus with A_b = 0: b = (X - 1)^3 has a triple root (exit 1)
 CASES.append(["resolvent", "--a", "-4,-5,1", "--b", "3,3,1", "--index", "0"])
+# A_a = A_b = 0: the same triple root, named before the A = 0 closed form
+CASES.append(["resolvent", "--a", "3,3,4", "--b", "3,3,1", "--index", "0"])
 
 
 def _run(argv):

@@ -627,6 +627,17 @@ class TestF0Degenerate:
             with pytest.raises(MathDomainError, match="triple root"):
                 resolvent_F0(s, t)
 
+    def test_triple_root_t_with_zero_A_s_is_named(self):
+        # A_s = A_t = 0 with B_s != 0: f3(t) = (X - 1)^3 has B_t = 0 too,
+        # named before the A_s = A_t = 0 closed form is tried
+        for F in (QQ, PrimeField(101)):
+            s, t = (CubicTriple(*(F(v) for v in e))
+                    for e in ((3, 3, 4), (3, 3, 1)))
+            js, jt = cubic_invariants(s), cubic_invariants(t)
+            assert js.B and not (js.A or jt.A or jt.B)
+            with pytest.raises(MathDomainError, match="triple root"):
+                resolvent_F0(s, t)
+
     def test_characteristic_3_is_named(self):
         # A = s1^2 and B = 2 s1^3 in characteristic 3, so t1 = 0 puts any
         # pair with s1 != 0 on the locus, while D_t = -t2^3 stays nonzero;
