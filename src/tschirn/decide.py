@@ -18,14 +18,15 @@ classify_subfield uses the same exit, and on the locus it reads the factor
 pattern of F2 off the same closed form instead of factoring.
 
 Everything here works over Q; the arithmetic is exact throughout.  Each
-triple keeps one monic integer model (H, ell) with the invariants of H (see
-cubic_invariants), and the branches run on its ints: the root search of the
-reducibility test, the locus root, the recovery of the witness at a root of
-F2, the reducible witnesses, and the composition and inversion of the
-A = 0 hops in Z[X]/(H).  Only the three witness coefficients are divided
-back into Fractions.  A transformation witness is a triple (c0, c1, c2)
-meaning u(X) = c0 + c1 X + c2 X^2, and it certifies g3(a, c; X) = f3(b; X),
-i.e. u maps the roots of f3(a) onto the roots of f3(b).
+triple keeps one monic integer model (H, ell) with the invariants of H,
+checked once (see cubic_invariants), and the branches run on its ints: the
+tests D != 0 and of the square class (D_H = ell^6 D), the root search of
+the reducibility test, the locus root, the recovery of the witness at a
+root of F2, the reducible witnesses, and the composition and inversion of
+the A = 0 hops in Z[X]/(H).  Rational invariants are built only for an
+A = 0 hop and for F2 off the locus.  A transformation witness is a triple
+(c0, c1, c2) meaning u(X) = c0 + c1 X + c2 X^2, and it certifies
+g3(a, c; X) = f3(b; X), i.e. u maps the roots of f3(a) onto those of f3(b).
 """
 
 import math
@@ -164,15 +165,15 @@ class SubfieldReport:
 def galois_type(a: CubicTriple) -> GaloisType:
     """Galois group type of f3(a; X) over Q from its rational roots and the
     square class of the discriminant."""
-    inv = cubic_invariants(a)
-    if not inv.D:
+    H, _, inv = a._model
+    if not inv[3]:
         raise MathDomainError("discriminant is 0: the cubic is inseparable")
-    n_rational = len(_cubic_integer_roots(a._model[0]))
+    n_rational = len(_cubic_integer_roots(H))
     if n_rational == 3:
         return GaloisType("Id")
     if n_rational == 1:
         return GaloisType("C2")
-    return GaloisType("C3" if is_square_rat(inv.D) is not None else "S3")
+    return GaloisType("C3" if is_square_rat(inv[3]) is not None else "S3")
 
 
 # --------------------------------------------------------------------------
@@ -271,10 +272,9 @@ def _avoid_zero_A(a: CubicTriple):
     A = 9, returning (triple, hop witness); identity when A is already
     nonzero.  Valid only when B is not 0 or +-1, which holds for every
     separable irreducible input."""
-    inv = cubic_invariants(a)
-    if inv.A:
+    if a._model[2][0]:
         return a, None
-    B = inv.B
+    B = cubic_invariants(a).B
     if B in (0, 1, -1):
         raise MathDomainError(
             f"A = 0 normalization undefined for B = {B} (reducible or "
@@ -365,16 +365,21 @@ def decide_same_splitting(a: CubicTriple, b: CubicTriple):
     and for C3 each D is itself a square.  Either way D_a D_b is a square.
     A witness is verified once, as it is recovered, and again only when it
     is composed with an A = 0 hop."""
-    if not cubic_invariants(a).D:
-        raise MathDomainError("D_a = 0: first cubic is inseparable")
-    if not cubic_invariants(b).D:
-        raise MathDomainError("D_b = 0: second cubic is inseparable")
+    _require_separable(a, b)
     ra, rb = _cubic_integer_roots(a._model[0]), _cubic_integer_roots(b._model[0])
     if ra or rb:
         return _decide_reducible(a, b, ra, rb)
     if not _same_square_class(a, b):
         return False, None
     return _decide_irreducible(a, *_avoid_zero_A(a), b, *_avoid_zero_A(b))
+
+
+def _require_separable(a: CubicTriple, b: CubicTriple) -> None:
+    """Raise unless D_a D_b != 0, read off the integer models."""
+    if not a._model[2][3]:
+        raise MathDomainError("D_a = 0: first cubic is inseparable")
+    if not b._model[2][3]:
+        raise MathDomainError("D_b = 0: second cubic is inseparable")
 
 
 def _same_square_class(a: CubicTriple, b: CubicTriple) -> bool:
@@ -432,7 +437,7 @@ def _degenerate_f2_pattern(an, bn) -> tuple:
 def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     """Every transformation over Q from a onto b, sorted by coefficient
     height.  Both cubics must be irreducible (and separable)."""
-    if not (cubic_invariants(a).D and cubic_invariants(b).D):
+    if not (a._model[2][3] and b._model[2][3]):
         raise MathDomainError("inseparable cubic: discriminant is 0")
     if _cubic_integer_roots(a._model[0]) or _cubic_integer_roots(b._model[0]):
         raise MathDomainError(
@@ -463,11 +468,7 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
     """Full classification of the relation between the splitting fields,
     with the resolvent factorization pattern checked against the predicted
     table row (predictions are not claimed on the multiple-root locus)."""
-    ja, jb = cubic_invariants(a), cubic_invariants(b)
-    if not ja.D:
-        raise MathDomainError("D_a = 0: first cubic is inseparable")
-    if not jb.D:
-        raise MathDomainError("D_b = 0: second cubic is inseparable")
+    _require_separable(a, b)
     same_square_class = _same_square_class(a, b)
     ga, gb = galois_type(a), galois_type(b)
     swapped = ga.order < gb.order

@@ -24,7 +24,9 @@ are the integer roots of its monic integer model divided by ell.  A
 quadratic's come from one isqrt of its discriminant
 (``_quadratic_integer_roots``); a cubic's are found by exact integer
 bisection over its monotone segments, with the last two from the quotient
-quadratic (``_cubic_integer_roots``).  Roots of other degrees are read off
+quadratic (``_cubic_integer_roots``), unless no root mod some prime 5..47
+proves first that there is none (``_cubic_root_tables``, shared with the
+scan of ``families``).  Roots of other degrees are read off
 ``factor_over_Q``.
 """
 
@@ -34,6 +36,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, count, islice
 
 from . import zpoly
@@ -402,9 +405,29 @@ def rational_roots(f: UniPoly) -> list:
     return sorted(roots)
 
 
+_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+
+@cache
+def _cubic_root_tables() -> tuple:
+    """For each sieve prime l, the pair (l, table): table[a*l + b] is 1 when
+    Y^3 + aY + b has a root mod l, else 0.  Built on first use."""
+    tables = []
+    for ell in _SIEVE_PRIMES:
+        table = bytearray(ell * ell)
+        for a in range(ell):
+            for y in range(ell):
+                table[a * ell + (-(y * y * y + a * y)) % ell] = 1
+        tables.append((ell, bytes(table)))
+    return tuple(tables)
+
+
 def _cubic_integer_roots(H: list) -> list:
     """The integer roots, with multiplicity and ascending, of the monic
     integer cubic H = [c0, c1, c2, 1], with no factoring.
+
+    Y = 3X + c2 gives 27 H = Y^3 + pY + q with the p, q below, so no root
+    of Y^3 + pY + q mod a sieve prime l != 3 proves that H has none.
 
     H' = 3X^2 + 2 c2 X + c1 vanishes at (-c2 -+ sqrt(c2^2 - 3 c1)) / 3.
     With s = isqrt(c2^2 - 3 c1) and e1, e2 the floors of (-c2 -+ s) / 3,
@@ -415,6 +438,10 @@ def _cubic_integer_roots(H: list) -> list:
     Fujiwara bound on the roots, is bisected exactly.  The first root r
     found is divided out and the quotient quadratic solved with isqrt."""
     c0, c1, c2 = H[0], H[1], H[2]
+    p, q = 9 * c1 - 3 * c2 * c2, 27 * c0 - 9 * c1 * c2 + 2 * c2 * c2 * c2
+    for ell, table in _cubic_root_tables():
+        if not table[p % ell * ell + q % ell]:
+            return []
 
     def h(x: int) -> int:
         return ((x + c2) * x + c1) * x + c0
@@ -440,7 +467,8 @@ def _cubic_integer_roots(H: list) -> list:
     # H = (X - root)(X^2 + q1 X + q0)
     q1 = c2 + root
     q0 = c1 + root * q1
-    assert c0 + root * q0 == 0, "integer cubic root search found a non-root"
+    if c0 + root * q0:
+        raise AssertionError("integer cubic root search found a non-root")
     return sorted([root] + _quadratic_integer_roots([q0, q1, 1]))
 
 

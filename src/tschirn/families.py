@@ -4,21 +4,21 @@ simplest cubics, the explicit b(u) / n(z) parameterizations, and an exact
 integer scan for equal-splitting Shanks pairs.
 
 The scan asks whether a monic integer cubic has an integer root.  It first
-looks the cubic up in tables of the cubics Y^3 + aY + b that have a root mod
-each prime l from 5 to 47: an integer root is also a root mod every l, so no
-root mod some l proves no integer root.  Only the few cubics that pass every
-table go on to the exact integer root search of ``factorq``, so every "has a
-root" answer is still exact."""
+looks the cubic up in ``factorq._cubic_root_tables``, of the cubics
+Y^3 + aY + b with a root mod each prime l from 5 to 47: an integer root is
+also a root mod every l, so no root mod some l proves no integer root.  It
+reads them in its own loop, with no call per test.  Only the few cubics that
+pass every table go on to the exact integer root search of ``factorq``, so
+every "has a root" answer is still exact."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
 from .decide import TschirnCoeffs, _avoid_zero_A, galois_type, verify_transformation
-from .factorq import _cubic_integer_roots, is_square_rat
+from .factorq import _cubic_integer_roots, _cubic_root_tables, is_square_rat
 from .fields import QQ, MathDomainError
 from .resolvent import CubicTriple, cubic_invariants, shanks_delta, shanks_triple
 
@@ -148,23 +148,6 @@ def rationals_by_height(max_height: int):
 # --------------------------------------------------------------------------
 # Integer scan over Shanks pairs.
 # --------------------------------------------------------------------------
-
-
-_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
-@cache
-def _cubic_root_tables() -> tuple:
-    """For each sieve prime l, the pair (l, table): table[a*l + b] is 1 when
-    Y^3 + aY + b has a root mod l, else 0.  Built on first use."""
-    tables = []
-    for ell in _SIEVE_PRIMES:
-        table = bytearray(ell * ell)
-        for a in range(ell):
-            for y in range(ell):
-                table[a * ell + (-(y * y * y + a * y)) % ell] = 1
-        tables.append((ell, bytes(table)))
-    return tuple(tables)
 
 
 def _monic_depressed_cubic_has_integer_root(p: int, q: int) -> bool:

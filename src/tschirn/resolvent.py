@@ -99,9 +99,11 @@ class CubicTriple:
     @cached_property
     def _model(self) -> tuple:
         """Over Q: (H, ell) = integer_model(f3(self)) and the invariants
-        (A, B, C, D, E) of H, all ints; built once per triple."""
+        (A, B, C, D, E) of H, all ints, checked as in cubic_invariants."""
         H, ell = integer_model(self.poly(QQ))
-        return H, ell, _invariant_formulas(-H[2], H[1], -H[0])
+        inv = _invariant_formulas(-H[2], H[1], -H[0])
+        _check_invariants(inv, zpoly.discriminant(H))
+        return H, ell, inv
 
 
 @dataclass(frozen=True)
@@ -115,14 +117,14 @@ class CubicInvariants:
 
 def cubic_invariants(s: CubicTriple) -> CubicInvariants:
     """A, B, C, D, E of the triple in its field, computed once per triple and
-    kept on it.  The computation asserts the identity 4A^3 - B^2 = 27D and
+    kept on it.  The computation checks the identity 4A^3 - B^2 = 27D and
     cross-checks D against a second route: over Q the integer discriminant
     of the monic integer model H = X^3 - t1 X^2 + t2 X - t3, t_i = ell^i s_i
     (see ``factorq.integer_model``), as a 5x5 Sylvester determinant by
     Bareiss elimination; over F_p and GF(p^k) the resultant discriminant of
-    f3(s).  So the checks also run once per triple.  Over Q, H, ell and the
-    invariants of H as ints stay on the triple too (``_model``), and the
-    decision reads roots, images and recovered witnesses off them."""
+    f3(s).  Over Q both checks run on ints, once, as the triple builds its
+    model (``_model``: H, ell and the invariants of H), which these divide
+    by powers of ell; decide reads D and its square class off the model."""
     return s._invariants
 
 
@@ -141,20 +143,23 @@ def _invariant_formulas(s1, s2, s3) -> tuple:
     )
 
 
+def _check_invariants(inv: tuple, disc) -> None:
+    A, B, _, D, _ = inv
+    if D != disc:
+        raise AssertionError("discriminant routes disagree")
+    if 4 * A**3 - B**2 != 27 * D:
+        raise AssertionError("4A^3 - B^2 = 27D violated")
+
+
 def _compute_invariants(s: CubicTriple, field) -> CubicInvariants:
     if field is QQ:
         # A, B, C, D, E are weighted homogeneous of weights 2, 3, 4, 6, 3,
         # so on t_i = ell^i s_i they are ell^weight times those of s.
-        H, ell, inv = s._model
-        disc = zpoly.discriminant(H)
-    else:
-        inv = _invariant_formulas(*s.values(field))
-        disc = poly_discriminant(s.poly(field))
-    A, B, _, D, _ = inv
-    assert D == disc, "discriminant routes disagree"
-    assert 4 * A**3 - B**2 == 27 * D, "4A^3 - B^2 = 27D violated"
-    if field is QQ:
-        inv = (Fraction(v, ell**w) for v, w in zip(inv, (2, 3, 4, 6, 3)))
+        _, ell, inv = s._model
+        return CubicInvariants(*(Fraction(v, ell**w)
+                                 for v, w in zip(inv, (2, 3, 4, 6, 3))))
+    inv = _invariant_formulas(*s.values(field))
+    _check_invariants(inv, poly_discriminant(s.poly(field)))
     return CubicInvariants(*inv)
 
 

@@ -2,8 +2,12 @@
 verified witnesses, coefficient recovery, the multiple-root branch, and the
 subfield classification table."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -765,6 +769,42 @@ class TestComputedOnce:
         eq, w = decide_same_splitting(a, b)
         assert eq and verify_transformation(a, b, w)
         assert len(calls) == 2 + hops
+
+
+    @pytest.mark.parametrize(
+        "pair",
+        [((1, 3, 3), (0, 3, 0)),     # reducible
+         ((0, 3, -2), (0, -1, 1)),   # different square classes
+         ((0, 0, 2), (0, -1, 1)),    # A_a = 0, different square classes
+         ((0, 3, -2), (3, -3, 3))],  # on the locus
+    )
+    def test_no_rational_invariants_off_the_hop(self, monkeypatch, pair):
+        # these branches read D, A and the square class off the integer
+        # models, and build no CubicInvariants
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        built = _counting(monkeypatch, [resolvent_mod], "_compute_invariants")
+        decide_same_splitting(a, b)
+        assert not built
+
+    def test_model_check_runs_on_the_decision_path(self, monkeypatch):
+        # the cross-check of D runs as each triple builds its integer model
+        discriminant = zpoly_mod.discriminant
+        monkeypatch.setattr(zpoly_mod, "discriminant", lambda H: discriminant(H) + 1)
+        a, b = (CubicTriple(*v) for v in TABLE_INSTANCES[("S3", "S3", "Equal")])
+        with pytest.raises(AssertionError, match="discriminant routes disagree"):
+            decide_same_splitting(a, b)
+
+    def test_model_check_survives_optimize(self):
+        # the checks raise AssertionError explicitly, so python -O keeps them
+        code = ("import tschirn.zpoly as z; d = z.discriminant; "
+                "z.discriminant = lambda H: d(H) + 1; "
+                "from tschirn import CubicTriple, decide_same_splitting; "
+                "decide_same_splitting(CubicTriple(0, -1, -1), CubicTriple(2, 3, 1))")
+        src = str(Path(decide_mod.__file__).resolve().parent.parent)
+        run = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 1
+        assert "AssertionError: discriminant routes disagree" in run.stderr
 
 
 class TestShortcutsAgainstFactoring:

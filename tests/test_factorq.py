@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import tschirn.factorq as factorq_mod
 from tschirn import zpoly
+from tschirn.decide import decide_same_splitting
 from tschirn.fields import QQ, PrimeField, is_prime
 from tschirn.poly import UniPoly, poly_discriminant
 from tschirn.resolvent import CubicTriple, cubic_invariants, resolvent_F2, tschirn_image
@@ -524,6 +525,48 @@ class TestCubicRootSearch:
         assert all(isinstance(c, int) for c in H)
         assert UniPoly(QQ, H) == UniPoly(QQ, [c * ell**(3 - i) for i, c in enumerate(f.coeffs)])
         assert integer_model(qpoly(-6, 11, -6, 1)) == ([-6, 11, -6, 1], 1)
+
+
+class TestRootSieve:
+    """The root-count tables shared by _cubic_integer_roots and the scan of
+    families: an integer root is a root mod every sieve prime."""
+
+    def test_tables_match_brute_force(self):
+        tables = factorq_mod._cubic_root_tables()
+        assert tuple(ell for ell, _ in tables) == factorq_mod._SIEVE_PRIMES
+        for ell, table in tables:
+            assert len(table) == ell * ell
+            for a in range(ell):
+                for b in range(ell):
+                    has_root = any((y**3 + a * y + b) % ell == 0
+                                   for y in range(ell))
+                    assert table[a * ell + b] == has_root, (ell, a, b)
+
+    @given(st.integers(-10**15, 10**15), st.integers(-10**15, 10**15),
+           st.integers(-10**15, 10**15), st.integers(0, 2))
+    @settings(max_examples=300)
+    def test_planted_root_passes_the_sieve(self, r, p, q, k):
+        # H = (X - r)(X^2 + pX + q) with c2 = p - r = k mod 3: the change of
+        # variable Y = 3X + c2 is exercised in every residue class
+        p -= (p - r - k) % 3
+        H = [-r * q, q - r * p, p - r, 1]
+        assert H[2] % 3 == k
+        assert r in _cubic_integer_roots(H)
+
+    @pytest.mark.parametrize(
+        "pair",
+        [((0, 3, -2), (0, -1, 1)),   # S3 TrivialMeet, different square classes
+         ((0, -1, -1), (2, 3, 1))],  # S3 Equal
+    )
+    def test_tables_reject_before_bisection(self, monkeypatch, pair):
+        searches, bisections = [], []
+        search, bisect = _cubic_integer_roots, factorq_mod._monotone_integer_root
+        monkeypatch.setattr(factorq_mod, "_monotone_integer_root",
+                            lambda *a: bisections.append(a) or bisect(*a))
+        monkeypatch.setattr("tschirn.decide._cubic_integer_roots",
+                            lambda H: searches.append(H) or search(H))
+        decide_same_splitting(CubicTriple(*pair[0]), CubicTriple(*pair[1]))
+        assert len(searches) == 2 and not bisections
 
 
 @st.composite

@@ -447,17 +447,6 @@ _KNOWN_SCAN_PAIRS = ((-1, 5), (-1, 12), (-1, 1259), (0, 3), (0, 54), (1, 66),
 
 
 class TestRootSieve:
-    def test_tables_match_brute_force(self):
-        tables = families._cubic_root_tables()
-        assert tuple(ell for ell, _ in tables) == families._SIEVE_PRIMES
-        for ell, table in tables:
-            assert len(table) == ell * ell
-            for a in range(ell):
-                for b in range(ell):
-                    has_root = any((y**3 + a * y + b) % ell == 0
-                                   for y in range(ell))
-                    assert table[a * ell + b] == has_root, (ell, a, b)
-
     @given(st.one_of(_free_cubics, _rooted_cubics))
     @settings(max_examples=300)
     def test_sieved_test_matches_divisor_search(self, pq):
