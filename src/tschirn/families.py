@@ -7,9 +7,10 @@ The scan asks whether a monic integer cubic has an integer root.  It first
 looks the cubic up in ``factorq._cubic_root_tables``, of the cubics
 Y^3 + aY + b with a root mod each prime l from 5 to 47: an integer root is
 also a root mod every l, so no root mod some l proves no integer root.  It
-reads them in its own loop, with no call per test.  Only the few cubics that
-pass every table go on to the exact integer root search of ``factorq``, so
-every "has a root" answer is still exact."""
+reads them in its own loop, not through ``_cubic_integer_roots``, which would
+add a call and a change of variable per test.  Only the few cubics that pass
+every table go on to that exact integer root search, so every "has a root"
+answer is still exact."""
 
 from __future__ import annotations
 

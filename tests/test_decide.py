@@ -770,7 +770,6 @@ class TestComputedOnce:
         assert eq and verify_transformation(a, b, w)
         assert len(calls) == 2 + hops
 
-
     @pytest.mark.parametrize(
         "pair",
         [((1, 3, 3), (0, 3, 0)),     # reducible

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tschirn.decide as decide_mod
 import tschirn.factorq as factorq_mod
 from tschirn import zpoly
 from tschirn.decide import decide_same_splitting
@@ -528,7 +529,7 @@ class TestCubicRootSearch:
 
 
 class TestRootSieve:
-    """The root-count tables shared by _cubic_integer_roots and the scan of
+    """The root tables shared by _cubic_integer_roots and the scan of
     families: an integer root is a root mod every sieve prime."""
 
     def test_tables_match_brute_force(self):
@@ -559,14 +560,22 @@ class TestRootSieve:
          ((0, -1, -1), (2, 3, 1))],  # S3 Equal
     )
     def test_tables_reject_before_bisection(self, monkeypatch, pair):
-        searches, bisections = [], []
-        search, bisect = _cubic_integer_roots, factorq_mod._monotone_integer_root
-        monkeypatch.setattr(factorq_mod, "_monotone_integer_root",
-                            lambda *a: bisections.append(a) or bisect(*a))
-        monkeypatch.setattr("tschirn.decide._cubic_integer_roots",
-                            lambda H: searches.append(H) or search(H))
+        calls = {}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(decide_mod, "_cubic_integer_roots")
+        counting(factorq_mod, "_monotone_integer_root")
         decide_same_splitting(CubicTriple(*pair[0]), CubicTriple(*pair[1]))
-        assert len(searches) == 2 and not bisections
+        # both cubics are searched once, and neither is bisected
+        assert calls == {"_cubic_integer_roots": 2}
 
 
 @st.composite
