@@ -19,14 +19,17 @@ pattern of F2 off the same closed form instead of factoring.
 
 Everything here works over Q; the arithmetic is exact throughout.  Each
 triple keeps one monic integer model (H, ell) with the invariants of H,
-checked once (see cubic_invariants), and the branches run on its ints: the
+built from its three coefficients and checked once against a 3x3 Bezout
+discriminant (see cubic_invariants), and the branches run on its ints: the
 tests D != 0 and of the square class (D_H = ell^6 D), the root search of
 the reducibility test, the locus root, the recovery of the witness at a
-root of F2, the reducible witnesses, and the composition and inversion of
-the A = 0 hops in Z[X]/(H).  Rational invariants are built only for an
-A = 0 hop and for F2 off the locus.  A transformation witness is a triple
-(c0, c1, c2) meaning u(X) = c0 + c1 X + c2 X^2, and it certifies
-g3(a, c; X) = f3(b; X), i.e. u maps the roots of f3(a) onto those of f3(b).
+root of F2, the reducible witnesses, the composition and inversion of the
+A = 0 hops in Z[X]/(H), and the verification of every witness, which
+compares the image of a's model with b's model with no Fraction built.
+Rational invariants are built only for an A = 0 hop and for F2 off the
+locus.  A transformation witness is a triple (c0, c1, c2) meaning
+u(X) = c0 + c1 X + c2 X^2, and it certifies g3(a, c; X) = f3(b; X), i.e. u
+maps the roots of f3(a) onto those of f3(b).
 """
 
 import math
@@ -45,6 +48,7 @@ from .resolvent import (
     _double_root_fiber,
     _from_model_coords,
     _model_coords,
+    _model_image,
     _model_mul,
     _recovery_at,
     _trace_u0,
@@ -188,8 +192,17 @@ def _coeff_tuple(c) -> tuple:
 
 
 def verify_transformation(a: CubicTriple, b: CubicTriple, c) -> bool:
-    """True iff Resultant_Y(f3(a;Y), X - (c0 + c1 Y + c2 Y^2)) = f3(b;X)."""
-    image = tschirn_image(a, _coeff_tuple(c))
+    """True iff Resultant_Y(f3(a;Y), X - (c0 + c1 Y + c2 Y^2)) = f3(b;X).
+    Over Q the comparison runs on ints: the image has the triple E_i / m^i
+    (_model_image) and b the triple t_i / mu^i of its integer model
+    (H_b, mu), so they agree iff E_i mu^i == t_i m^i for i = 1, 2, 3."""
+    c = _coeff_tuple(c)
+    if a.field is QQ and b.field is QQ:
+        e, m = _model_image(a, c)
+        H, mu, _ = b._model
+        return (e[0] * mu == -H[2] * m and e[1] * mu * mu == H[1] * m * m
+                and e[2] * mu**3 == -H[0] * m**3)
+    image = tschirn_image(a, c)
     field = image.field if image.field is not QQ else b.field
     return image.values(field) == b.values(field)
 

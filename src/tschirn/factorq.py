@@ -83,19 +83,19 @@ class Factorization:
 # --------------------------------------------------------------------------
 
 
-def integer_model(f: UniPoly) -> tuple:
-    """(H, ell) for a monic rational f of degree d: ell is the lcm of the
-    denominators of f's coefficients and H = ell^d f(X / ell), a monic
-    polynomial with integer coefficients, as an int list.  The roots of H
-    are ell times the roots of f.
+def integer_model(coeffs) -> tuple:
+    """(H, ell) for the ascending coefficients (ints or Fractions) of a
+    monic rational f of degree d: ell is the lcm of their denominators and
+    H = ell^d f(X / ell), a monic polynomial with integer coefficients, as
+    an int list.  The roots of H are ell times the roots of f.
 
-    >>> integer_model(UniPoly(QQ, (Fraction(1, 4), Fraction(-1, 2), 0, 1)))
+    >>> integer_model((Fraction(1, 4), Fraction(-1, 2), 0, 1))
     ([16, -8, 0, 1], 4)
     """
-    ell = math.lcm(*(c.denominator for c in f.coeffs))
-    d = f.degree
+    ell = math.lcm(*(c.denominator for c in coeffs))
+    d = len(coeffs) - 1
     return [c.numerator * (ell ** (d - i) // c.denominator)
-            for i, c in enumerate(f.coeffs)], ell
+            for i, c in enumerate(coeffs)], ell
 
 
 # --------------------------------------------------------------------------
@@ -368,14 +368,14 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     g = f.monic()
     if g.degree == 0:
         return Factorization(unit, ())
-    H, ell = integer_model(g)
+    H, ell = integer_model(g.coeffs)
     p = _squarefree_prime(H, _SQUAREFREE_PRIMES)
     if p is not None:
         found = dict.fromkeys(_factor_squarefree_q(H, ell, p), 1)
     else:
         found = {}
         for piece, mult in _yun_squarefree_q(g):
-            for h in _factor_squarefree_q(*integer_model(piece)):
+            for h in _factor_squarefree_q(*integer_model(piece.coeffs)):
                 found[h] = found.get(h, 0) + mult
     factors = sorted(found.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
     return Factorization(unit, tuple(factors))
@@ -395,7 +395,7 @@ def rational_roots(f: UniPoly) -> list:
     if not f:
         raise ValueError("every rational is a root of the zero polynomial")
     if f.degree in (2, 3) and f.field is QQ:
-        H, ell = integer_model(f if f.lc == 1 else f.monic())
+        H, ell = integer_model((f if f.lc == 1 else f.monic()).coeffs)
         search = _cubic_integer_roots if f.degree == 3 else _quadratic_integer_roots
         return [Fraction(r, ell) for r in search(H)]
     roots = []

@@ -345,7 +345,7 @@ def charpoly(field, rows) -> UniPoly:
     return UniPoly(field, p[n])
 
 
-def _det3(field, m):
+def _det3(m):
     return (
         m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
         - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -367,10 +367,10 @@ def vandermonde_solve(rt: RootTuple, tau) -> tuple:
     rhs = [rt.ys[tau[i]] for i in range(n)]
     u = linear_solve(field, rows, rhs)
     if n == 3:
-        det = _det3(field, rows)
+        det = _det3(rows)
         for j in range(3):
             mj = [row[:j] + [rhs[i]] + row[j + 1 :] for i, row in enumerate(rows)]
-            assert u[j] * det == _det3(field, mj), "Cramer cross-check failed"
+            assert u[j] * det == _det3(mj), "Cramer cross-check failed"
     return u
 
 

@@ -37,13 +37,7 @@ from itertools import permutations
 from . import zpoly
 from .factorq import integer_model, is_square_rat
 from .fields import QQ, MathDomainError, field_of
-from .poly import (
-    RootTuple,
-    UniPoly,
-    charpoly,
-    poly_discriminant,
-    vandermonde_solve,
-)
+from .poly import RootTuple, UniPoly, _det3, charpoly, vandermonde_solve
 
 # --------------------------------------------------------------------------
 # Parameter triples and invariants.
@@ -98,12 +92,15 @@ class CubicTriple:
 
     @cached_property
     def _model(self) -> tuple:
-        """Over Q: (H, ell) = integer_model(f3(self)) and the invariants
-        (A, B, C, D, E) of H, all ints, checked as in cubic_invariants."""
-        H, ell = integer_model(self.poly(QQ))
-        inv = _invariant_formulas(-H[2], H[1], -H[0])
-        _check_invariants(inv, zpoly.discriminant(H))
-        return H, ell, inv
+        """Over Q: (H, ell) = integer_model of f3(self), built from the
+        three coefficients, and the invariants (A, B, C, D, E) of H, all
+        ints, checked as in cubic_invariants."""
+        # t_i = ell^i a_i: the model of X^3 + a1 X^2 + a2 X + a3 = -f3(-X)
+        # has them for coefficients, and no Fraction is negated
+        (t3, t2, t1, _), ell = integer_model((self.a3, self.a2, self.a1, 1))
+        inv = _invariant_formulas(t1, t2, t3)
+        _check_invariants(inv, _bezout_discriminant(-t3, t2, -t1))
+        return [-t3, t2, -t1, 1], ell, inv
 
 
 @dataclass(frozen=True)
@@ -118,13 +115,13 @@ class CubicInvariants:
 def cubic_invariants(s: CubicTriple) -> CubicInvariants:
     """A, B, C, D, E of the triple in its field, computed once per triple and
     kept on it.  The computation checks the identity 4A^3 - B^2 = 27D and
-    cross-checks D against a second route: over Q the integer discriminant
-    of the monic integer model H = X^3 - t1 X^2 + t2 X - t3, t_i = ell^i s_i
-    (see ``factorq.integer_model``), as a 5x5 Sylvester determinant by
-    Bareiss elimination; over F_p and GF(p^k) the resultant discriminant of
-    f3(s).  Over Q both checks run on ints, once, as the triple builds its
-    model (``_model``: H, ell and the invariants of H), which these divide
-    by powers of ell; decide reads D and its square class off the model."""
+    cross-checks D against a resultant: the 3x3 Bezout determinant of the
+    monic cubic and its derivative (_bezout_discriminant), in every field.
+    Over Q both checks run on ints, once, as the triple builds its model
+    (``_model``: the monic integer model H = X^3 - t1 X^2 + t2 X - t3,
+    t_i = ell^i s_i, see ``factorq.integer_model``, and the invariants of
+    H), which these divide by powers of ell; decide reads D and its square
+    class off the model."""
     return s._invariants
 
 
@@ -143,6 +140,17 @@ def _invariant_formulas(s1, s2, s3) -> tuple:
     )
 
 
+def _bezout_discriminant(c0, c1, c2):
+    """Disc f = -Res(f, f') of f = X^3 + c2 X^2 + c1 X + c0, in any
+    commutative ring, as the determinant of the 3x3 Bezout matrix of f and
+    f', which is -Res(f, f').  The identity holds over Z, so it holds in
+    characteristics 2 and 3 too, where f' drops degree."""
+    m = c1 * c2 - 3 * c0
+    return _det3(((c1 * c1 - 2 * c0 * c2, m, c1),
+                  (m, 2 * c2 * c2 - 2 * c1, 2 * c2),
+                  (c1, 2 * c2, 3)))
+
+
 def _check_invariants(inv: tuple, disc) -> None:
     A, B, _, D, _ = inv
     if D != disc:
@@ -158,8 +166,9 @@ def _compute_invariants(s: CubicTriple, field) -> CubicInvariants:
         _, ell, inv = s._model
         return CubicInvariants(*(Fraction(v, ell**w)
                                  for v, w in zip(inv, (2, 3, 4, 6, 3))))
-    inv = _invariant_formulas(*s.values(field))
-    _check_invariants(inv, poly_discriminant(s.poly(field)))
+    s1, s2, s3 = s.values(field)
+    inv = _invariant_formulas(s1, s2, s3)
+    _check_invariants(inv, _bezout_discriminant(-s3, s2, -s1))
     return CubicInvariants(*inv)
 
 
@@ -190,15 +199,22 @@ def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
     Over F_p and GF(p^k), _image_formulas runs on field elements.  Over Q it
     runs on ints, on the integer model (H, ell) kept on s: u = v/M with
     v = k0 + k1 beta + k2 beta^2, beta = ell alpha (_model_coords), and v
-    has the integer triple (E1, E2, E3), so u has (E1/M, E2/M^2, E3/M^3)."""
+    has the integer triple (E1, E2, E3) of _model_image, so u has
+    (E1/M, E2/M^2, E3/M^3)."""
     field = s.field
     if field is not QQ:
         return CubicTriple(*_image_formulas(*s.values(field),
                                             *_reduced(s, coeffs, field)))
+    (e1, e2, e3), m = _model_image(s, coeffs)
+    return CubicTriple(Fraction(e1, m), Fraction(e2, m * m), Fraction(e3, m**3))
+
+
+def _model_image(s: CubicTriple, coeffs) -> tuple:
+    """((E1, E2, E3), M), ints, for rational s and coeffs: the image of f3(s)
+    under u is the triple (E_i / M^i) (see tschirn_image)."""
     H = s._model[0]
     k, m = _model_coords(s, coeffs)
-    e1, e2, e3 = _image_formulas(-H[2], H[1], -H[0], *k)
-    return CubicTriple(Fraction(e1, m), Fraction(e2, m * m), Fraction(e3, m**3))
+    return _image_formulas(-H[2], H[1], -H[0], *k), m
 
 
 def _reduced(s: CubicTriple, coeffs, field) -> list:

@@ -153,43 +153,3 @@ def distinct_degree(f, p: int) -> list:
         out.append((v, len(v) - 1))
     return out
 
-
-def det(rows) -> int:
-    """Determinant of a square integer matrix by Bareiss' fraction-free
-    elimination: every division is exact, so all entries stay integers."""
-    m = [list(r) for r in rows]
-    n = len(m)
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            row, lead = m[i], m[i][k]
-            for j in range(k + 1, n):
-                row[j] = (row[j] * pivot - lead * m[k][j]) // prev
-        prev = pivot
-    return sign * m[-1][-1]
-
-
-def sylvester(a, b) -> list:
-    """The Sylvester matrix of a and b (degrees m, n >= 1): n shifted rows of
-    a, then m shifted rows of b, leading coefficients first."""
-    m, n = len(a) - 1, len(b) - 1
-    ra, rb = list(a)[::-1], list(b)[::-1]
-    return [[0] * i + ra + [0] * (n - 1 - i) for i in range(n)] + [
-        [0] * i + rb + [0] * (m - 1 - i) for i in range(m)
-    ]
-
-
-def discriminant(a) -> int:
-    """Disc(a) = (-1)^(d(d-1)/2) Res(a, a') / lc(a) over Z, for a of degree
-    d >= 2, with the resultant the Sylvester determinant."""
-    d = len(a) - 1
-    res = det(sylvester(a, [i * a[i] for i in range(1, d + 1)]))
-    val = res // a[-1]
-    return -val if (d * (d - 1) // 2) % 2 else val

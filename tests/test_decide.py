@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import tschirn.decide as decide_mod
 import tschirn.factorq as factorq_mod
+import tschirn.poly as poly_mod
 import tschirn.resolvent as resolvent_mod
-import tschirn.zpoly as zpoly_mod
 from tschirn.decide import (
     FACTOR_PATTERNS,
     TABLE_INSTANCES,
@@ -48,6 +48,7 @@ from tschirn.resolvent import (
     resolvent_F2,
     shanks_triple,
     tschirn_image,
+    _image_formulas,
     _recovery_at,
     _trace_u0,
 )
@@ -151,6 +152,60 @@ class TestVerifyTransformation:
             rows = [[powers[j][i] for j in range(3)] for i in range(3)]
             assert invert_transformation(a, u).as_tuple() == linear_solve(
                 QQ, rows, (0, 1, 0))
+
+    @staticmethod
+    def _image_on_fractions(a, c) -> tuple:
+        # no integer model: c reduced mod f3(a) in Q[X], then the triple of
+        # multiplication by u on Q[X]/f3(a)
+        u = UniPoly(QQ, [QQ(x) for x in c]) % a.poly()
+        return _image_formulas(*a.values(), *(u[i] for i in range(3)))
+
+    @staticmethod
+    def _rational_pair(rng, length=3):
+        """(a, b, c): a with rational coefficients, c a random coefficient
+        list and b the image of a under c, computed on Fractions."""
+        def rat():
+            return Fraction(rng.randint(-10**9, 10**9), rng.randint(2, 10**4))
+
+        a = CubicTriple(rat(), rat(), rat())
+        c = tuple(rat() for _ in range(length))
+        return a, CubicTriple(*TestVerifyTransformation._image_on_fractions(a, c)), c
+
+    def test_integer_route_matches_fraction_image(self):
+        # ell, mu > 1 on both models, and lists longer than 3, which are
+        # reduced mod f3(a) first
+        rng = random.Random(41)
+        scaled = 0
+        for n in range(80):
+            a, b, c = self._rational_pair(rng, 3 + n % 4)
+            scaled += a._model[1] > 1 and b._model[1] > 1
+            other = self._rational_pair(rng)[1]
+            for t in (b, other, CubicTriple(b.a1, b.a2 + 1, b.a3)):
+                expected = self._image_on_fractions(a, c) == t.values()
+                assert verify_transformation(a, t, c) is expected
+            assert verify_transformation(a, b, c)
+        assert scaled >= 75
+
+    def test_rejects_one_coefficient_perturbations(self):
+        # a wrong power of ell or mu in the integer comparison would accept
+        # some of these
+        rng = random.Random(43)
+        for _ in range(25):
+            a, b, c = self._rational_pair(rng)
+            assert verify_transformation(a, b, c)
+            ell, mu = a._model[1], b._model[1]
+            bumps = (lambda x: x + 1, lambda x: x - 1, lambda x: x * ell,
+                     lambda x: x / ell, lambda x: x * mu, lambda x: x / mu,
+                     lambda x: -x)
+            for j in range(3):
+                for bump in bumps:
+                    if bump(c[j]) != c[j]:
+                        w = c[:j] + (bump(c[j]),) + c[j + 1:]
+                        assert not verify_transformation(a, b, w)
+                    vals = list(b.values())
+                    if bump(vals[j]) != vals[j]:
+                        vals[j] = bump(vals[j])
+                        assert not verify_transformation(a, CubicTriple(*vals), c)
 
 
 class TestRecoverCoeffs:
@@ -670,10 +725,10 @@ class TestComputedOnce:
         assert degeneracy_indicator(a, b)
         # fresh triples: the checks above filled the caches of the first ones
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
-        # over Q the cross-check of D is the integer discriminant of the
-        # integer model; the resultant route is for F_p and GF(p^k) only
-        calls = _counting(monkeypatch, [zpoly_mod], "discriminant")
-        resultant = _counting(monkeypatch, [resolvent_mod], "poly_discriminant")
+        # over Q the cross-check of D is the Bezout discriminant of the
+        # integer model, and no resultant runs through the poly module
+        calls = _counting(monkeypatch, [resolvent_mod], "_bezout_discriminant")
+        resultant = _counting(monkeypatch, [poly_mod], "poly_resultant")
         decide_same_splitting(a, b)
         assert len(calls) == 2 and not resultant
 
@@ -765,7 +820,7 @@ class TestComputedOnce:
         # and it serves the invariants, roots, recovery and verification
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
         calls = _counting(monkeypatch, [factorq_mod, resolvent_mod],
-                          "integer_model", lambda f: f.degree == 3)
+                          "integer_model", lambda c: len(c) == 4)
         eq, w = decide_same_splitting(a, b)
         assert eq and verify_transformation(a, b, w)
         assert len(calls) == 2 + hops
@@ -787,16 +842,17 @@ class TestComputedOnce:
 
     def test_model_check_runs_on_the_decision_path(self, monkeypatch):
         # the cross-check of D runs as each triple builds its integer model
-        discriminant = zpoly_mod.discriminant
-        monkeypatch.setattr(zpoly_mod, "discriminant", lambda H: discriminant(H) + 1)
+        discriminant = resolvent_mod._bezout_discriminant
+        monkeypatch.setattr(resolvent_mod, "_bezout_discriminant",
+                            lambda *c: discriminant(*c) + 1)
         a, b = (CubicTriple(*v) for v in TABLE_INSTANCES[("S3", "S3", "Equal")])
         with pytest.raises(AssertionError, match="discriminant routes disagree"):
             decide_same_splitting(a, b)
 
     def test_model_check_survives_optimize(self):
         # the checks raise AssertionError explicitly, so python -O keeps them
-        code = ("import tschirn.zpoly as z; d = z.discriminant; "
-                "z.discriminant = lambda H: d(H) + 1; "
+        code = ("import tschirn.resolvent as r; d = r._bezout_discriminant; "
+                "r._bezout_discriminant = lambda *c: d(*c) + 1; "
                 "from tschirn import CubicTriple, decide_same_splitting; "
                 "decide_same_splitting(CubicTriple(0, -1, -1), CubicTriple(2, 3, 1))")
         src = str(Path(decide_mod.__file__).resolve().parent.parent)

@@ -521,11 +521,11 @@ class TestCubicRootSearch:
 
     def test_integer_model(self):
         f = qpoly(Fraction(-5, 12), Fraction(1, 6), Fraction(-3, 4), 1)
-        H, ell = integer_model(f)
+        H, ell = integer_model(f.coeffs)
         assert ell == 12 and H[-1] == 1
         assert all(isinstance(c, int) for c in H)
         assert UniPoly(QQ, H) == UniPoly(QQ, [c * ell**(3 - i) for i, c in enumerate(f.coeffs)])
-        assert integer_model(qpoly(-6, 11, -6, 1)) == ([-6, 11, -6, 1], 1)
+        assert integer_model(qpoly(-6, 11, -6, 1).coeffs) == ([-6, 11, -6, 1], 1)
 
 
 class TestRootSieve:

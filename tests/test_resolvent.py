@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tschirn.factorq as factorq_mod
+import tschirn.resolvent as resolvent_mod
 from tschirn.factorq import factor_over_Q, rational_roots
 from tschirn.fields import QQ, MathDomainError, PrimeField, gf_build
 from tschirn.poly import (
@@ -23,6 +24,7 @@ from tschirn.poly import (
 )
 from tschirn.resolvent import (
     CubicTriple,
+    _bezout_discriminant,
     _double_root_fiber,
     _trace_u0,
     cubic_invariants,
@@ -215,6 +217,80 @@ class TestInvariants:
             resolvent_F2(s, t)
         with pytest.raises(MathDomainError):
             resolvent_F1(s, t)
+
+
+def _disc_by_roots(xs):
+    x1, x2, x3 = xs
+    return ((x1 - x2) * (x1 - x3) * (x2 - x3)) ** 2
+
+
+def _coeffs_of_roots(xs):
+    """(c0, c1, c2) of the monic cubic (X - x1)(X - x2)(X - x3)."""
+    x1, x2, x3 = xs
+    return -(x1 * x2 * x3), x1 * x2 + x1 * x3 + x2 * x3, -(x1 + x2 + x3)
+
+
+#: The finite fields of the Bezout check: resolvent-ff's three, and
+#: characteristics 2 and 3, where f' = 3X^2 + 2 c2 X + c1 loses degree.
+BEZOUT_FIELDS = {
+    "F_101": PrimeField(101),
+    "GF(5^2)": gf_build(5, 2, 0),
+    "GF(7^3)": gf_build(7, 3, 0),
+    "F_2": PrimeField(2),
+    "F_3": PrimeField(3),
+    "GF(2^3)": gf_build(2, 3, 0),
+    "GF(3^2)": gf_build(3, 2, 0),
+    "GF(3^3)": gf_build(3, 3, 0),
+}
+
+
+class TestBezoutDiscriminant:
+    """The 3x3 Bezout determinant that cross-checks D, against the resultant
+    discriminant and against the product of squared root differences."""
+
+    @given(st.tuples(*[st.integers(-(10**30), 10**30)] * 3))
+    @settings(max_examples=200)
+    def test_rational_matches_resultant_route(self, c):
+        f = UniPoly(QQ, (*c, 1))
+        assert _bezout_discriminant(*c) == poly_discriminant(f)
+
+    @given(st.tuples(*[st.integers(-(10**10), 10**10)] * 3))
+    @settings(max_examples=200)
+    def test_rational_matches_root_differences(self, xs):
+        assert _bezout_discriminant(*_coeffs_of_roots(xs)) == _disc_by_roots(xs)
+
+    @pytest.mark.parametrize("name", list(BEZOUT_FIELDS))
+    def test_finite_fields(self, name):
+        K = BEZOUT_FIELDS[name]
+        rng = random.Random(name)
+        for _ in range(60):
+            c = tuple(rand_field_elt(K, rng) for _ in range(3))
+            assert _bezout_discriminant(*c) == poly_discriminant(UniPoly(K, (*c, K.one)))
+            xs = tuple(rand_field_elt(K, rng) for _ in range(3))
+            assert _bezout_discriminant(*_coeffs_of_roots(xs)) == _disc_by_roots(xs)
+        # f' = 0 in characteristic 3 when c1 = c2 = 0, and Disc = -27 c0^2
+        if K.char == 3:
+            c0 = rand_field_elt(K, rng, nonzero=True)
+            assert _bezout_discriminant(c0, K.zero, K.zero) == K.zero
+
+    def test_off_q_check_runs_in_resolvent_f2(self, monkeypatch):
+        # on fresh GF(7^3) triples the cross-check runs as F2 reads the
+        # invariants, and a route that disagrees stops it
+        K = BEZOUT_FIELDS["GF(7^3)"]
+        rng = random.Random(73)
+        pairs = []
+        while len(pairs) < 3:
+            xs, ys = ([rand_field_elt(K, rng) for _ in range(3)] for _ in range(2))
+            s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
+            if cubic_invariants(s).D and cubic_invariants(t).D:
+                resolvent_F2(s, t)
+                pairs.append((CubicTriple(*s.as_tuple()), CubicTriple(*t.as_tuple())))
+        discriminant = resolvent_mod._bezout_discriminant
+        monkeypatch.setattr(resolvent_mod, "_bezout_discriminant",
+                            lambda *c: discriminant(*c) + 1)
+        for s, t in pairs:
+            with pytest.raises(AssertionError, match="discriminant routes disagree"):
+                resolvent_F2(s, t)
 
 
 # --------------------------------------------------------------------------
