@@ -58,9 +58,7 @@ from .poly import (
     RootTuple,
     UniPoly,
     elementary_symmetric,
-    lagrange_interpolate,
     linear_solve,
-    poly_compose_scale,
     poly_discriminant,
     poly_gcd,
     poly_resultant,

@@ -55,7 +55,6 @@ from .resolvent import (
     resolvent_F0,
     resolvent_F1,
     resolvent_F2,
-    shanks_triple,
     tschirn_image,
 )
 
@@ -139,10 +138,6 @@ def _add_triple(sub: argparse.ArgumentParser, name: str, required_help: str):
 # --------------------------------------------------------------------------
 
 
-def _s(x) -> str:
-    return str(x)
-
-
 def _triple_str(t: CubicTriple) -> str:
     return ",".join(str(v) for v in t.values())
 
@@ -190,8 +185,8 @@ def _cmd_invariants(parser, ns) -> int:
     else:
         gtype = galois_type(a).tag
     result = {
-        "A": _s(inv.A), "B": _s(inv.B), "C": _s(inv.C),
-        "D": _s(inv.D), "E": _s(inv.E), "galois_type": gtype,
+        "A": str(inv.A), "B": str(inv.B), "C": str(inv.C),
+        "D": str(inv.D), "E": str(inv.E), "galois_type": gtype,
     }
     lines = [f"{k} = {inv_val}" for k, inv_val in
              (("A", inv.A), ("B", inv.B), ("C", inv.C), ("D", inv.D), ("E", inv.E))]
@@ -214,7 +209,7 @@ def _cmd_resolvent(parser, ns) -> int:
     result = {
         "index": ns.index,
         "poly": str(poly),
-        "coeffs": [_s(poly[i]) for i in range(7)],
+        "coeffs": [str(poly[i]) for i in range(7)],
     }
     _emit(ns, "resolvent", {"a": _triple_str(a), "b": _triple_str(b),
                             "index": str(ns.index)},
@@ -230,7 +225,7 @@ def _cmd_factor(parser, ns) -> int:
     fac = factor_over_Q(f)
     result = {
         "input": str(f),
-        "unit": _s(fac.unit),
+        "unit": str(fac.unit),
         "factors": [[str(g), m] for g, m in fac.factors],
         "degree_pattern": list(fac.degree_pattern()),
     }
@@ -240,7 +235,7 @@ def _cmd_factor(parser, ns) -> int:
     lines.append(
         "degree_pattern = " + ",".join(str(d) for d in fac.degree_pattern())
     )
-    _emit(ns, "factor", {"coeffs": [_s(c) for c in ns.coeffs]}, result,
+    _emit(ns, "factor", {"coeffs": [str(c) for c in ns.coeffs]}, result,
           text_lines=lines)
     return 0
 
@@ -298,7 +293,7 @@ def _cmd_transform(parser, ns) -> int:
                            "collapses roots")
     result = {"image": _triple_str(image), "poly": str(image.poly())}
     _emit(ns, "transform",
-          {"a": _triple_str(a), "c": ",".join(_s(c) for c in ns.coeffs)},
+          {"a": _triple_str(a), "c": ",".join(str(c) for c in ns.coeffs)},
           result, diagnostics=diagnostics,
           text_lines=[f"image = {_triple_str(image)}",
                       f"poly = {image.poly()}"])
@@ -308,7 +303,7 @@ def _cmd_transform(parser, ns) -> int:
 def _form_dict(nf) -> dict:
     return {
         "kind": nf.kind,
-        "params": [_s(p) for p in nf.params],
+        "params": [str(p) for p in nf.params],
         "target": _triple_str(nf.target),
         "target_poly": str(nf.target.poly()),
         "witness": _witness_list(nf.witness),
@@ -327,7 +322,7 @@ def _cmd_reduce(parser, ns) -> int:
     for nf in forms:
         lines += [
             f"kind = {nf.kind}",
-            f"params = {','.join(_s(p) for p in nf.params)}",
+            f"params = {','.join(str(p) for p in nf.params)}",
             f"target = {_triple_str(nf.target)}",
             f"target_poly = {nf.target.poly()}",
             f"witness = {_witness_str(nf.witness)}",
@@ -354,11 +349,11 @@ def _cmd_family(parser, ns) -> int:
                 if ns.u is not None:
                     raise
                 continue
-            rows.append([_s(u), _s(b)])
+            rows.append([str(u), str(b)])
             lines.append(f"u = {u} -> b = {b}")
-        result = {"kind": "s3", "a": _s(ns.a), "values": rows}
-        inputs = {"kind": "s3", "a": _s(ns.a),
-                  "u": None if ns.u is None else _s(ns.u),
+        result = {"kind": "s3", "a": str(ns.a), "values": rows}
+        inputs = {"kind": "s3", "a": str(ns.a),
+                  "u": None if ns.u is None else str(ns.u),
                   "height": ns.height}
     else:
         if ns.m is None:
@@ -374,11 +369,11 @@ def _cmd_family(parser, ns) -> int:
                 if ns.z is not None:
                     raise
                 continue
-            rows.append([_s(z), _s(n1), _s(n2)])
+            rows.append([str(z), str(n1), str(n2)])
             lines.append(f"z = {z} -> n = {n1}, {n2}")
-        result = {"kind": "c3", "m": _s(ns.m), "values": rows}
-        inputs = {"kind": "c3", "m": _s(ns.m),
-                  "z": None if ns.z is None else _s(ns.z),
+        result = {"kind": "c3", "m": str(ns.m), "values": rows}
+        inputs = {"kind": "c3", "m": str(ns.m),
+                  "z": None if ns.z is None else str(ns.z),
                   "height": ns.height}
     _emit(ns, "family", inputs, result, text_lines=lines)
     return 0
@@ -548,7 +543,12 @@ def _cmd_selftest(parser, ns) -> int:
         checks.append(("shanks-integer-scan", lambda: _check_scan(jobs)))
     outcomes, lines = [], []
     for name, check in checks:
-        ok = bool(check())
+        # a check that raises fails, and the rest still run
+        try:
+            ok = bool(check())
+        except Exception as exc:
+            print(f"error: {name} raised {exc!r}", file=sys.stderr)
+            ok = False
         outcomes.append({"name": name, "ok": ok})
         lines.append(f"{'ok' if ok else 'FAIL'} - {name}")
     passed = sum(1 for o in outcomes if o["ok"])

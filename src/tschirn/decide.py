@@ -123,9 +123,6 @@ class TschirnCoeffs:
     def as_tuple(self) -> tuple:
         return (self.c0, self.c1, self.c2)
 
-    def poly(self) -> UniPoly:
-        return UniPoly(QQ, self.as_tuple())
-
 
 @dataclass(frozen=True)
 class SubfieldReport:

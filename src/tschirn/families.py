@@ -3,14 +3,13 @@ field: the depressed form, the one-parameter family X^3 + aX + a, Shanks'
 simplest cubics, the explicit b(u) / n(z) parameterizations, and an exact
 integer scan for equal-splitting Shanks pairs.
 
-The scan asks whether a monic integer cubic has an integer root.  It first
-looks the cubic up in ``factorq._cubic_root_tables``, of the cubics
-Y^3 + aY + b with a root mod each prime l from 5 to 47: an integer root is
-also a root mod every l, so no root mod some l proves no integer root.  It
-reads them in its own loop, not through ``_cubic_integer_roots``, which would
-add a call and a change of variable per test.  Only the few cubics that pass
-every table go on to that exact integer root search, so every "has a root"
-answer is still exact."""
+The scan asks whether a monic integer cubic has an integer root, through
+``factorq._cubic_integer_roots``.  That search first looks the cubic up in
+``factorq._cubic_root_tables``, of the cubics Y^3 + aY + b with a root mod
+each prime l from 5 to 47: an integer root is also a root mod every l, so no
+root mod some l proves no integer root.  Only the few cubics that pass every
+table go on to the exact integer root search, so every "has a root" answer
+is still exact."""
 
 from __future__ import annotations
 
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .decide import TschirnCoeffs, _avoid_zero_A, galois_type, verify_transformation
-from .factorq import _cubic_integer_roots, _cubic_root_tables, is_square_rat
+from .factorq import _cubic_integer_roots, is_square_rat
 from .fields import QQ, MathDomainError
 from .resolvent import CubicTriple, cubic_invariants, shanks_delta, shanks_triple
 
@@ -151,18 +150,6 @@ def rationals_by_height(max_height: int):
 # --------------------------------------------------------------------------
 
 
-def _monic_depressed_cubic_has_integer_root(p: int, q: int) -> bool:
-    """Whether Y^3 + pY + q (integer coefficients) has an integer root: no
-    root mod a sieve prime proves no integer root (see the module
-    docstring); the rest go to the exact integer root search of factorq."""
-    if q == 0:
-        return True
-    for ell, table in _cubic_root_tables():
-        if not table[(p % ell) * ell + q % ell]:
-            return False
-    return bool(_cubic_integer_roots([q, p, 0, 1]))
-
-
 def shanks_pair_equal(m: int, n: int) -> bool:
     """Whether the Shanks cubics at integer parameters m and n share a
     splitting field.  Decided by an integer rational-root test on the two
@@ -174,9 +161,8 @@ def shanks_pair_equal(m: int, n: int) -> bool:
     if m == n:
         return True
     prod = int(shanks_delta(m) * shanks_delta(n))
-    return _monic_depressed_cubic_has_integer_root(
-        -prod, -(m - n) * prod
-    ) or _monic_depressed_cubic_has_integer_root(-prod, (m + n + 3) * prod)
+    return bool(_cubic_integer_roots([-(m - n) * prod, -prod, 0, 1])
+                or _cubic_integer_roots([(m + n + 3) * prod, -prod, 0, 1]))
 
 
 def _scan_row(args) -> list:

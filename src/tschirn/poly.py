@@ -1,7 +1,6 @@
 """Dense univariate polynomials over an exact field, with resultants,
-discriminants, interpolation, characteristic polynomials, and the
-Vandermonde solve that produces Tschirnhausen coefficient vectors from
-paired root tuples.
+discriminants, characteristic polynomials, and the Vandermonde solve that
+produces Tschirnhausen coefficient vectors from paired root tuples.
 
 Representation: ascending coefficient tuple with a nonzero leading
 coefficient; the zero polynomial is the empty tuple.  Degrees stay tiny
@@ -14,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import QQ, MathDomainError, field_of
+from .fields import MathDomainError, field_of
 
 
 class UniPoly:
@@ -374,25 +373,6 @@ def vandermonde_solve(rt: RootTuple, tau) -> tuple:
     return u
 
 
-def lagrange_interpolate(field, points) -> UniPoly:
-    """The unique polynomial of degree < len(points) through the points."""
-    xs = [field(x) for x, _ in points]
-    for a, b in combinations(xs, 2):
-        if a == b:
-            raise MathDomainError("repeated interpolation node")
-    total = UniPoly.zero(field)
-    for i, (xi, yi) in enumerate(points):
-        xi = field(xi)
-        num = UniPoly.one(field)
-        den = field.one
-        for j, xj in enumerate(xs):
-            if j != i:
-                num = num * UniPoly(field, (-xj, field.one))
-                den = den * (xi - xj)
-        total = total + num * (field(yi) / den)
-    return total
-
-
 # --------------------------------------------------------------------------
 # Resultants and discriminants.
 # --------------------------------------------------------------------------
@@ -444,9 +424,3 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         f, g = g, f % g
     return f.monic() if f else f
 
-
-def poly_compose_scale(f: UniPoly, c) -> UniPoly:
-    """f(cX)."""
-    field = f.field
-    c = field(c)
-    return UniPoly(field, (f.coeffs[i] * c**i for i in range(len(f.coeffs))))

@@ -195,23 +195,19 @@ def _invariants_in(s: CubicTriple, field) -> CubicInvariants:
 
 def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
     """The triple of g(X) = Prod (X - u(alpha_i)) for u = c0 + c1 X + c2 X^2,
-    alpha_i the roots of f3(s); a longer list is first reduced mod f3(s).
-    Over F_p and GF(p^k), _image_formulas runs on field elements.  Over Q it
-    runs on ints, on the integer model (H, ell) kept on s: u = v/M with
-    v = k0 + k1 beta + k2 beta^2, beta = ell alpha (_model_coords), and v
-    has the integer triple (E1, E2, E3) of _model_image, so u has
-    (E1/M, E2/M^2, E3/M^3)."""
+    alpha_i the roots of f3(s), from _image_formulas in the field of s; a
+    longer list is first reduced mod f3(s)."""
     field = s.field
-    if field is not QQ:
-        return CubicTriple(*_image_formulas(*s.values(field),
-                                            *_reduced(s, coeffs, field)))
-    (e1, e2, e3), m = _model_image(s, coeffs)
-    return CubicTriple(Fraction(e1, m), Fraction(e2, m * m), Fraction(e3, m**3))
+    return CubicTriple(*_image_formulas(*s.values(field),
+                                        *_reduced(s, coeffs, field)))
 
 
 def _model_image(s: CubicTriple, coeffs) -> tuple:
-    """((E1, E2, E3), M), ints, for rational s and coeffs: the image of f3(s)
-    under u is the triple (E_i / M^i) (see tschirn_image)."""
+    """((E1, E2, E3), M), ints, for rational s and coeffs, such that the
+    image of f3(s) under u is the triple (E1/M, E2/M^2, E3/M^3): on the
+    integer model (H, ell) kept on s, u = v/M with v = k0 + k1 beta +
+    k2 beta^2, beta = ell alpha (_model_coords), and _image_formulas gives
+    the integer triple (E1, E2, E3) of v."""
     H = s._model[0]
     k, m = _model_coords(s, coeffs)
     return _image_formulas(-H[2], H[1], -H[0], *k), m

@@ -21,7 +21,6 @@ from tschirn.fields import QQ, PrimeField, gf_build
 from tschirn.poly import (
     RootTuple,
     UniPoly,
-    poly_compose_scale,
     poly_discriminant,
     poly_gcd,
 )
@@ -311,7 +310,7 @@ def test_criterion_09_generic_sextics():
                     return s, t
 
         def scaled(f2):
-            return poly_compose_scale(f2, QQ(3)) / QQ(3**6)
+            return f2.compose(UniPoly(QQ, (0, 3))) / QQ(3**6)
 
         recipes = (
             ("S3,S3", lambda s, t: scaled(resolvent_F2(

@@ -360,6 +360,25 @@ class TestSelftest:
         monkeypatch.setattr(cli, "resolvent_F1", resolvent_F2)
         assert not cli._check_finite_field_oracle(random.Random(0))
 
+    def test_a_raising_check_fails_and_the_rest_run(self, capsys, monkeypatch):
+        def raising(rng):
+            raise AssertionError("4A^3 - B^2 = 27D violated")
+
+        monkeypatch.setattr(cli, "_check_invariant_identity", raising)
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0] == "FAIL - invariant-identity"
+        assert all(line.startswith("ok - ") for line in lines[1:-1])
+        assert lines[-1] == "passed = 5, failed = 1"
+        assert err == ("error: invariant-identity raised "
+                       "AssertionError('4A^3 - B^2 = 27D violated')\n")
+        code, doc, err = run_json(capsys, "selftest")
+        assert code == 1 and err.startswith("error: invariant-identity ")
+        assert doc["result"]["checks"][0] == {"name": "invariant-identity",
+                                              "ok": False}
+        assert doc["result"]["failed"] == 1
+
     def test_seed_env_changes_nothing_observable(self, capsys, monkeypatch):
         monkeypatch.setenv("TSCHIRN_SEED", "12345")
         code, out, _ = run_cli(capsys, "selftest")

@@ -36,7 +36,7 @@ from tschirn.decide import (
 from tschirn.factorq import factor_over_Q, is_square_rat, rational_roots
 from tschirn.families import family_c3, family_s3
 from tschirn.fields import QQ, MathDomainError
-from tschirn.poly import UniPoly, lagrange_interpolate, linear_solve
+from tschirn.poly import UniPoly, linear_solve
 from tschirn.resolvent import (
     CubicTriple,
     cubic_invariants,

@@ -12,12 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tschirn.factorq as factorq
 import tschirn.families as families
 from tschirn.decide import decide_same_splitting, galois_type, verify_transformation
 from tschirn.families import (
     NormalForm,
     ScanResult,
-    _monic_depressed_cubic_has_integer_root,
     family_c3,
     family_s3,
     rationals_by_height,
@@ -294,7 +294,7 @@ class TestIntegerRootFinder:
         brute = any(
             y * y * y + p * y + q == 0 for y in range(-bound, bound + 1)
         )
-        assert _monic_depressed_cubic_has_integer_root(p, q) == brute
+        assert bool(_cubic_integer_roots([q, p, 0, 1])) == brute
 
     @given(
         st.integers(min_value=-2000, max_value=2000),
@@ -303,11 +303,11 @@ class TestIntegerRootFinder:
     @settings(max_examples=80)
     def test_constructed_roots_found(self, r, s):
         # (Y - r)(Y^2 + rY + s) = Y^3 + (s - r^2) Y - rs
-        assert _monic_depressed_cubic_has_integer_root(s - r * r, -r * s)
+        assert r in _cubic_integer_roots([-r * s, s - r * r, 0, 1])
 
     def test_large_known_case(self):
-        # the (-1, 5) Shanks pair: Y^3 - 343Y + 2058 has the root 7
-        assert _monic_depressed_cubic_has_integer_root(-343, 2058)
+        # the (-1, 5) Shanks pair: Y^3 - 343Y + 2058 has the roots -21, 7, 14
+        assert _cubic_integer_roots([2058, -343, 0, 1]) == [-21, 7, 14]
 
     def test_grid_matches_brute_force(self):
         # an integer root y has |y| <= 1 + max(|p|, |q|)
@@ -317,7 +317,6 @@ class TestIntegerRootFinder:
             for q in grid:
                 expect = (p, q) in rooted
                 assert bool(_cubic_integer_roots([q, p, 0, 1])) == expect, (p, q)
-                assert _monic_depressed_cubic_has_integer_root(p, q) == expect, (p, q)
 
     def test_planted_roots_found(self):
         rng = random.Random(7)
@@ -326,7 +325,6 @@ class TestIntegerRootFinder:
             # (Y - r)(Y^2 + rY + s) = Y^3 + (s - r^2) Y - rs
             p, q = s - r * r, -r * s
             assert r in _cubic_integer_roots([q, p, 0, 1])
-            assert _monic_depressed_cubic_has_integer_root(p, q)
 
 
 class TestShanksScan:
@@ -451,7 +449,7 @@ class TestRootSieve:
     @settings(max_examples=300)
     def test_sieved_test_matches_divisor_search(self, pq):
         p, q = pq
-        assert _monic_depressed_cubic_has_integer_root(p, q) == (
+        assert bool(_cubic_integer_roots([q, p, 0, 1])) == (
             _has_integer_root_by_divisors(p, q)
         )
 
@@ -467,22 +465,26 @@ class TestRootSieve:
             assert want == ((m, n) in _KNOWN_SCAN_PAIRS), (m, n)
 
     def test_sieve_rejects_before_bisection(self, monkeypatch):
-        calls = {}
+        # (roots found, bisections run) for each root test of the scan
+        tests, bisections = [], []
+        roots, bisect = families._cubic_integer_roots, factorq._monotone_integer_root
 
-        def counting(name):
-            fn = getattr(families, name)
+        def counted_roots(H):
+            before = len(bisections)
+            found = roots(H)
+            tests.append((found, len(bisections) - before))
+            return found
 
-            def wrapper(*args):
-                calls[name] = calls.get(name, 0) + 1
-                return fn(*args)
+        def counted_bisect(*args):
+            bisections.append(args)
+            return bisect(*args)
 
-            monkeypatch.setattr(families, name, wrapper)
-
-        counting("_monic_depressed_cubic_has_integer_root")
-        counting("_cubic_integer_roots")
+        monkeypatch.setattr(families, "_cubic_integer_roots", counted_roots)
+        monkeypatch.setattr(factorq, "_monotone_integer_root", counted_bisect)
         res = scan_equal_splitting((-1, 5), 100)
         assert len(res.pairs) == 7
-        # of the 1,370 root tests of 686 pairs, only the 7 cubics that have
-        # an integer root pass every table
-        assert calls == {"_monic_depressed_cubic_has_integer_root": 1370,
-                         "_cubic_integer_roots": 7}
+        # 1,370 root tests of 686 pairs; only the 7 cubics that have an
+        # integer root pass every table, so the rest reach no bisection
+        assert len(tests) == 1370
+        assert sum(1 for found, _ in tests if found) == 7
+        assert all(not n for found, n in tests if not found)

@@ -10,7 +10,10 @@ and inputs with repeated factors; and
 ``resolvent`` with each index on a generic pair, an A = 0 locus pair, a
 pair on the multiple-root locus and two B_s = 0 pairs, one with G split
 over Q and one with G irreducible, and ``--index 0`` on two pairs whose
-second cubic has a triple root: one on the locus, one with A_a = A_b = 0.
+second cubic has a triple root: one on the locus, one with A_a = A_b = 0;
+``invariants`` on the first cubics and a triple root; ``reduce`` to each
+normal form, with the A = 0 alternate and the errors; ``family`` of each
+kind, by one parameter and by height; and a small ``scan``.
 Each run's exit code, stdout and stderr (kept when not empty) are compared
 byte for byte with
 ``tests/data/golden_cli.json``, so a speedup of the decision path, of the
@@ -159,6 +162,51 @@ CASES += [
 CASES.append(["resolvent", "--a", "-4,-5,1", "--b", "3,3,1", "--index", "0"])
 # A_a = A_b = 0: the same triple root, named before the A = 0 closed form
 CASES.append(["resolvent", "--a", "3,3,4", "--b", "3,3,1", "--index", "0"])
+
+# the first cubics of PAIRS, and (X - 1)^3, whose D = 0 leaves the Galois
+# type undefined
+CASES += [
+    ["invariants", "--a", a] + extra
+    for a in list(dict.fromkeys(a for a, _ in PAIRS)) + ["3,3,1"]
+    for extra in ([], ["--json"])
+]
+
+REDUCE_CASES = (
+    ("depressed", "1,2,3"), ("depressed", "-1/2,2/3,5/7"),
+    ("one-param", "1,2,3"), ("one-param", "-1/2,2/3,5/7"),
+    # A = 0: the alternate form, reached by a quadratic witness
+    ("one-param", "0,0,2"), ("one-param", "3,3,4"),
+    # B = 0: a shifted perfect cube has no family member (exit 1)
+    ("one-param", "0,-1,0"),
+    # Shanks' m = 1, and the cyclic cubic of the worked example
+    ("shanks", "1,-4,1"), ("shanks", "-3,-4,-1"),
+    # an S3 cubic is not cyclic (exit 1)
+    ("shanks", "1,2,3"),
+)
+
+CASES += [
+    ["reduce", "--a", a, "--to", to] + extra
+    for to, a in REDUCE_CASES
+    for extra in ([], ["--json"])
+]
+
+FAMILY_ARGS = (
+    ["--kind", "s3", "--a", "-7", "--u", "2"],
+    ["--kind", "s3", "--a", "1/2", "--height", "2"],
+    ["--kind", "c3", "--m", "1", "--z", "2/3"],
+    ["--kind", "c3", "--m", "-1", "--height", "2"],
+)
+
+CASES += [
+    ["family"] + args + extra
+    for args in FAMILY_ARGS
+    for extra in ([], ["--json"])
+]
+
+CASES += [
+    ["scan", "--m-min", "-1", "--m-max", "5", "--n-max", "60"] + extra
+    for extra in ([], ["--json"])
+]
 
 
 def _run(argv):

@@ -15,9 +15,7 @@ from tschirn.poly import (
     UniPoly,
     charpoly,
     elementary_symmetric,
-    lagrange_interpolate,
     linear_solve,
-    poly_compose_scale,
     poly_discriminant,
     poly_gcd,
     poly_resultant,
@@ -179,15 +177,12 @@ class TestResultant:
         assert poly_resultant(qpoly(-1, 0, 1), qpoly(-2, 1)) == 3
 
     def test_resultant_in_second_variable(self):
-        # Res_X(X^3 + 3X + 2, y - (3 - X + X^2)), interpolated as a monic
-        # cubic in y, is y^3 - 3y^2 - 3y - 3.
+        # Res_X(X^3 + 3X + 2, y - (3 - X + X^2)) is y^3 - 3y^2 - 3y - 3,
+        # which takes the values -3, -8, -13, -12 at y = 0, 1, 2, 3.
         f = qpoly(2, 3, 0, 1)
-        pts = []
-        for y in range(4):
-            g = qpoly(QQ(y) - 3, 1, -1)  # (y - 3) + X - X^2
-            pts.append((QQ(y), poly_resultant(f, g)))
-        res_poly = lagrange_interpolate(QQ, pts)
-        assert res_poly == qpoly(-3, -3, -3, 1)
+        values = [poly_resultant(f, qpoly(QQ(y) - 3, 1, -1))  # (y - 3) + X - X^2
+                  for y in range(4)]
+        assert values == [-3, -8, -13, -12]
 
     def test_mixed_fields_rejected(self):
         with pytest.raises(TypeError):
@@ -288,7 +283,7 @@ def test_gcd():
 
 def test_compose_scale():
     f = qpoly(2, 3, 0, 1)  # X^3 + 3X + 2
-    g = poly_compose_scale(f, QQ(2))
+    g = f.compose(qpoly(0, 2))
     assert g == qpoly(2, 6, 0, 8)  # 8X^3 + 6X + 2
 
 
@@ -443,13 +438,6 @@ class TestCharpoly:
         K = gf_build(5, 2, 0)
         c = list(K.elements())[7]
         assert charpoly(K, [[c]]) == UniPoly(K, (-c, 1))
-
-
-def test_lagrange_interpolate():
-    pts = [(QQ(0), QQ(1)), (QQ(1), QQ(2)), (QQ(2), QQ(5))]
-    assert lagrange_interpolate(QQ, pts) == qpoly(1, 0, 1)
-    with pytest.raises(MathDomainError):
-        lagrange_interpolate(QQ, [(QQ(1), QQ(1)), (QQ(1), QQ(2))])
 
 
 def test_elementary_symmetric():
