@@ -289,7 +289,7 @@ class TestFactorOverQAgainstSympy:
 
     def test_golden_factor_inputs(self):
         inputs = _golden_factor_inputs()
-        assert len(inputs) == 10
+        assert len(inputs) == 12
         for f in inputs:
             assert dict(factor_over_Q(f).factors) == _sympy_factors(f), f
 

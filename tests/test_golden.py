@@ -132,6 +132,12 @@ FACTOR_COEFFS = (
     _times((1, 1), (1, 1), (2, 0, 1), (2, 0, 1), (2, 0, 1)),
     # X^2 - 3 (5 7 ... 29)^2: squarefree, but modulo no prime 5..29
     _times((-3 * (5 * 7 * 11 * 13 * 17 * 19 * 23 * 29) ** 2, 0, 1)),
+    # X^2 - 3 (5 7 ... 47)^2: squarefree, but modulo no prime 5..47
+    _times((-3 * (5 * 7 * 11 * 13 * 17 * 19 * 23 * 29 * 31 * 37 * 41 * 43
+                  * 47) ** 2, 0, 1)),
+    # a squared sextic with a 12-digit constant, times a linear factor
+    _times((123456789012, 3, 5, 7, 11, 13, 1), (123456789012, 3, 5, 7, 11, 13, 1),
+           (12345678901234567, 1)),
 )
 
 CASES += [
