@@ -48,6 +48,7 @@ from .families import (
 from .fields import QQ, MathDomainError, gf_build, rat_parse
 from .poly import RootTuple, UniPoly
 from .resolvent import (
+    CubicInvariants,
     CubicTriple,
     cubic_invariants,
     degeneracy_indicator,
@@ -56,6 +57,7 @@ from .resolvent import (
     resolvent_F1,
     resolvent_F2,
     tschirn_image,
+    _invariant_formulas,
 )
 
 _SEED_ENV = "TSCHIRN_SEED"
@@ -415,10 +417,13 @@ def _random_split_pair(rng):
 
 
 def _check_invariant_identity(rng) -> bool:
+    """A..E from the formulas on the Fractions of a triple against
+    cubic_invariants, which reads them off the integer model, and
+    4A^3 - B^2 = 27D on the Fractions."""
     for _ in range(100):
         a = _random_triple(rng)
-        inv = cubic_invariants(a)
-        if 4 * inv.A**3 - inv.B**2 != 27 * inv.D:
+        A, B, _, D, _ = inv = _invariant_formulas(*a.as_tuple())
+        if CubicInvariants(*inv) != cubic_invariants(a) or 4 * A**3 - B**2 != 27 * D:
             return False
     return True
 

@@ -42,7 +42,6 @@ from .poly import UniPoly
 from .resolvent import (
     CubicTriple,
     cubic_invariants,
-    degenerate_f2_blocks,
     resolvent_F2,
     tschirn_image,
     _double_root_fiber,
@@ -437,10 +436,15 @@ def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
 def _degenerate_f2_pattern(an, bn) -> tuple:
     """The degree pattern of F2(an, bn) on the multiple-root locus, read off
     the closed form F2 = (X - r)^2 (X + 2r) (cubic) of degenerate_f2_blocks
-    without factoring.  The cubic block has discriminant
-    27^4 A_bn^6 D_bn / (A_an^6 B_bn^4) != 0, so it has 0, 1 or 3 rational
-    roots and factors as (3), (1, 2) or (1, 1, 1)."""
-    n = len(rational_roots(degenerate_f2_blocks(an, bn)[2]))
+    without factoring: r = _model_locus_root(an, bn), and the block's
+    B_bn^2 / A_bn^3 is beta^2 / alpha^3 on the model of bn, where the powers
+    of ell cancel.  The block has discriminant 27^4 A_bn^6 D_bn /
+    (A_an^6 B_bn^4) != 0, so it has 0, 1 or 3 rational roots and factors as
+    (3), (1, 2) or (1, 1, 1)."""
+    r = _model_locus_root(an, bn)
+    _, _, (alpha, beta, _, _, _) = bn._model
+    block = (r**3 * (Fraction(beta * beta, alpha**3) - 2), -3 * r * r, 0, 1)
+    n = len(rational_roots(UniPoly(QQ, block)))
     return {0: (1, 1, 1, 3), 1: (1, 1, 1, 1, 2), 3: (1,) * 6}[n]
 
 

@@ -10,14 +10,15 @@ output is reproducible; for p = 2 it splits by the trace map instead of a
 exit.
 
 Over Q: take the monic integer model ell^d f(X/ell) (``integer_model``) of
-the monic input.  If gcd(H, H') = 1 modulo a prime p in 5..29, H is
+the monic input g.  If gcd(H, H') = 1 modulo a prime p in 5..47, H is
 squarefree over Q and is factored with that p at once; only otherwise is
-the input squarefree-split by Yun's algorithm, each part then going through
-its own integer model.  A squarefree H is factored modulo a good prime p
-with the int-list F_p core, Hensel-lifted (binary factor tree, quadratic
-steps in ``zpoly`` arithmetic, the last one cut) to p^N, the least power
-of p above twice the Landau–Mignotte coefficient bound, and its factor
-subsets are recombined exhaustively.
+the squarefree part g / gcd(g, g') factored, through its own integer model,
+and each factor's multiplicity read by exact division of gcd(g, g').  A
+squarefree H is factored modulo a good prime p with the int-list F_p core,
+Hensel-lifted (binary factor tree, quadratic steps in ``zpoly``
+arithmetic, the last one cut) to p^N, the least power of p above twice the
+Landau–Mignotte coefficient bound, and its factor subsets are recombined
+exhaustively.
 
 Rational roots of a quadratic or a cubic over Q need no factoring: they
 are the integer roots of its monic integer model divided by ell.  A
@@ -44,8 +45,8 @@ from .fields import QQ, PrimeField, field_of, is_prime
 from .poly import UniPoly, poly_gcd
 
 # Primes tried by factor_over_Q for a proof that its input is squarefree,
-# before it falls back to Yun's algorithm.
-_SQUAREFREE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29)
+# and the moduli of the cubic root sieve (_cubic_root_tables).
+_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # --------------------------------------------------------------------------
 # Factorization container.
@@ -324,26 +325,6 @@ def _factor_monic_int_squarefree(H: list, p=None) -> list:
     return result
 
 
-def _yun_squarefree_q(f: UniPoly) -> list:
-    """Monic f over Q -> [(monic squarefree, multiplicity)] (Yun)."""
-    df = f.derivative()
-    g = poly_gcd(f, df)
-    if g.degree == 0:
-        return [(f, 1)]
-    b = f // g
-    d = (df // g) - b.derivative()
-    out = []
-    i = 1
-    while b.degree > 0:
-        a = poly_gcd(b, d)
-        if a.degree > 0:
-            out.append((a.monic(), i))
-        b = b // a
-        d = (d // a) - b.derivative()
-        i += 1
-    return out
-
-
 def _factor_squarefree_q(H: list, ell: int, p=None) -> list:
     """Monic rational irreducibles of the squarefree monic q whose integer
     model (integer_model) is (H, ell); p as for _factor_monic_int_squarefree."""
@@ -358,8 +339,10 @@ def _factor_squarefree_q(H: list, ell: int, p=None) -> list:
 
 def factor_over_Q(f: UniPoly) -> Factorization:
     """Complete factorization into monic rational irreducibles, with unit.
-    Yun's squarefree split runs only when no prime of _SQUAREFREE_PRIMES
-    proves the monic input squarefree."""
+    When no prime of _SIEVE_PRIMES proves the monic input g squarefree, the
+    squarefree part g / c, c = gcd(g, g'), is factored instead: a factor h
+    of multiplicity m in g has multiplicity m - 1 in c, found by exact
+    division of c, one divmod per power of h."""
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     if f.field != QQ:
@@ -369,15 +352,18 @@ def factor_over_Q(f: UniPoly) -> Factorization:
     if g.degree == 0:
         return Factorization(unit, ())
     H, ell = integer_model(g.coeffs)
-    p = _squarefree_prime(H, _SQUAREFREE_PRIMES)
+    p = _squarefree_prime(H, _SIEVE_PRIMES)
     if p is not None:
-        found = dict.fromkeys(_factor_squarefree_q(H, ell, p), 1)
+        factors = [(h, 1) for h in _factor_squarefree_q(H, ell, p)]
     else:
-        found = {}
-        for piece, mult in _yun_squarefree_q(g):
-            for h in _factor_squarefree_q(*integer_model(piece.coeffs)):
-                found[h] = found.get(h, 0) + mult
-    factors = sorted(found.items(), key=lambda kv: (kv[0].degree, kv[0].coeffs))
+        factors = []
+        c = poly_gcd(g, g.derivative())
+        for h in _factor_squarefree_q(*integer_model((g // c).coeffs)):
+            m = 1
+            while c.degree >= h.degree and not (qr := divmod(c, h))[1]:
+                c, m = qr[0], m + 1
+            factors.append((h, m))
+    factors.sort(key=lambda hm: (hm[0].degree, hm[0].coeffs))
     return Factorization(unit, tuple(factors))
 
 
@@ -405,9 +391,6 @@ def rational_roots(f: UniPoly) -> list:
     return sorted(roots)
 
 
-_SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-
 @cache
 def _cubic_root_tables() -> tuple:
     """For each sieve prime l, the pair (l, table): table[a*l + b] is 1 when
@@ -427,7 +410,18 @@ def _cubic_integer_roots(H: list) -> list:
     integer cubic H = [c0, c1, c2, 1], with no factoring.
 
     Y = 3X + c2 gives 27 H = Y^3 + pY + q with the p, q below, so no root
-    of Y^3 + pY + q mod a sieve prime l != 3 proves that H has none.
+    of Y^3 + pY + q mod a sieve prime l != 3 proves that H has none; a
+    cubic that passes every prime goes to _searched_integer_roots."""
+    c0, c1, c2 = H[0], H[1], H[2]
+    p, q = 9 * c1 - 3 * c2 * c2, 27 * c0 - 9 * c1 * c2 + 2 * c2 * c2 * c2
+    for ell, table in _cubic_root_tables():
+        if not table[p % ell * ell + q % ell]:
+            return []
+    return _searched_integer_roots(c0, c1, c2)
+
+
+def _searched_integer_roots(c0: int, c1: int, c2: int) -> list:
+    """_cubic_integer_roots([c0, c1, c2, 1]), by exact search.
 
     H' = 3X^2 + 2 c2 X + c1 vanishes at (-c2 -+ sqrt(c2^2 - 3 c1)) / 3.
     With s = isqrt(c2^2 - 3 c1) and e1, e2 the floors of (-c2 -+ s) / 3,
@@ -437,11 +431,6 @@ def _cubic_integer_roots(H: list) -> list:
     critical points it increases everywhere.  Each segment, cut to the
     Fujiwara bound on the roots, is bisected exactly.  The first root r
     found is divided out and the quotient quadratic solved with isqrt."""
-    c0, c1, c2 = H[0], H[1], H[2]
-    p, q = 9 * c1 - 3 * c2 * c2, 27 * c0 - 9 * c1 * c2 + 2 * c2 * c2 * c2
-    for ell, table in _cubic_root_tables():
-        if not table[p % ell * ell + q % ell]:
-            return []
 
     def h(x: int) -> int:
         return ((x + c2) * x + c1) * x + c0

@@ -1,6 +1,7 @@
 """Command-line interface: subcommand behavior, JSON schema, exit codes,
 and output determinism."""
 
+import dataclasses
 import json
 import random
 import subprocess
@@ -9,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import tschirn.resolvent as resolvent_mod
 from tschirn import cli
 from tschirn.decide import TABLE_INSTANCES, all_rational_transformations
 from tschirn.fields import PrimeField
@@ -378,6 +380,21 @@ class TestSelftest:
         assert doc["result"]["checks"][0] == {"name": "invariant-identity",
                                               "ok": False}
         assert doc["result"]["failed"] == 1
+
+    def test_a_wrong_invariant_fails_the_identity_check(self, capsys, monkeypatch):
+        # a wrong C keeps 4A^3 - B^2 = 27D, so only the comparison with the
+        # formulas on the Fractions can catch it
+        compute = resolvent_mod._compute_invariants
+
+        def wrong_c(s, field):
+            inv = compute(s, field)
+            return dataclasses.replace(inv, C=inv.C + 1)
+
+        monkeypatch.setattr(resolvent_mod, "_compute_invariants", wrong_c)
+        code, out, err = run_cli(capsys, "selftest")
+        assert code == 1
+        assert out.splitlines()[0] == "FAIL - invariant-identity"
+        assert "invariant-identity raised" not in err
 
     def test_seed_env_changes_nothing_observable(self, capsys, monkeypatch):
         monkeypatch.setenv("TSCHIRN_SEED", "12345")

@@ -783,13 +783,14 @@ class TestComputedOnce:
          ((0, 0, 2), tschirn_image(CubicTriple(0, 0, 2), (1, 1, 1)).as_tuple())],
     )
     def test_squarefree_f2_runs_no_yun_step(self, monkeypatch, pair):
-        # F2 off the locus is squarefree, and a prime 5..29 proves it
+        # F2 off the locus is squarefree, and a sieve prime 5..47 proves it,
+        # so factor_over_Q takes no gcd over Q
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
         factored = _counting(monkeypatch, [factorq_mod], "_factor_monic_int_squarefree")
-        yun = _counting(monkeypatch, [factorq_mod], "_yun_squarefree_q")
+        gcds = _counting(monkeypatch, [factorq_mod], "poly_gcd")
         decide_same_splitting(a, b)
         classify_subfield(a, b)
-        assert factored and not yun
+        assert factored and not gcds
 
     @pytest.mark.parametrize(
         "pair",
@@ -838,6 +839,14 @@ class TestComputedOnce:
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
         built = _counting(monkeypatch, [resolvent_mod], "_compute_invariants")
         decide_same_splitting(a, b)
+        assert not built
+
+    def test_classify_builds_no_invariants_on_the_locus(self, monkeypatch):
+        # the closed form's cubic block is read off the integer models
+        a, b = CubicTriple(0, 3, -2), CubicTriple(3, -3, 3)
+        built = _counting(monkeypatch, [resolvent_mod], "_compute_invariants")
+        report = classify_subfield(a, b)
+        assert report.degenerate and report.observed_pattern == (1, 1, 1, 3)
         assert not built
 
     def test_model_check_runs_on_the_decision_path(self, monkeypatch):

@@ -293,39 +293,57 @@ class TestFactorOverQAgainstSympy:
         for f in inputs:
             assert dict(factor_over_Q(f).factors) == _sympy_factors(f), f
 
+    def test_seeded_products_with_multiplicities(self):
+        # h1^e1 h2^e2 ... with random monic h_i of degree 1-3 (reducible or
+        # repeated at times) and e_i <= 4: the gcd fallback of factor_over_Q
+        rng = random.Random(2024)
+        repeated = 0
+        for _ in range(30):
+            f = qpoly(rng.choice((1, 2, -3)))
+            for _ in range(rng.randint(1, 3)):
+                d = rng.randint(1, 3)
+                h = qpoly(*([Fraction(rng.randint(-9, 9), rng.randint(1, 3))
+                             for _ in range(d)] + [1]))
+                f = f * h ** rng.randint(1, 4)
+            fac = factor_over_Q(f)
+            assert dict(fac.factors) == _sympy_factors(f), f
+            assert fac.expand() == f
+            repeated += any(m > 1 for _, m in fac.factors)
+        assert repeated >= 20
+
 
 class TestSquarefreeShortcut:
-    """factor_over_Q runs Yun's algorithm only when no prime 5..29 proves
-    the input squarefree."""
+    """factor_over_Q takes a gcd over Q only when no sieve prime 5..47
+    proves the input squarefree."""
 
-    def _yun_calls(self, monkeypatch, f):
+    def _gcd_calls(self, monkeypatch, f):
         calls = []
-        original = factorq_mod._yun_squarefree_q
+        original = factorq_mod.poly_gcd
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(factorq_mod, "_yun_squarefree_q", counting)
+        monkeypatch.setattr(factorq_mod, "poly_gcd", counting)
         fac = factor_over_Q(f)
         return fac, len(calls)
 
-    def test_squarefree_input_skips_yun(self, monkeypatch):
+    def test_squarefree_input_runs_no_gcd(self, monkeypatch):
         f = qpoly(-2, 0, 1) * qpoly(-3, 0, 1) * qpoly(-6, 0, 1)
-        fac, calls = self._yun_calls(monkeypatch, f)
+        fac, calls = self._gcd_calls(monkeypatch, f)
         assert calls == 0 and fac.degree_pattern() == (2, 2, 2)
 
-    def test_repeated_factor_runs_yun(self, monkeypatch):
+    def test_repeated_factor_runs_a_gcd(self, monkeypatch):
         f = qpoly(1, 1) ** 2 * qpoly(2, 0, 1)
-        fac, calls = self._yun_calls(monkeypatch, f)
+        fac, calls = self._gcd_calls(monkeypatch, f)
         assert calls >= 1
         assert dict(fac.factors) == {qpoly(1, 1): 2, qpoly(2, 0, 1): 1}
 
-    def test_squarefree_modulo_no_small_prime_runs_yun(self, monkeypatch):
-        # Disc(X^2 - 3c^2) = 12c^2 with c = 5 * 7 * ... * 29
-        c = math.prod(factorq_mod._SQUAREFREE_PRIMES)
+    def test_squarefree_modulo_no_sieve_prime_runs_a_gcd(self, monkeypatch):
+        # Disc(X^2 - 3c^2) = 12c^2 with c = 5 * 7 * ... * 47
+        c = math.prod(factorq_mod._SIEVE_PRIMES)
         f = qpoly(-3 * c * c, 0, 1)
-        fac, calls = self._yun_calls(monkeypatch, f)
+        fac, calls = self._gcd_calls(monkeypatch, f)
         assert calls >= 1 and fac.factors == ((f, 1),)
 
 

@@ -569,10 +569,10 @@ class TestF0Degenerate:
     """F0 where D12 vanishes at double roots of F2, read from closed forms."""
 
     def test_locus_pair_runs_no_factorization(self, monkeypatch):
-        # factor_over_Q runs Yun's step only on inputs that no small prime
-        # proves squarefree, so count the integer factorizer as well
+        # factor_over_Q takes a gcd over Q only on inputs that no sieve
+        # prime proves squarefree, so count the integer factorizer as well
         calls = []
-        for name in ("_yun_squarefree_q", "_factor_monic_int_squarefree"):
+        for name in ("poly_gcd", "_factor_monic_int_squarefree"):
             original = getattr(factorq_mod, name)
 
             def counting(*args, _original=original):
