@@ -3,8 +3,11 @@
 Subcommands map one-to-one onto library operations: invariants, resolvent,
 factor, decide-iso, classify, transform, reduce, family, scan, and a
 selftest driver.  Output is deterministic for identical argv; --json emits
-a stable schema-1 document.  Exit codes: 0 success, 1 mathematical
-precondition failure, 2 usage error.
+a stable schema-1 document.  Each command builds that document's result
+once; its text is one ``key = value`` line per result entry (then per extra
+top-level key, such as the witness), unless the command prints its own
+lines, and a ``warning:`` line per diagnostic.  Exit codes: 0 success, 1
+mathematical precondition failure, 2 usage error.
 
 Cubic inputs: --a a1,a2,a3 encodes X^3 - a1 X^2 + a2 X - a3 (the sign
 convention used throughout); --monic-a c2,c1,c0 encodes the plain monic
@@ -144,20 +147,31 @@ def _triple_str(t: CubicTriple) -> str:
     return ",".join(str(v) for v in t.values())
 
 
-def _emit(ns, command: str, inputs: dict, result, witness=None,
-          has_witness: bool = False, diagnostics=(), text_lines=()) -> None:
+def _render_plain(value) -> str:
+    if value is None:
+        return "none"
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, (list, tuple)):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _plain_lines(doc: dict) -> list:
+    return [f"{key} = {_render_plain(value)}" for key, value in doc.items()]
+
+
+def _emit(ns, command: str, inputs: dict, result, text_lines=None,
+          diagnostics=(), **extra) -> None:
+    """Print the schema-1 document, with ``extra`` as further top-level
+    keys, or its text as the module docstring states."""
     if ns.json:
-        doc = {
-            "schema": 1,
-            "command": command,
-            "inputs": inputs,
-            "result": result,
-            "diagnostics": list(diagnostics),
-        }
-        if has_witness:
-            doc["witness"] = witness
+        doc = {"schema": 1, "command": command, "inputs": inputs,
+               "result": result, "diagnostics": list(diagnostics), **extra}
         print(json.dumps(doc, indent=2, sort_keys=True))
         return
+    if text_lines is None:
+        text_lines = _plain_lines({**result, **extra})
     for line in text_lines:
         print(line)
     for diag in diagnostics:
@@ -166,10 +180,6 @@ def _emit(ns, command: str, inputs: dict, result, witness=None,
 
 def _witness_list(coeffs):
     return [str(c) for c in coeffs.as_tuple()] if coeffs is not None else None
-
-
-def _witness_str(coeffs):
-    return ",".join(str(c) for c in coeffs.as_tuple()) if coeffs is not None else "none"
 
 
 # --------------------------------------------------------------------------
@@ -190,11 +200,9 @@ def _cmd_invariants(parser, ns) -> int:
         "A": str(inv.A), "B": str(inv.B), "C": str(inv.C),
         "D": str(inv.D), "E": str(inv.E), "galois_type": gtype,
     }
-    lines = [f"{k} = {inv_val}" for k, inv_val in
-             (("A", inv.A), ("B", inv.B), ("C", inv.C), ("D", inv.D), ("E", inv.E))]
-    lines.append(f"galois_type = {gtype if gtype else 'undefined'}")
     _emit(ns, "invariants", {"a": _triple_str(a)}, result,
-          diagnostics=diagnostics, text_lines=lines)
+          _plain_lines({**result, "galois_type": gtype or "undefined"}),
+          diagnostics)
     return 0
 
 
@@ -215,8 +223,7 @@ def _cmd_resolvent(parser, ns) -> int:
     }
     _emit(ns, "resolvent", {"a": _triple_str(a), "b": _triple_str(b),
                             "index": str(ns.index)},
-          result, diagnostics=diagnostics,
-          text_lines=[f"F{ns.index} = {poly}"])
+          result, [f"F{ns.index} = {poly}"], diagnostics)
     return 0
 
 
@@ -234,11 +241,8 @@ def _cmd_factor(parser, ns) -> int:
     lines = [f"input = {f}", f"unit = {fac.unit}"]
     lines += [f"factor = ({g})^{m}" if m > 1 else f"factor = {g}"
               for g, m in fac.factors]
-    lines.append(
-        "degree_pattern = " + ",".join(str(d) for d in fac.degree_pattern())
-    )
-    _emit(ns, "factor", {"coeffs": [str(c) for c in ns.coeffs]}, result,
-          text_lines=lines)
+    lines.append(f"degree_pattern = {_render_plain(result['degree_pattern'])}")
+    _emit(ns, "factor", {"coeffs": [str(c) for c in ns.coeffs]}, result, lines)
     return 0
 
 
@@ -246,12 +250,11 @@ def _cmd_decide_iso(parser, ns) -> int:
     a = _resolve_triple(parser, ns, "a")
     b = _resolve_triple(parser, ns, "b")
     equal, witness = decide_same_splitting(a, b)
-    lines = [f"equal = {str(equal).lower()}"]
-    if witness is not None:
-        lines.append(f"witness = {_witness_str(witness)}")
+    result = {"equal": equal}
+    # the text names a witness only when there is one
     _emit(ns, "decide-iso", {"a": _triple_str(a), "b": _triple_str(b)},
-          {"equal": equal}, witness=_witness_list(witness), has_witness=True,
-          text_lines=lines)
+          result, None if witness else _plain_lines(result),
+          witness=_witness_list(witness))
     return 0
 
 
@@ -259,8 +262,8 @@ def _cmd_classify(parser, ns) -> int:
     a = _resolve_triple(parser, ns, "a")
     b = _resolve_triple(parser, ns, "b")
     report = classify_subfield(a, b)
-    doc = report.to_dict()
-    witness = doc.pop("witness")
+    result = report.to_dict()
+    witness = result.pop("witness")
     diagnostics = []
     if report.degenerate:
         diagnostics.append(
@@ -268,22 +271,9 @@ def _cmd_classify(parser, ns) -> int:
         )
     if report.swapped:
         diagnostics.append("inputs swapped so that #G_a >= #G_b")
-    lines = [f"{key} = {_render_plain(value)}" for key, value in doc.items()]
-    lines.append(f"witness = {_witness_str(report.witness)}")
-    _emit(ns, "classify", {"a": _triple_str(a), "b": _triple_str(b)}, doc,
-          witness=witness, has_witness=True, diagnostics=diagnostics,
-          text_lines=lines)
+    _emit(ns, "classify", {"a": _triple_str(a), "b": _triple_str(b)}, result,
+          diagnostics=diagnostics, witness=witness)
     return 0
-
-
-def _render_plain(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, (list, tuple)):
-        return ",".join(str(v) for v in value)
-    return str(value)
 
 
 def _cmd_transform(parser, ns) -> int:
@@ -293,12 +283,9 @@ def _cmd_transform(parser, ns) -> int:
     if cubic_invariants(image).D == 0:
         diagnostics.append("image is inseparable: the transformation "
                            "collapses roots")
-    result = {"image": _triple_str(image), "poly": str(image.poly())}
-    _emit(ns, "transform",
-          {"a": _triple_str(a), "c": ",".join(str(c) for c in ns.coeffs)},
-          result, diagnostics=diagnostics,
-          text_lines=[f"image = {_triple_str(image)}",
-                      f"poly = {image.poly()}"])
+    _emit(ns, "transform", {"a": _triple_str(a), "c": _render_plain(ns.coeffs)},
+          {"image": _triple_str(image), "poly": str(image.poly())},
+          diagnostics=diagnostics)
     return 0
 
 
@@ -320,64 +307,46 @@ def _cmd_reduce(parser, ns) -> int:
         forms = (reduce_one_param(a),)
     else:
         forms = reduce_shanks(a)
-    lines = []
-    for nf in forms:
-        lines += [
-            f"kind = {nf.kind}",
-            f"params = {','.join(str(p) for p in nf.params)}",
-            f"target = {_triple_str(nf.target)}",
-            f"target_poly = {nf.target.poly()}",
-            f"witness = {_witness_str(nf.witness)}",
-        ]
-    _emit(ns, "reduce", {"a": _triple_str(a), "to": ns.to},
-          {"forms": [_form_dict(nf) for nf in forms]}, text_lines=lines)
+    result = {"forms": [_form_dict(nf) for nf in forms]}
+    _emit(ns, "reduce", {"a": _triple_str(a), "to": ns.to}, result,
+          [line for form in result["forms"] for line in _plain_lines(form)])
     return 0
 
 
+# per kind: the family parameter, the free variable, the partner values as
+# a tuple, and their name in the text
+_FAMILIES = {
+    "s3": ("a", "u", lambda a, u: (family_s3(a, u),), "b"),
+    "c3": ("m", "z", family_c3, "n"),
+}
+
+
 def _cmd_family(parser, ns) -> int:
-    if ns.kind == "s3":
-        if ns.a is None:
-            parser.error("--kind s3 needs --a")
-        if (ns.u is None) == (ns.height is None):
-            parser.error("give exactly one of --u or --height")
-        if ns.a * (4 * ns.a + 27) == 0:
-            raise MathDomainError("a(4a + 27) = 0: parameter outside the family")
-        params = [ns.u] if ns.u is not None else rationals_by_height(ns.height)
-        rows, lines = [], []
-        for u in params:
-            try:
-                b = family_s3(ns.a, u)
-            except MathDomainError:
-                if ns.u is not None:
-                    raise
-                continue
-            rows.append([str(u), str(b)])
-            lines.append(f"u = {u} -> b = {b}")
-        result = {"kind": "s3", "a": str(ns.a), "values": rows}
-        inputs = {"kind": "s3", "a": str(ns.a),
-                  "u": None if ns.u is None else str(ns.u),
-                  "height": ns.height}
-    else:
-        if ns.m is None:
-            parser.error("--kind c3 needs --m")
-        if (ns.z is None) == (ns.height is None):
-            parser.error("give exactly one of --z or --height")
-        params = [ns.z] if ns.z is not None else rationals_by_height(ns.height)
-        rows, lines = [], []
-        for z in params:
-            try:
-                n1, n2 = family_c3(ns.m, z)
-            except MathDomainError:
-                if ns.z is not None:
-                    raise
-                continue
-            rows.append([str(z), str(n1), str(n2)])
-            lines.append(f"z = {z} -> n = {n1}, {n2}")
-        result = {"kind": "c3", "m": str(ns.m), "values": rows}
-        inputs = {"kind": "c3", "m": str(ns.m),
-                  "z": None if ns.z is None else str(ns.z),
-                  "height": ns.height}
-    _emit(ns, "family", inputs, result, text_lines=lines)
+    param, var, build, name = _FAMILIES[ns.kind]
+    fixed, single = getattr(ns, param), getattr(ns, var)
+    if fixed is None:
+        parser.error(f"--kind {ns.kind} needs --{param}")
+    for flag in _FAMILIES["c3" if ns.kind == "s3" else "s3"][:2]:
+        if getattr(ns, flag) is not None:
+            parser.error(f"--kind {ns.kind} takes no --{flag}")
+    if (single is None) == (ns.height is None):
+        parser.error(f"give exactly one of --{var} or --height")
+    if ns.kind == "s3" and fixed * (4 * fixed + 27) == 0:
+        raise MathDomainError("a(4a + 27) = 0: parameter outside the family")
+    rows, lines = [], []
+    for x in [single] if single is not None else rationals_by_height(ns.height):
+        try:
+            values = [str(v) for v in build(fixed, x)]
+        except MathDomainError:
+            if single is not None:
+                raise
+            continue
+        rows.append([str(x), *values])
+        lines.append(f"{var} = {x} -> {name} = {', '.join(values)}")
+    inputs = {"kind": ns.kind, param: str(fixed),
+              var: None if single is None else str(single), "height": ns.height}
+    _emit(ns, "family", inputs,
+          {"kind": ns.kind, param: str(fixed), "values": rows}, lines)
     return 0
 
 
@@ -413,7 +382,7 @@ def _random_split_pair(rng):
         s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
         js, jt = cubic_invariants(s), cubic_invariants(t)
         if js.D and jt.D and js.B and degeneracy_indicator(s, t):
-            return RootTuple(xs=xs, ys=ys), s, t
+            return xs, ys
 
 
 def _check_invariant_identity(rng) -> bool:
@@ -428,14 +397,17 @@ def _check_invariant_identity(rng) -> bool:
     return True
 
 
+def _matches_oracle(xs, ys) -> bool:
+    """F0, F1 and F2 of the cubics with roots xs and ys against the coset
+    oracle."""
+    s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
+    rt = RootTuple(xs=xs, ys=ys)
+    return all(oracle_resolvent(rt, i) == builder(s, t) for i, builder
+               in enumerate((resolvent_F0, resolvent_F1, resolvent_F2)))
+
+
 def _check_oracle(rng) -> bool:
-    builders = (resolvent_F0, resolvent_F1, resolvent_F2)
-    for _ in range(5):
-        rt, s, t = _random_split_pair(rng)
-        for index in (0, 1, 2):
-            if oracle_resolvent(rt, index) != builders[index](s, t):
-                return False
-    return True
+    return all(_matches_oracle(*_random_split_pair(rng)) for _ in range(5))
 
 
 def _check_finite_field_oracle(rng) -> bool:
@@ -444,17 +416,14 @@ def _check_finite_field_oracle(rng) -> bool:
     and B_s = 0 included.  Each field's products are first checked against
     its inverses, so a wrong product fails here instead of stalling a
     division that waits for a leading coefficient to cancel."""
-    builders = (resolvent_F0, resolvent_F1, resolvent_F2)
     for p, k in ((5, 2), (7, 3)):
         K = gf_build(p, k, rng.randrange(p**k))
         els = list(K.elements())
         if any(a * a.inverse() != K.one for a in els[1:]):
             return False
         for _ in range(3):
-            xs, ys = (tuple(rng.sample(els, 3)) for _ in range(2))
-            s, t = CubicTriple.from_roots(xs), CubicTriple.from_roots(ys)
-            rt = RootTuple(xs=xs, ys=ys)
-            if any(oracle_resolvent(rt, i) != builders[i](s, t) for i in range(3)):
+            if not _matches_oracle(tuple(rng.sample(els, 3)),
+                                   tuple(rng.sample(els, 3))):
                 return False
     return True
 
@@ -485,12 +454,9 @@ def _check_cyclic_example() -> bool:
 
 def _check_family_list() -> bool:
     for a_par, b_par in ((-7, -189), (-9, -27), (-6, 54)):
-        equal, witness = decide_same_splitting(
-            CubicTriple(0, a_par, -a_par), CubicTriple(0, b_par, -b_par)
-        )
-        if not equal or not verify_transformation(
-            CubicTriple(0, a_par, -a_par), CubicTriple(0, b_par, -b_par), witness
-        ):
+        s, t = CubicTriple(0, a_par, -a_par), CubicTriple(0, b_par, -b_par)
+        equal, witness = decide_same_splitting(s, t)
+        if not equal or not verify_transformation(s, t, witness):
             return False
     return True
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .decide import TschirnCoeffs, _avoid_zero_A, galois_type, verify_transformation
 from .factorq import _cubic_integer_roots, is_square_rat
@@ -133,16 +134,13 @@ def rationals_by_height(max_height: int):
     """All reduced rationals of height max(|num|, den) up to max_height,
     ordered by height and then numerically."""
     for h in range(1, max_height + 1):
-        batch = set()
-        for den in range(1, h + 1):
-            q = Fraction(h, den)
-            if max(q.numerator, q.denominator) == h:
-                batch.update((q, -q))
-        for num in range(0, h):
-            q = Fraction(num, h)
-            if max(q.numerator, q.denominator) == h:
-                batch.update((q, -q))
-        yield from sorted(batch)
+        yield from sorted({
+            sign * Fraction(num, den)
+            for num in range(h + 1)
+            for den in (range(1, h + 1) if num == h else (h,))
+            if gcd(num, den) == 1
+            for sign in (1, -1)
+        })
 
 
 # --------------------------------------------------------------------------

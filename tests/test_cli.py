@@ -308,6 +308,22 @@ class TestFamily:
                       "--u", "1", "--height", "2"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--kind", "c3", "--m", "1", "--u", "2", "--height", "1"], "--u"),
+        (["--kind", "c3", "--m", "1", "--z", "2", "--a", "-7"], "--a"),
+        (["--kind", "s3", "--a", "-7", "--u", "2", "--m", "5"], "--m"),
+        (["--kind", "s3", "--a", "-7", "--height", "1", "--z", "2"], "--z"),
+    ])
+    def test_other_kinds_parameter_is_a_usage_error(self, capsys, argv, flag):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["family"] + argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: tschirn: --kind {argv[1]} takes no {flag}"
+        ]
+
 
 class TestScan:
     def test_small_scan_text(self, capsys):

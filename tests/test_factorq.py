@@ -268,7 +268,7 @@ def _corpus_like_f2s(rng, n: int) -> list:
 def _golden_factor_inputs() -> list:
     """The --coeffs of the ``tschirn factor`` runs in the golden CLI data:
     resolvent sextics, X^24 + 1, products of sextics with 12- to 30-digit
-    coefficients and inputs with repeated factors."""
+    coefficients, inputs with repeated factors and the constant 5."""
     data = Path(__file__).resolve().parent / "data" / "golden_cli.json"
     runs = json.loads(data.read_text())
     coeffs = dict.fromkeys(r["argv"][2] for r in runs if r["argv"][0] == "factor")
@@ -289,7 +289,7 @@ class TestFactorOverQAgainstSympy:
 
     def test_golden_factor_inputs(self):
         inputs = _golden_factor_inputs()
-        assert len(inputs) == 12
+        assert len(inputs) == 13
         for f in inputs:
             assert dict(factor_over_Q(f).factors) == _sympy_factors(f), f
 

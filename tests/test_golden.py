@@ -13,8 +13,12 @@ over Q and one with G irreducible, and ``--index 0`` on two pairs whose
 second cubic has a triple root: one on the locus, one with A_a = A_b = 0;
 ``invariants`` on the first cubics and a triple root; ``reduce`` to each
 normal form, with the A = 0 alternate and the errors; ``family`` of each
-kind, by one parameter and by height; and a small ``scan``.
-Each run's exit code, stdout and stderr (kept when not empty) are compared
+kind, by one parameter and by height, and its usage and domain errors; a
+small ``scan``; ``classify`` on inputs it swaps, ``transform`` onto an
+inseparable image, ``decide-iso`` and ``classify`` on ``--monic-a`` and
+``--monic-b`` inputs, ``factor`` on a constant and the fast ``selftest``.
+Each run's exit code (that of ``SystemExit`` for a usage error), stdout
+and stderr (kept when not empty) are compared
 byte for byte with
 ``tests/data/golden_cli.json``, so a speedup of the decision path, of the
 image kernel or of the factorizer can show that it changed no verdict,
@@ -28,8 +32,10 @@ To rewrite the data file after an intended output change:
 import contextlib
 import io
 import json
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -214,11 +220,53 @@ CASES += [
     for extra in ([], ["--json"])
 ]
 
+CASES += [
+    argv + extra
+    for argv in (
+        # #G_a < #G_b: classify swaps the inputs and warns
+        ["classify", "--a", "6,11,6", "--b", "0,0,2"],
+        # the zero transformation collapses the roots
+        ["transform", "--a", "0,0,2", "--c", "0,0,0"],
+        # the worked example's degenerate pair, given as plain monic cubics
+        ["decide-iso", "--monic-a", "0,3,2", "--monic-b", "-3,-3,-3"],
+        ["classify", "--monic-a", "0,3,2", "--monic-b", "-3,-3,-3"],
+        # a constant: no factors, an empty degree pattern
+        ["factor", "--coeffs", "5"],
+        ["selftest"],
+    )
+    for extra in ([], ["--json"])
+]
+
+# family usage errors (exit 2): a missing parameter, both or neither of the
+# single parameter and --height, and the other kind's parameters; then
+# a(4a + 27) = 0 outside the s3 family (exit 1)
+CASES += [
+    ["family", "--kind"] + args
+    for args in (
+        ["s3", "--u", "2"],
+        ["c3", "--z", "2"],
+        ["s3", "--a", "-7"],
+        ["s3", "--a", "-7", "--u", "2", "--height", "1"],
+        ["c3", "--m", "1"],
+        ["c3", "--m", "1", "--z", "2", "--height", "1"],
+        ["c3", "--m", "1", "--u", "2", "--height", "1"],
+        ["s3", "--a", "-7", "--u", "2", "--m", "5"],
+        ["s3", "--a", "0", "--u", "1"],
+        ["s3", "--a", "-27/4", "--height", "1"],
+    )
+]
+
 
 def _run(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    with mock.patch.dict(os.environ), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        # the selftest pins record the default seed
+        os.environ.pop("TSCHIRN_SEED", None)
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # a usage error, raised by argparse
+            code = exc.code
     run = {"argv": list(argv), "code": code, "stdout": out.getvalue()}
     if err.getvalue():
         run["stderr"] = err.getvalue()
