@@ -331,6 +331,8 @@ def _cmd_family(parser, ns) -> int:
             parser.error(f"--kind {ns.kind} takes no --{flag}")
     if (single is None) == (ns.height is None):
         parser.error(f"give exactly one of --{var} or --height")
+    if ns.height is not None and ns.height < 1:
+        parser.error(f"--height must be at least 1, got {ns.height}")
     if ns.kind == "s3" and fixed * (4 * fixed + 27) == 0:
         raise MathDomainError("a(4a + 27) = 0: parameter outside the family")
     rows, lines = [], []
@@ -351,6 +353,8 @@ def _cmd_family(parser, ns) -> int:
 
 
 def _cmd_scan(parser, ns) -> int:
+    if ns.m_max < ns.m_min:
+        parser.error(f"empty range: --m-max {ns.m_max} is below --m-min {ns.m_min}")
     jobs = ns.jobs if ns.jobs is not None else _env_int(parser, _JOBS_ENV, 1)
     res = scan_equal_splitting((ns.m_min, ns.m_max), ns.n_max, jobs=jobs)
     lines = [f"pair = {m},{n}" for m, n in res.pairs]

@@ -23,12 +23,12 @@ exhaustively.
 Rational roots of a quadratic or a cubic over Q need no factoring: they
 are the integer roots of its monic integer model divided by ell.  A
 quadratic's come from one isqrt of its discriminant
-(``_quadratic_integer_roots``); a cubic's are found by exact integer
-bisection over its monotone segments, with the last two from the quotient
-quadratic (``_cubic_integer_roots``), unless no root mod some prime 5..47
-proves first that there is none (``_cubic_root_tables``, shared with the
-scan of ``families``).  Roots of other degrees are read off
-``factor_over_Q``.
+(``_quadratic_integer_roots``).  A cubic with no root mod some prime 5..47
+has none (``_cubic_root_tables``, shared with the scan of ``families``);
+otherwise a root mod such a prime is lifted by Newton's step to a power of
+the prime above twice the root bound, the one candidate is tested exactly,
+and the quotient quadratic gives the rest (``_cubic_integer_roots``).
+Roots of other degrees are read off ``factor_over_Q``.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from . import zpoly
 from .fields import QQ, PrimeField, field_of, is_prime
 from .poly import UniPoly, poly_gcd
 
-# Primes tried by factor_over_Q for a proof that its input is squarefree,
-# and the moduli of the cubic root sieve (_cubic_root_tables).
+# The moduli of the cubic root sieve and of factor_over_Q's squarefree test.
 _SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # --------------------------------------------------------------------------
@@ -70,10 +69,7 @@ class Factorization:
 
     def degree_pattern(self) -> tuple:
         """Factor degrees with multiplicity, sorted ascending: e.g. (1,1,1,3)."""
-        degs = []
-        for g, m in self.factors:
-            degs.extend([g.degree] * m)
-        return tuple(sorted(degs))
+        return tuple(sorted(g.degree for g, m in self.factors for _ in range(m)))
 
     def __iter__(self):
         return iter(self.factors)
@@ -93,21 +89,17 @@ def integer_model(coeffs) -> tuple:
     >>> integer_model((Fraction(1, 4), Fraction(-1, 2), 0, 1))
     ([16, -8, 0, 1], 4)
     """
-    ell = math.lcm(*(c.denominator for c in coeffs))
+    dens = [c.denominator for c in coeffs]
+    ell = math.lcm(*dens)
+    if ell == 1:
+        return [c.numerator for c in coeffs], 1
     d = len(coeffs) - 1
-    return [c.numerator * (ell ** (d - i) // c.denominator)
-            for i, c in enumerate(coeffs)], ell
+    return [c.numerator * (ell ** (d - i) // dens[i]) for i, c in enumerate(coeffs)], ell
 
 
 # --------------------------------------------------------------------------
 # Factorization over F_p, on int lists (see zpoly).
 # --------------------------------------------------------------------------
-
-
-def _pth_root_fp(f: list, p: int) -> list:
-    """For f with f' = 0 over F_p: the unique h with h(X)^p = f(X).
-    (Coefficients of F_p are their own p-th roots.)"""
-    return f[::p]
 
 
 def _squarefree_decompose_fp(f: list, p: int) -> dict:
@@ -127,7 +119,8 @@ def _squarefree_decompose_fp(f: list, p: int) -> dict:
         c = zpoly.divmod_mod(c, y, p)[0]
         i += 1
     if len(c) > 1:
-        for g, m in _squarefree_decompose_fp(_pth_root_fp(c, p), p).items():
+        # c' = 0, so c = h(X)^p with h = c[::p] (F_p is fixed by x -> x^p)
+        for g, m in _squarefree_decompose_fp(c[::p], p).items():
             out[g] = out.get(g, 0) + m * p
     return out
 
@@ -153,9 +146,8 @@ def _equal_degree_split_fp(f: list, d: int, p: int, rng: random.Random) -> list:
                 t = zpoly.sub(zpoly.powmod(r, (p**d - 1) // 2, f, p), [1], p)
             g = zpoly.gcd(f, t, p)
         if 1 < len(g) < len(f):
-            return _equal_degree_split_fp(g, d, p, rng) + _equal_degree_split_fp(
-                zpoly.divmod_mod(f, g, p)[0], d, p, rng
-            )
+            return (_equal_degree_split_fp(g, d, p, rng)
+                    + _equal_degree_split_fp(zpoly.divmod_mod(f, g, p)[0], d, p, rng))
 
 
 def _factor_fp(f: list, p: int) -> list:
@@ -165,8 +157,7 @@ def _factor_fp(f: list, p: int) -> list:
     found: dict = {}
     for piece, mult in _squarefree_decompose_fp(f, p).items():
         for prod, d in zpoly.distinct_degree(piece, p):
-            for h in _equal_degree_split_fp(prod, d, p, rng):
-                h = tuple(h)
+            for h in map(tuple, _equal_degree_split_fp(prod, d, p, rng)):
                 found[h] = found.get(h, 0) + mult
     return sorted(found.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
@@ -251,9 +242,8 @@ def _hensel_tree(f: list, mod_factors: list, p: int, m_final: int) -> list:
     one, s, t = zpoly.xgcd(g0, h0, p)
     assert one == [1], "factors not coprime mod p (image not squarefree)"
     g, h = _lift_pair(f, g0, h0, s, t, p, m_final)
-    return _hensel_tree(g, mod_factors[:half], p, m_final) + _hensel_tree(
-        h, mod_factors[half:], p, m_final
-    )
+    return (_hensel_tree(g, mod_factors[:half], p, m_final)
+            + _hensel_tree(h, mod_factors[half:], p, m_final))
 
 
 def _center(c: int, m: int) -> int:
@@ -269,15 +259,15 @@ def _squarefree_prime(H: list, primes):
                  if zpoly.gcd(zpoly.mod(H, p), zpoly.mod(dH, p), p) == [1]), None)
 
 
-def _good_prime(H: list) -> int:
-    """The least prime p >= 5 modulo which the monic H stays squarefree.  A
-    prime that fails divides Disc H, which, unless 0, is below the Hadamard
-    bound 2^b of the Sylvester matrix of H and H'; so more than b/2 failures
-    prove that H is not squarefree."""
+def _good_prime(H: list, failed: int = 0) -> int:
+    """The least prime p >= 5, past the first `failed` ones, modulo which the
+    monic H stays squarefree.  A failing prime divides Disc H, which, unless
+    0, is below the Hadamard bound 2^b of the Sylvester matrix of H and H';
+    so more than b/2 failures, the skipped ones included, prove H not squarefree."""
     dH = [i * H[i] for i in range(1, len(H))]
     norm_H, norm_dH = (math.isqrt(sum(c * c for c in g)) + 1 for g in (H, dH))
     b = (norm_H ** (len(H) - 2) * norm_dH ** (len(H) - 1)).bit_length()
-    p = _squarefree_prime(H, islice(filter(is_prime, count(5, 2)), b // 2 + 1))
+    p = _squarefree_prime(H, islice(filter(is_prime, count(5, 2)), failed, b // 2 + 1))
     if p is None:
         raise AssertionError("H is not squarefree")
     return p
@@ -302,23 +292,18 @@ def _factor_monic_int_squarefree(H: list, p=None) -> list:
         m_final *= p
     lifted = _hensel_tree(zpoly.mod(H, m_final), modular, p, m_final)
 
-    result = []
-    remaining = list(range(len(lifted)))
-    current = list(H)
-    k = 1
+    result, remaining, current, k = [], list(range(len(lifted))), list(H), 1
     while 2 * k <= len(remaining):
-        found = False
         for subset in combinations(remaining, k):
-            cand = _product([lifted[i] for i in subset], m_final)
-            cand = [_center(c, m_final) for c in cand]
+            cand = [_center(c, m_final)
+                    for c in _product([lifted[i] for i in subset], m_final)]
             q, r = zpoly.divmod_monic(current, cand)
             if not r:
                 result.append(cand)
                 current = q
                 remaining = [i for i in remaining if i not in subset]
-                found = True
                 break
-        if not found:
+        else:
             k += 1
     if len(current) - 1 > 0:
         result.append(current)
@@ -328,21 +313,17 @@ def _factor_monic_int_squarefree(H: list, p=None) -> list:
 def _factor_squarefree_q(H: list, ell: int, p=None) -> list:
     """Monic rational irreducibles of the squarefree monic q whose integer
     model (integer_model) is (H, ell); p as for _factor_monic_int_squarefree."""
-    out = []
-    for hj in _factor_monic_int_squarefree(H, p):
-        # hj(ell X) / ell^d is the monic rational factor of q
-        d = len(hj) - 1
-        out.append(UniPoly(QQ, (Fraction(c, ell ** (d - i))
-                                for i, c in enumerate(hj))))
-    return out
+    # hj(ell X) / ell^d is the monic rational factor of q, d = deg hj
+    return [UniPoly(QQ, map(Fraction, hj, [ell ** k for k in reversed(range(len(hj)))]))
+            for hj in _factor_monic_int_squarefree(H, p)]
 
 
 def factor_over_Q(f: UniPoly) -> Factorization:
     """Complete factorization into monic rational irreducibles, with unit.
-    When no prime of _SIEVE_PRIMES proves the monic input g squarefree, the
-    squarefree part g / c, c = gcd(g, g'), is factored instead: a factor h
-    of multiplicity m in g has multiplicity m - 1 in c, found by exact
-    division of c, one divmod per power of h."""
+    When no prime of _SIEVE_PRIMES proves the monic input g squarefree and
+    c = gcd(g, g') is not 1, the squarefree part g / c is factored instead:
+    a factor h of multiplicity m in g has multiplicity m - 1 in c, found by
+    exact division of c, one divmod per power of h."""
     if not f:
         raise ValueError("cannot factor the zero polynomial")
     if f.field != QQ:
@@ -353,11 +334,13 @@ def factor_over_Q(f: UniPoly) -> Factorization:
         return Factorization(unit, ())
     H, ell = integer_model(g.coeffs)
     p = _squarefree_prime(H, _SIEVE_PRIMES)
+    if p is None and (c := poly_gcd(g, g.derivative())).degree == 0:
+        # g is squarefree, and the sieve primes, the least ones, have failed
+        p = _good_prime(H, len(_SIEVE_PRIMES))
     if p is not None:
         factors = [(h, 1) for h in _factor_squarefree_q(H, ell, p)]
     else:
         factors = []
-        c = poly_gcd(g, g.derivative())
         for h in _factor_squarefree_q(*integer_model((g // c).coeffs)):
             m = 1
             while c.degree >= h.degree and not (qr := divmod(c, h))[1]:
@@ -384,23 +367,33 @@ def rational_roots(f: UniPoly) -> list:
         H, ell = integer_model((f if f.lc == 1 else f.monic()).coeffs)
         search = _cubic_integer_roots if f.degree == 3 else _quadratic_integer_roots
         return [Fraction(r, ell) for r in search(H)]
-    roots = []
-    for g, m in factor_over_Q(f).factors:
-        if g.degree == 1:
-            roots.extend([-g.coeffs[0]] * m)
-    return sorted(roots)
+    return sorted(-g.coeffs[0] for g, m in factor_over_Q(f).factors if g.degree == 1
+                  for _ in range(m))
+
+
+# The kinds of root table bytes (_cubic_root_tables), in order of preference.
+_SINGLE, _THREE, _REPEATED = 0, 64, 128
 
 
 @cache
 def _cubic_root_tables() -> tuple:
-    """For each sieve prime l, the pair (l, table): table[a*l + b] is 1 when
-    Y^3 + aY + b has a root mod l, else 0.  Built on first use."""
+    """For each sieve prime l, the pair (l, table): table[a*l + b] is 0 when
+    Y^3 + aY + b has no root mod l, else kind + 1 + y for the kind _SINGLE
+    of one simple root y, _THREE of three distinct roots, y the least, or
+    _REPEATED of a repeated root y.  Built on first use."""
     tables = []
     for ell in _SIEVE_PRIMES:
         table = bytearray(ell * ell)
-        for a in range(ell):
-            for y in range(ell):
-                table[a * ell + (-(y * y * y + a * y)) % ell] = 1
+        for y in range(ell):  # ascending, so a cell first sees its least root
+            # y is a repeated root of Y^3 + aY + b when 3y^2 + a = 0
+            double, cube = -3 * y * y % ell, y * y * y
+            for a in range(ell):
+                i = a * ell + (-cube - a * y) % ell
+                if a == double:
+                    table[i] = _REPEATED + 1 + y
+                elif table[i] < _THREE:
+                    # a second simple root brings a third, also simple
+                    table[i] += _THREE if table[i] else _SINGLE + 1 + y
         tables.append((ell, bytes(table)))
     return tuple(tables)
 
@@ -409,56 +402,77 @@ def _cubic_integer_roots(H: list) -> list:
     """The integer roots, with multiplicity and ascending, of the monic
     integer cubic H = [c0, c1, c2, 1], with no factoring.
 
-    Y = 3X + c2 gives 27 H = Y^3 + pY + q with the p, q below, so no root
-    of Y^3 + pY + q mod a sieve prime l != 3 proves that H has none; a
-    cubic that passes every prime goes to _searched_integer_roots."""
+    Y = 3X + c2 gives 27 H = Y^3 + pY + q with the p, q below, and Y = X
+    gives H itself when c2 = 0, so no root of Y^3 + pY + q mod a sieve
+    prime l != 3 proves that H has none; a cubic that passes every prime
+    goes to _searched_integer_roots."""
     c0, c1, c2 = H[0], H[1], H[2]
-    p, q = 9 * c1 - 3 * c2 * c2, 27 * c0 - 9 * c1 * c2 + 2 * c2 * c2 * c2
+    if c2:
+        p = 3 * (3 * c1 - c2 * c2)
+        q = 27 * c0 - c2 * (p + c2 * c2)  # 27c0 - 9c1c2 + 2c2^3
+    else:
+        p, q = c1, c0
     for ell, table in _cubic_root_tables():
         if not table[p % ell * ell + q % ell]:
             return []
-    return _searched_integer_roots(c0, c1, c2)
+    return _searched_integer_roots(c0, c1, c2, p, q)
 
 
-def _searched_integer_roots(c0: int, c1: int, c2: int) -> list:
-    """_cubic_integer_roots([c0, c1, c2, 1]), by exact search.
-
-    H' = 3X^2 + 2 c2 X + c1 vanishes at (-c2 -+ sqrt(c2^2 - 3 c1)) / 3.
-    With s = isqrt(c2^2 - 3 c1) and e1, e2 the floors of (-c2 -+ s) / 3,
-    the critical points lie in (e1 - 1, e1 + 1) and [e2, e2 + 1), so the
-    integers within 2 of e1 and e2 are tried directly and H is strictly
-    monotone on [.., e1 - 2], [e1 + 2, e2 - 2] and [e2 + 2, ..]; with no
-    critical points it increases everywhere.  Each segment, cut to the
-    Fujiwara bound on the roots, is bisected exactly.  The first root r
-    found is divided out and the quotient quadratic solved with isqrt."""
-
-    def h(x: int) -> int:
-        return ((x + c2) * x + c1) * x + c0
-
-    # Fujiwara: |root| <= 2 max(|c2|, |c1|^(1/2), |c0/2|^(1/3)); a power
-    # of two above each root of a coefficient keeps this exact.
-    bound = 2 * max(abs(c2), 1 << -(-abs(c1).bit_length() // 2),
-                    1 << -(-abs(c0).bit_length() // 3))
-    segments = [(-bound, bound, 1)]
-    root = None
-    crit = c2 * c2 - 3 * c1
-    if crit > 0:
-        s = math.isqrt(crit)
-        e1, e2 = (-c2 - s) // 3, (-c2 + s) // 3
-        root = next((x for e in (e1, e2) for x in range(e - 2, e + 3) if not h(x)), None)
-        segments = [(-bound, e1 - 2, 1), (e1 + 2, e2 - 2, -1), (e2 + 2, bound, 1)]
-    for lo, hi, sign in segments:
-        if root is not None:
-            break
-        root = _monotone_integer_root(h, lo, hi, sign)
-    if root is None:
-        return []
+def _searched_integer_roots(c0: int, c1: int, c2: int, p: int, q: int) -> list:
+    """_cubic_integer_roots([c0, c1, c2, 1]), p and q as there, by p-adic
+    lifting (Loos, SIAM J. Comput. 12 (1983)): the candidates are the lifts
+    (_lifted_root) of the roots mod l of Y^3 + pY + q, mapped back to X, for
+    the first sieve prime l with one simple root, else with three, else,
+    unless Delta = -4p^3 - 27q^2 = 0 puts the repeated root in closed form,
+    for the first l past 47 not dividing Delta.  The first root r found is
+    divided out and the quotient quadratic solved with isqrt."""
+    code, ell = 255, 0  # 255 >> 6 is above every kind
+    for prime, table in _cubic_root_tables():
+        if (c := table[p % prime * prime + q % prime]) >> 6 < code >> 6:
+            code, ell = c, prime
+            if c < _THREE:
+                break
+    if code > _REPEATED and not (disc := -4 * p * p * p - 27 * q * q):
+        # H = (X - r)^2 (X - s): 9c0 - c1c2 = 2r(r - s)^2, c2^2 - 3c1 = (r - s)^2
+        crit = c2 * c2 - 3 * c1
+        root = (9 * c0 - c1 * c2) // (2 * crit) if crit else -c2 // 3
+    else:
+        if code > _REPEATED:
+            ell = next(r for r in filter(is_prime, count(53, 2)) if disc % r)
+        y0, pl, ql = code % 64 - 1 if code < _REPEATED else 0, p % ell, q % ell
+        ys = [y0] if code < _THREE else [
+            y for y in range(y0, ell) if not (y * y * y + pl * y + ql) % ell]
+        # above twice Fujiwara's 2 max(|c2|, |c1|^(1/2), |c0/2|^(1/3))
+        limit = 4 << max(c2.bit_length(), (c1.bit_length() + 1) // 2,
+                         (c0.bit_length() + 2) // 3)
+        u = pow(3, -1, ell) if c2 else 1
+        root = _lifted_root(c0, c1, c2, [(y - c2) * u % ell for y in ys], ell, limit)
+        if root is None:
+            return []
     # H = (X - root)(X^2 + q1 X + q0)
     q1 = c2 + root
     q0 = c1 + root * q1
     if c0 + root * q0:
         raise AssertionError("integer cubic root search found a non-root")
     return sorted([root] + _quadratic_integer_roots([q0, q1, 1]))
+
+
+def _lifted_root(c0: int, c1: int, c2: int, xs, ell: int, limit: int):
+    """The integer root r of H = X^3 + c2 X^2 + c1 X + c0 with 2|r| < limit
+    and r = x mod the prime ell for an x of xs, simple roots of H mod ell,
+    or None.  Newton's steps x - H(x) s and s (2 - H'(x) s), s = 1/H'(x),
+    lift x and s from mod m to mod m^2 until m >= limit, one evaluation of
+    H and one of H' each; the symmetric residue is then the one candidate,
+    and one exact evaluation of H decides."""
+    for x in xs:
+        m, s = ell, pow((3 * x + 2 * c2) * x + c1, -1, ell)
+        while m < limit:
+            s = s * (2 - ((3 * x + 2 * c2) * x + c1) * s) % m
+            x, m = (x - (((x + c2) * x + c1) * x + c0) * s) % (m * m), m * m
+        x = _center(x, m)
+        if not ((x + c2) * x + c1) * x + c0:
+            return x
+    return None
 
 
 def _quadratic_integer_roots(H: list) -> list:
@@ -472,20 +486,6 @@ def _quadratic_integer_roots(H: list) -> list:
         return []
     # t and q1 have the same parity, since disc = q1^2 mod 4
     return [(-q1 - t) // 2, (-q1 + t) // 2]
-
-
-def _monotone_integer_root(h, lo: int, hi: int, sign: int):
-    """The integer root of h in [lo, hi], on which sign * h increases
-    strictly, or None; by exact bisection."""
-    if lo > hi or sign * h(lo) > 0 or sign * h(hi) < 0:
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if sign * h(mid) <= 0:
-            lo = mid
-        else:
-            hi = mid
-    return next((x for x in (lo, hi) if not h(x)), None)
 
 
 def is_square_rat(r: Fraction):

@@ -5,11 +5,11 @@ integer scan for equal-splitting Shanks pairs.
 
 The scan asks whether a monic integer cubic has an integer root, through
 ``factorq._cubic_integer_roots``.  That search first looks the cubic up in
-``factorq._cubic_root_tables``, of the cubics Y^3 + aY + b with a root mod
-each prime l from 5 to 47: an integer root is also a root mod every l, so no
-root mod some l proves no integer root.  Only the few cubics that pass every
-table go on to the exact integer root search, so every "has a root" answer
-is still exact."""
+``factorq._cubic_root_tables``, of the roots of Y^3 + aY + b mod each prime
+l from 5 to 47: an integer root is also a root mod every l, so no root mod
+some l proves no integer root.  Only the few cubics that pass every table go
+on to the exact search, which lifts a root mod l to the one candidate and
+tests it, so every "has a root" answer is still exact."""
 
 from __future__ import annotations
 

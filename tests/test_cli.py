@@ -324,8 +324,30 @@ class TestFamily:
             f"error: tschirn: --kind {argv[1]} takes no {flag}"
         ]
 
+    @pytest.mark.parametrize("height", ["0", "-3"])
+    def test_height_below_one_is_a_usage_error(self, capsys, height):
+        for kind in (["s3", "--a", "-7"], ["c3", "--m", "1"]):
+            with pytest.raises(SystemExit) as info:
+                cli.main(["family", "--kind", *kind, "--height", height])
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: tschirn: --height must be at least 1, got {height}"
+            ]
+
 
 class TestScan:
+    def test_empty_m_range_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["scan", "--m-min", "3", "--m-max", "1", "--n-max", "10"])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: tschirn: empty range: --m-max 1 is below --m-min 3"
+        ]
+
     def test_small_scan_text(self, capsys):
         code, out, _ = run_cli(capsys, "scan", "--m-min", "-1", "--m-max", "2",
                                "--n-max", "70")

@@ -346,6 +346,34 @@ class TestSquarefreeShortcut:
         fac, calls = self._gcd_calls(monkeypatch, f)
         assert calls >= 1 and fac.factors == ((f, 1),)
 
+    def test_squarefree_modulo_no_sieve_prime_tests_each_prime_once(self, monkeypatch):
+        # the gcd is 1, so the search for a good prime starts past 47
+        c = math.prod(factorq_mod._SIEVE_PRIMES)
+        f = qpoly(-3 * c * c, 0, 1)
+        tested = []
+        original = factorq_mod._squarefree_prime
+
+        def recording(H, primes):
+            def seen():
+                for q in primes:
+                    tested.append(q)
+                    yield q
+
+            return original(H, seen())
+
+        monkeypatch.setattr(factorq_mod, "_squarefree_prime", recording)
+        assert factor_over_Q(f).factors == ((f, 1),)
+        assert tested == [*factorq_mod._SIEVE_PRIMES, 53]
+
+    def test_known_failures_count_towards_the_hadamard_stop(self):
+        # 5, 7, ..., 47 divide Disc(X^2 - 3c^2) = 12c^2; 53 does not
+        c = math.prod(factorq_mod._SIEVE_PRIMES)
+        H = [-3 * c * c, 0, 1]
+        assert _good_prime(H, len(factorq_mod._SIEVE_PRIMES)) == 53
+        # more known failures than half the bits of the Hadamard bound
+        with pytest.raises(AssertionError, match="not squarefree"):
+            _good_prime(H, 200)
+
 
 class TestHenselLift:
     def test_lift_to_least_sufficient_power(self, monkeypatch):
@@ -551,15 +579,30 @@ class TestRootSieve:
     families: an integer root is a root mod every sieve prime."""
 
     def test_tables_match_brute_force(self):
+        # a byte is 0 for no root, else kind + 1 + y: one simple root y,
+        # three distinct roots with y the least, or a repeated root y
+        single, three, repeated = (factorq_mod._SINGLE, factorq_mod._THREE,
+                                   factorq_mod._REPEATED)
         tables = factorq_mod._cubic_root_tables()
         assert tuple(ell for ell, _ in tables) == factorq_mod._SIEVE_PRIMES
         for ell, table in tables:
             assert len(table) == ell * ell
             for a in range(ell):
                 for b in range(ell):
-                    has_root = any((y**3 + a * y + b) % ell == 0
-                                   for y in range(ell))
-                    assert table[a * ell + b] == has_root, (ell, a, b)
+                    roots = [y for y in range(ell) if (y**3 + a * y + b) % ell == 0]
+                    multiple = [y for y in roots if (3 * y * y + a) % ell == 0]
+                    code = table[a * ell + b]
+                    if not roots:
+                        assert code == 0, (ell, a, b)
+                        continue
+                    kind, y = code & 0xC0, (code & 0x3F) - 1
+                    # distinct roots: 1, 3, or 2 for a double root (1 for
+                    # the triple root of Y^3, a = b = 0)
+                    n_roots = {single: 1, three: 3,
+                               repeated: 1 if a == b == 0 else 2}[kind]
+                    assert len(roots) == n_roots, (ell, a, b)
+                    assert (kind == repeated) == bool(multiple), (ell, a, b)
+                    assert y == (multiple or roots)[0], (ell, a, b)
 
     @given(st.integers(-10**15, 10**15), st.integers(-10**15, 10**15),
            st.integers(-10**15, 10**15), st.integers(0, 2))
@@ -577,7 +620,7 @@ class TestRootSieve:
         [((0, 3, -2), (0, -1, 1)),   # S3 TrivialMeet, different square classes
          ((0, -1, -1), (2, 3, 1))],  # S3 Equal
     )
-    def test_tables_reject_before_bisection(self, monkeypatch, pair):
+    def test_tables_reject_before_the_lift(self, monkeypatch, pair):
         calls = {}
 
         def counting(module, name):
@@ -590,10 +633,89 @@ class TestRootSieve:
             monkeypatch.setattr(module, name, wrapper)
 
         counting(decide_mod, "_cubic_integer_roots")
-        counting(factorq_mod, "_monotone_integer_root")
+        counting(factorq_mod, "_lifted_root")
         decide_same_splitting(CubicTriple(*pair[0]), CubicTriple(*pair[1]))
-        # both cubics are searched once, and neither is bisected
+        # both cubics are searched once, and neither is lifted
         assert calls == {"_cubic_integer_roots": 2}
+
+
+class TestLiftedRoots:
+    """The lift from a root mod a sieve prime, against sympy's integer
+    roots, and its cost on a root of 4,004 digits."""
+
+    @staticmethod
+    def _sympy_roots(H) -> list:
+        x = sympy.symbols("x")
+        roots = sympy.Poly(list(reversed(H)), x).ground_roots()
+        return sorted(int(r) for r, m in roots.items() for _ in range(m))
+
+    @staticmethod
+    def _seeded_cubics():
+        rng = random.Random(26)
+        sieve = math.prod(factorq_mod._SIEVE_PRIMES)
+        for e in (2, 12, 40, 100, 300):
+            height = 10**e
+            for _ in range(6):
+                r, s, t, a, b = (rng.randint(-height, height) for _ in range(5))
+                H = [-r * b, b - r * a, a - r, 1]  # (X - r)(X^2 + aX + b)
+                yield H
+                for roots in ((r, r, s), (r, r, r), (r, s, t)):  # double, triple, split
+                    yield [int(c) for c in _from_roots(*map(Fraction, roots)).coeffs]
+                yield [H[0] + sieve * rng.randint(1, height), *H[1:]]  # passes the sieve
+        # Disc = 12 c^2 (r^2 - 3c^2)^2 is divisible by every sieve prime, and
+        # no table has a simple root: the roots come mod the first prime past 47
+        yield [3 * sieve * sieve * 10**30, -3 * sieve * sieve, -(10**30), 1]
+        # (X - r)(X^2 - d), d = 1 + 5 * 7 * ... * 47 not a square: X^2 - d
+        # splits mod every sieve prime, so the lift starts from three roots,
+        # and the least one need not lead to r
+        d = 1 + sieve
+        for r in range(2, 40, 3):
+            yield [r * d, -d, -r, 1]
+
+    def test_matches_sympy_ground_roots(self):
+        found = 0
+        for H in self._seeded_cubics():
+            roots = _cubic_integer_roots(H)
+            assert roots == self._sympy_roots(H), H
+            found += bool(roots)
+        assert found >= 120
+
+    @pytest.mark.parametrize("past_47, lifted_at", [((), 53), ((53,), 59)],
+                             ids=["at-53", "53-divides-too"])
+    def test_no_isolating_sieve_prime(self, monkeypatch, past_47, lifted_at):
+        # (X - r)(X^2 - 3c^2): every prime dividing c divides the discriminant
+        c = math.prod(factorq_mod._SIEVE_PRIMES + past_47)
+        H = [3 * c * c * 10**30, -3 * c * c, -(10**30), 1]
+        primes = []
+        original = factorq_mod._lifted_root
+
+        def recording(c0, c1, c2, xs, ell, limit):
+            primes.append(ell)
+            return original(c0, c1, c2, xs, ell, limit)
+
+        monkeypatch.setattr(factorq_mod, "_lifted_root", recording)
+        assert _cubic_integer_roots(H) == [10**30]
+        assert primes == [lifted_at]
+
+    def test_planted_root_of_4004_digits_takes_at_most_100_evaluations(self, monkeypatch):
+        rng = random.Random(4004)
+        r = rng.randint(10**4003, 10**4004 - 1)
+        H = [-r * 7, 7 - r * 3, 3 - r, 1]  # (X - r)(X^2 + 3X + 7)
+        evaluations = []
+        original = factorq_mod._lifted_root
+
+        def counting(c0, c1, c2, xs, ell, limit):
+            # each candidate: H' mod ell, then H and H' at each squaring of
+            # the modulus up to limit, then H exactly
+            m, steps = ell, 0
+            while m < limit:
+                m, steps = m * m, steps + 1
+            evaluations.append(len(xs) * (2 * steps + 2))
+            return original(c0, c1, c2, xs, ell, limit)
+
+        monkeypatch.setattr(factorq_mod, "_lifted_root", counting)
+        assert _cubic_integer_roots(H) == [r]
+        assert len(evaluations) == 1 and evaluations[0] <= 100
 
 
 @st.composite

@@ -464,27 +464,27 @@ class TestRootSieve:
             assert shanks_pair_equal(m, n) == want, (m, n)
             assert want == ((m, n) in _KNOWN_SCAN_PAIRS), (m, n)
 
-    def test_sieve_rejects_before_bisection(self, monkeypatch):
-        # (roots found, bisections run) for each root test of the scan
-        tests, bisections = [], []
-        roots, bisect = families._cubic_integer_roots, factorq._monotone_integer_root
+    def test_sieve_rejects_before_the_lift(self, monkeypatch):
+        # (roots found, lifts run) for each root test of the scan
+        tests, lifts = [], []
+        roots, lift = families._cubic_integer_roots, factorq._lifted_root
 
         def counted_roots(H):
-            before = len(bisections)
+            before = len(lifts)
             found = roots(H)
-            tests.append((found, len(bisections) - before))
+            tests.append((found, len(lifts) - before))
             return found
 
-        def counted_bisect(*args):
-            bisections.append(args)
-            return bisect(*args)
+        def counted_lift(*args):
+            lifts.append(args)
+            return lift(*args)
 
         monkeypatch.setattr(families, "_cubic_integer_roots", counted_roots)
-        monkeypatch.setattr(factorq, "_monotone_integer_root", counted_bisect)
+        monkeypatch.setattr(factorq, "_lifted_root", counted_lift)
         res = scan_equal_splitting((-1, 5), 100)
         assert len(res.pairs) == 7
         # 1,370 root tests of 686 pairs; only the 7 cubics that have an
-        # integer root pass every table, so the rest reach no bisection
+        # integer root pass every table, so the rest reach no lift
         assert len(tests) == 1370
         assert sum(1 for found, _ in tests if found) == 7
         assert all(not n for found, n in tests if not found)

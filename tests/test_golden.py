@@ -2,8 +2,8 @@
 ``--json``, on the eleven table rows, two pairs on the multiple-root locus
 (S3 and C3), an A = 0 pair across square classes and the pairs of
 ``scripts/worked_examples.py``; ``decide-iso`` also on a reducible C2
-pair, a split pair and two equal A = 0 pairs, one with an affine-only
-witness; ``transform`` on each of the first pairs' first cubics with an
+pair, a split pair, a reducible pair with roots of 61 digits and two
+equal A = 0 pairs, one with an affine-only witness; ``transform`` on each of the first pairs' first cubics with an
 integer, a rational and a zero-c2 coefficient triple; ``factor`` on
 resolvent sextics, X^24 + 1, products of sextics with large coefficients
 and inputs with repeated factors; and
@@ -14,7 +14,8 @@ second cubic has a triple root: one on the locus, one with A_a = A_b = 0;
 ``invariants`` on the first cubics and a triple root; ``reduce`` to each
 normal form, with the A = 0 alternate and the errors; ``family`` of each
 kind, by one parameter and by height, and its usage and domain errors; a
-small ``scan``; ``classify`` on inputs it swaps, ``transform`` onto an
+small ``scan``, and the usage errors of a negative ``--height`` and an
+empty ``scan`` range; ``classify`` on inputs it swaps, ``transform`` onto an
 inseparable image, ``decide-iso`` and ``classify`` on ``--monic-a`` and
 ``--monic-b`` inputs, ``factor`` on a constant and the fast ``selftest``.
 Each run's exit code (that of ``SystemExit`` for a usage error), stdout
@@ -73,7 +74,11 @@ CASES = [
 # X^3 - 2 against its image (3, -3, 1) under 1 + X + X^2, and the A = 0
 # pair X^3 - 2, X^3 - 16, whose only witness is the affine 2X
 DECIDE_PAIRS = (("1,3,3", "0,3,0"), ("6,11,6", "0,-1,0"), ("0,0,2", "3,-3,1"),
-                ("0,0,2", "0,0,16"))
+                ("0,0,2", "0,0,16"),
+                # (X - r)(X^2 - 2) and (X - s)(X^2 - 8), r = 10^60 + 7 and
+                # s = -3 10^59 + 11: the root search on 61-digit roots
+                (f"{10**60 + 7},-2,{-2 * (10**60 + 7)}",
+                 f"{-3 * 10**59 + 11},-8,{-8 * (-3 * 10**59 + 11)}"))
 
 CASES += [
     ["decide-iso", "--a", a, "--b", b] + extra
@@ -254,6 +259,12 @@ CASES += [
         ["s3", "--a", "0", "--u", "1"],
         ["s3", "--a", "-27/4", "--height", "1"],
     )
+]
+
+# usage errors (exit 2): a negative --height, an empty --m-min..--m-max range
+CASES += [
+    ["family", "--kind", "s3", "--a", "-7", "--height", "-3"],
+    ["scan", "--m-min", "3", "--m-max", "1", "--n-max", "10"],
 ]
 
 

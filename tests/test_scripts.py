@@ -15,7 +15,7 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["table_patterns", "worked_examples"])
+@pytest.mark.parametrize("name", ["root_ladder", "table_patterns", "worked_examples"])
 def test_script_main_returns_zero(name, capsys):
     assert load(name).main() == 0
     assert capsys.readouterr().out
