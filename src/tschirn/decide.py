@@ -6,16 +6,18 @@ transformation as witness), coefficient recovery at rational resolvent roots,
 the closed-form branch for resolvents with a multiple root, and the full
 subfield classification by factorization pattern of the degree-six resolvent.
 
-decide_same_splitting takes its branches in this order: a reducible cubic is
-compared by its rational roots; two irreducible cubics whose discriminants
-lie in different square classes are unequal; the rest go through the A = 0
-hop to F2, whose rational roots are read from the closed form on the
-multiple-root locus and from factor_over_Q elsewhere.  The exit needs no
-resolvent: an S3 splitting field has exactly one quadratic subfield,
-Q(sqrt(D)), and a C3 one has none while its D is a square, so equal
-splitting fields force Q(sqrt(D_a)) = Q(sqrt(D_b)), i.e. D_a D_b a square.
-classify_subfield uses the same exit, and on the locus it reads the factor
-pattern of F2 off the same closed form instead of factoring.
+decide_same_splitting, classify_subfield and all_rational_transformations
+read one walk of the branches (_walk), which takes each test once, in this
+order: D_a D_b != 0; the integer roots of both models, where a reducible
+cubic is compared by its roots (classify instead orders the pair by Galois
+group); the square class of D_a D_b; the A = 0 hop of each irreducible
+cubic; then F2, read from its closed form on the multiple-root locus and
+factored by factor_over_Q elsewhere.  Two cubics in different square classes
+are unequal with no resolvent built: an S3 splitting field has exactly one
+quadratic subfield, Q(sqrt(D)), and a C3 one has none while its D is a
+square, so equal splitting fields force Q(sqrt(D_a)) = Q(sqrt(D_b)), i.e.
+D_a D_b a square.  The witness is recovered at the rational root of F2 of
+least height and verified once, and again only when composed with a hop.
 
 Everything here works over Q; the arithmetic is exact throughout.  Each
 triple keeps one monic integer model (H, ell) with the invariants of H,
@@ -35,6 +37,7 @@ maps the roots of f3(a) onto those of f3(b).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .factorq import factor_over_Q, is_square_rat, rational_roots, _cubic_integer_roots
 from .fields import QQ, MathDomainError
@@ -71,6 +74,25 @@ FACTOR_PATTERNS = {
     ("C3", "C2", "TrivialMeet"): (6,),
     ("C3", "Id", "ProperContains"): (3, 3),
 }
+
+
+def _relation(ga: str, gb: str, same_class: bool, equal: bool) -> str:
+    """The relation of a FACTOR_PATTERNS row for Galois types ga, gb, with
+    #G_a >= #G_b and a irreducible.  Short of equal, two splitting fields
+    can share only a quadratic subfield: Q(sqrt(D)) for S3 and C2, none for
+    C3 and Id, whose D is a square.  So S3 meets S3, and contains C2, exactly
+    when D_a D_b is a square; other irreducible pairs meet trivially, and an
+    Id field, Q, lies in every field."""
+    if equal:
+        return "Equal"
+    if gb == "Id":
+        return "ProperContains"
+    if ga == "S3" and gb == "C2":
+        return "ContainsQuadratic" if same_class else "NotContains"
+    if ga == gb == "S3" and same_class:
+        return "QuadraticMeet"
+    return "TrivialMeet"
+
 
 #: One nondegenerate instance (a, b) per table row, keyed like
 #: FACTOR_PATTERNS; ``selftest`` and ``scripts/table_patterns.py`` run them.
@@ -168,12 +190,14 @@ def galois_type(a: CubicTriple) -> GaloisType:
     H, _, inv = a._model
     if not inv[3]:
         raise MathDomainError("discriminant is 0: the cubic is inseparable")
-    n_rational = len(_cubic_integer_roots(H))
-    if n_rational == 3:
-        return GaloisType("Id")
-    if n_rational == 1:
-        return GaloisType("C2")
-    return GaloisType("C3" if is_square_rat(inv[3]) is not None else "S3")
+    return _galois_type(_cubic_integer_roots(H), inv[3])
+
+
+def _galois_type(roots: list, D) -> GaloisType:
+    """galois_type from the integer roots of the model and its D != 0."""
+    if roots:
+        return GaloisType("Id" if len(roots) == 3 else "C2")
+    return GaloisType("C3" if is_square_rat(D) is not None else "S3")
 
 
 # --------------------------------------------------------------------------
@@ -312,24 +336,25 @@ def _stitch(a: CubicTriple, hop_a, core: TschirnCoeffs, b: CubicTriple, hop_b):
 
 
 def _decide_reducible(a: CubicTriple, b: CubicTriple, ra: list, rb: list):
-    """Same-splitting-field test for separable cubics, at least one of them
-    reducible, from the integer roots ra and rb of their integer models.
-    Splitting fields of degree 3 or 6 (no root), 2 (one root) and 1 (three
-    roots) never agree; fields of equal degree 1 or 2 are compared directly.
-    The witness U(Z) = (k0 + k1 Z + k2 Z^2)/den between the models gives
+    """The witness from a onto b, or None when their splitting fields
+    differ, for separable cubics, at least one of them reducible, from the
+    integer roots ra and rb of their integer models.  Splitting fields of
+    degree 3 or 6 (no root), 2 (one root) and 1 (three roots) never agree;
+    fields of equal degree 1 or 2 are compared directly.  The witness
+    U(Z) = (k0 + k1 Z + k2 Z^2)/den between the models gives
     u(X) = U(ell_a X)/ell_b."""
     if len(ra) != len(rb):
-        return False, None
+        return None
     if len(ra) == 3:
         k, den = _split_witness(ra, rb)
     else:
         k, den = _quadratic_pair_witness(a._model[0], b._model[0], ra[0], rb[0])
         if k is None:
-            return False, None
+            return None
     w = TschirnCoeffs(*_from_model_coords(a, k, den * b._model[1]))
     if not verify_transformation(a, b, w):
         raise MathDomainError("reducible-pair witness failed verification")
-    return True, w
+    return w
 
 
 def _split_witness(xs, ys) -> tuple:
@@ -360,42 +385,6 @@ def _quadratic_pair_witness(H, H2, x, y) -> tuple:
     return ((s * P - g * P2) * qx + N * Q, 2 * s * qx + N * P, N), 2 * g * qx
 
 
-def decide_same_splitting(a: CubicTriple, b: CubicTriple):
-    """Whether f3(a) and f3(b) generate the same splitting field over Q.
-
-    Returns (equal, witness); witness is a TschirnCoeffs transforming a into
-    b whenever equal is True (and None otherwise).
-
-    Branches, in order: a reducible cubic goes to _decide_reducible; two
-    irreducible cubics whose discriminants lie in different square classes
-    are unequal, with no resolvent built; otherwise the A = 0 hop and the
-    resolvent F2 decide.  The exit is sound because equal splitting fields
-    have the same quadratic subfields: Q(sqrt(D_a)) = Q(sqrt(D_b)) for S3,
-    and for C3 each D is itself a square.  Either way D_a D_b is a square.
-    A witness is verified once, as it is recovered, and again only when it
-    is composed with an A = 0 hop."""
-    _require_separable(a, b)
-    ra, rb = _cubic_integer_roots(a._model[0]), _cubic_integer_roots(b._model[0])
-    if ra or rb:
-        return _decide_reducible(a, b, ra, rb)
-    if not _same_square_class(a, b):
-        return False, None
-    return _decide_irreducible(a, *_avoid_zero_A(a), b, *_avoid_zero_A(b))
-
-
-def _require_separable(a: CubicTriple, b: CubicTriple) -> None:
-    """Raise unless D_a D_b != 0, read off the integer models."""
-    if not a._model[2][3]:
-        raise MathDomainError("D_a = 0: first cubic is inseparable")
-    if not b._model[2][3]:
-        raise MathDomainError("D_b = 0: second cubic is inseparable")
-
-
-def _same_square_class(a: CubicTriple, b: CubicTriple) -> bool:
-    """Whether D_a D_b = D_Ha D_Hb / (ell_a ell_b)^6 is a rational square."""
-    return is_square_rat(a._model[2][3] * b._model[2][3]) is not None
-
-
 def _model_locus_root(an, bn):
     """_locus_root(an, bn) on the multiple-root locus, else None, on the
     invariants of the integer models: degeneracy_indicator(an, bn) is
@@ -407,69 +396,117 @@ def _model_locus_root(an, bn):
     return Fraction(3 * alpha * alpha * ell * ell, a * beta * mu)
 
 
-def _recoverable_f2_roots(an, bn, f2=None) -> list:
-    """The rational roots c2 of F2(an, bn) at which recover_coeffs applies,
-    for irreducible an and bn with A != 0.  On the multiple-root locus this
-    is the simple root -2r of the closed form, r = _model_locus_root(an, bn),
-    read without building its blocks; elsewhere F2 is squarefree and the
-    roots come from f2, the factorization of F2(an, bn), which is computed
-    here when the caller has none."""
-    r = _model_locus_root(an, bn)
-    if r is not None:
-        return [-2 * r]
-    if f2 is None:
-        f2 = factor_over_Q(resolvent_F2(an, bn))
-    return [-g.coeffs[0] for g, _ in f2 if g.degree == 1]
-
-
-def _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2=None):
-    """(equal, witness) for irreducible separable a and b, given their A != 0
-    forms (an, hop_a) and (bn, hop_b) from _avoid_zero_A; the witness is
-    recovered at the least-height root of _recoverable_f2_roots."""
-    roots = _recoverable_f2_roots(an, bn, f2)
-    if not roots:
-        return False, None
-    c2 = min(roots, key=_height_key)
-    return True, _stitch(a, hop_a, _recover(an, bn, c2), b, hop_b)
-
-
 def _degenerate_f2_pattern(an, bn) -> tuple:
     """The degree pattern of F2(an, bn) on the multiple-root locus, read off
     the closed form F2 = (X - r)^2 (X + 2r) (cubic) of degenerate_f2_blocks
-    without factoring: r = _model_locus_root(an, bn), and the block's
-    B_bn^2 / A_bn^3 is beta^2 / alpha^3 on the model of bn, where the powers
-    of ell cancel.  The block has discriminant 27^4 A_bn^6 D_bn /
-    (A_an^6 B_bn^4) != 0, so it has 0, 1 or 3 rational roots and factors as
-    (3), (1, 2) or (1, 1, 1)."""
-    r = _model_locus_root(an, bn)
+    without factoring.  The cubic block is Y^3 - 3 r^2 Y + r^3 (k - 2), with
+    k = B_bn^2 / A_bn^3 = beta^2 / alpha^3 on the model of bn; at Y = r s /
+    alpha, r != 0, it is r^3 / alpha^3 (s^3 - 3 alpha^2 s + beta^2 - 2 alpha^3),
+    so the pattern depends on bn alone.  The block has discriminant
+    27^4 A_bn^6 D_bn / (A_an^6 B_bn^4) != 0, so it has 0, 1 or 3 rational
+    roots and factors as (3), (1, 2) or (1, 1, 1)."""
     _, _, (alpha, beta, _, _, _) = bn._model
-    block = (r**3 * (Fraction(beta * beta, alpha**3) - 2), -3 * r * r, 0, 1)
-    n = len(rational_roots(UniPoly(QQ, block)))
+    block = [beta * beta - 2 * alpha**3, -3 * alpha * alpha, 0, 1]
+    n = len(_cubic_integer_roots(block))
     return {0: (1, 1, 1, 3), 1: (1, 1, 1, 1, 2), 3: (1,) * 6}[n]
+
+
+class _Decision(NamedTuple):
+    """The facts of one _walk for a pair (a, b), in the walk's order, which
+    classify may have swapped.  A fact past the branch where the walk
+    stopped keeps its default.  an, hop_a, bn, hop_b are _avoid_zero_A of
+    each irreducible cubic (a reducible b keeps its form); f2 is F2(an, bn)
+    factored, off the locus; c2_roots are the roots of F2 at which the
+    witness from a onto b is recovered, least height first, for irreducible
+    cubics in one square class; types are classify's (g_a, g_b)."""
+
+    roots: tuple
+    same_class: bool | None = None
+    an: CubicTriple | None = None
+    hop_a: TschirnCoeffs | None = None
+    bn: CubicTriple | None = None
+    hop_b: TschirnCoeffs | None = None
+    locus_root: Fraction | None = None
+    f2: object = None
+    c2_roots: tuple = ()
+    witness: TschirnCoeffs | None = None
+    types: tuple | None = None
+    swapped: bool = False
+
+
+def _walk(a: CubicTriple, b: CubicTriple, classify: bool = False) -> _Decision:
+    """Take the decision branches for (a, b) once, in the order of the
+    module docstring.  For classify the pair is ordered by Galois group
+    after the root search, a must be irreducible, and F2 is built across
+    square classes too, for its pattern.  On the locus the recoverable root
+    is the simple root -2r of the closed form, read without building its
+    blocks; elsewhere F2 is squarefree and they are its linear factors."""
+    Da, Db = a._model[2][3], b._model[2][3]
+    if not Da:
+        raise MathDomainError("D_a = 0: first cubic is inseparable")
+    if not Db:
+        raise MathDomainError("D_b = 0: second cubic is inseparable")
+    ra, rb = _cubic_integer_roots(a._model[0]), _cubic_integer_roots(b._model[0])
+    types, swapped = None, False
+    if classify:
+        ga, gb = _galois_type(ra, Da), _galois_type(rb, Db)
+        swapped = ga.order < gb.order
+        if swapped:
+            a, b, ra, rb, ga, gb = b, a, rb, ra, gb, ga
+        if ra:
+            raise MathDomainError(
+                "classification requires at least one irreducible cubic; got "
+                f"Galois types ({ga}, {gb})"
+            )
+        types = (ga, gb)
+    elif ra or rb:
+        return _Decision((ra, rb), witness=_decide_reducible(a, b, ra, rb))
+    same_class = is_square_rat(Da * Db) is not None
+    if not (same_class or classify):
+        return _Decision((ra, rb), False)
+    an, hop_a = _avoid_zero_A(a)
+    bn, hop_b = (b, None) if rb else _avoid_zero_A(b)
+    r = _model_locus_root(an, bn)
+    f2 = None if r is not None else factor_over_Q(resolvent_F2(an, bn))
+    c2_roots, witness = (), None
+    if same_class and not rb:
+        c2_roots = (-2 * r,) if r is not None else tuple(sorted(
+            (-g.coeffs[0] for g, _ in f2 if g.degree == 1), key=_height_key))
+        if c2_roots:
+            witness = _stitch(a, hop_a, _recover(an, bn, c2_roots[0]), b, hop_b)
+    return _Decision((ra, rb), same_class, an, hop_a, bn, hop_b, r, f2,
+                     c2_roots, witness, types, swapped)
+
+
+def decide_same_splitting(a: CubicTriple, b: CubicTriple):
+    """Whether f3(a) and f3(b) generate the same splitting field over Q.
+
+    Returns (equal, witness); witness is a TschirnCoeffs transforming a into
+    b whenever equal is True (and None otherwise)."""
+    witness = _walk(a, b).witness
+    return witness is not None, witness
 
 
 def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
     """Every transformation over Q from a onto b, sorted by coefficient
-    height.  Both cubics must be irreducible (and separable)."""
-    if not (a._model[2][3] and b._model[2][3]):
-        raise MathDomainError("inseparable cubic: discriminant is 0")
-    if _cubic_integer_roots(a._model[0]) or _cubic_integer_roots(b._model[0]):
+    height.  Both cubics must be irreducible (and separable).  One is
+    recovered at each recoverable root of F2, and on the multiple-root
+    locus the fiber over the double root r adds those with c2 = r."""
+    d = _walk(a, b)
+    if d.roots[0] or d.roots[1]:
         raise MathDomainError(
             "transformation enumeration requires both cubics irreducible"
         )
-    if not _same_square_class(a, b):
-        return ()
-    an, hop_a = _avoid_zero_A(a)
-    bn, hop_b = _avoid_zero_A(b)
-    found = [_recover(an, bn, c2) for c2 in _recoverable_f2_roots(an, bn)]
-    c = _model_locus_root(an, bn)
-    if c is not None:
-        # the fiber over the double root
-        for u1 in rational_roots(UniPoly(QQ, _double_root_fiber(an, bn, c))):
-            cand = (_trace_u0(an, bn, u1, c, QQ), u1, c)
-            if verify_transformation(an, bn, cand):
+    found = [_recover(d.an, d.bn, c2) for c2 in d.c2_roots[1:]]
+    r = d.locus_root
+    if r is not None:
+        for u1 in rational_roots(UniPoly(QQ, _double_root_fiber(d.an, d.bn, r))):
+            cand = (_trace_u0(d.an, d.bn, u1, r, QQ), u1, r)
+            if verify_transformation(d.an, d.bn, cand):
                 found.append(TschirnCoeffs(*cand))
-    out = [_stitch(a, hop_a, w, b, hop_b) for w in found]
+    out = [_stitch(a, d.hop_a, w, b, d.hop_b) for w in found]
+    if d.witness is not None:  # recovered by the walk at the first root
+        out.append(d.witness)
     return tuple(sorted(out, key=_witness_key))
 
 
@@ -482,62 +519,21 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
     """Full classification of the relation between the splitting fields,
     with the resolvent factorization pattern checked against the predicted
     table row (predictions are not claimed on the multiple-root locus)."""
-    _require_separable(a, b)
-    same_square_class = _same_square_class(a, b)
-    ga, gb = galois_type(a), galois_type(b)
-    swapped = ga.order < gb.order
-    if swapped:
-        a, b, ga, gb = b, a, gb, ga
-    if ga.tag not in ("S3", "C3"):
-        raise MathDomainError(
-            "classification requires at least one irreducible cubic; got "
-            f"Galois types ({ga}, {gb})"
-        )
-    an, hop_a = _avoid_zero_A(a)
-    if gb.tag in ("S3", "C3"):
-        bn, hop_b = _avoid_zero_A(b)
-    else:
-        bn, hop_b = b, None
-    degenerate = _model_locus_root(an, bn) is not None
-    if degenerate:
-        f2, observed = None, _degenerate_f2_pattern(an, bn)
-    else:
-        f2 = factor_over_Q(resolvent_F2(an, bn))
-        observed = f2.degree_pattern()
-    witness = None
-    if gb.tag == "Id":
-        relation = "ProperContains"
-    elif gb.tag == "C2":
-        if same_square_class:
-            relation = "ContainsQuadratic"
-        elif ga.tag == "C3":
-            relation = "TrivialMeet"
-        else:
-            relation = "NotContains"
-    elif not same_square_class:
-        # unequal by the exit in decide_same_splitting
-        relation = "TrivialMeet"
-    else:
-        equal, witness = _decide_irreducible(a, an, hop_a, b, bn, hop_b, f2)
-        if equal:
-            relation = "Equal"
-        elif ga.tag == gb.tag == "S3":
-            relation = "QuadraticMeet"
-        else:
-            relation = "TrivialMeet"
-
-    predicted = (
-        None if degenerate else FACTOR_PATTERNS[(ga.tag, gb.tag, relation)]
-    )
+    d = _walk(a, b, classify=True)
+    ga, gb = d.types
+    relation = _relation(ga.tag, gb.tag, d.same_class, d.witness is not None)
+    degenerate = d.locus_root is not None
     return SubfieldReport(
         g_a=ga,
         g_b=gb,
         relation=relation,
-        predicted_pattern=predicted,
-        observed_pattern=observed,
+        predicted_pattern=None if degenerate
+        else FACTOR_PATTERNS[(ga.tag, gb.tag, relation)],
+        observed_pattern=_degenerate_f2_pattern(d.an, d.bn) if degenerate
+        else d.f2.degree_pattern(),
         degenerate=degenerate,
-        witness=witness,
-        swapped=swapped,
-        normalized_a=hop_a is not None,
-        normalized_b=hop_b is not None,
+        witness=d.witness,
+        swapped=d.swapped,
+        normalized_a=d.hop_a is not None,
+        normalized_b=d.hop_b is not None,
     )

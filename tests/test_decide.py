@@ -468,6 +468,13 @@ class TestAllRationalTransformations:
                 CubicTriple.from_roots((0, 1, 2)), CubicTriple(0, 3, -2)
             )
 
+    def test_inseparable_rejected(self):
+        # one separability check, with decide's and classify's message
+        with pytest.raises(MathDomainError, match="D_a = 0"):
+            all_rational_transformations(
+                CubicTriple.from_roots((1, 1, 2)), CubicTriple(0, 3, -2)
+            )
+
 
 def _locus_pairs(count):
     """Seeded irreducible pairs on the multiple-root locus: with
@@ -711,6 +718,71 @@ LOCUS_PAIRS = [((0, -1, -1), (3, Fraction(177, 23), Fraction(-85, 23))),
                ((1, -4, 1), (3, -49, 53))]
 
 
+def _branch_pairs():
+    """Seeded pairs through every branch of the decision walk."""
+    rng = random.Random(41)
+    pairs = [((1, 3, 3), (0, 3, 0)), ((1, 3, 3), (0, 1, 0)),  # C2/C2
+             ((6, 11, 6), (0, -1, 0)),                        # Id/Id
+             ((0, 3, -2), (0, -1, 1)), ((0, -3, 1), (0, 3, -2)),  # two classes
+             ((0, 0, 2), (3, -3, 1)), ((3, -3, 1), (0, 0, 2)),  # A = 0 on one side
+             ((0, 0, 2), (0, 0, 16)), ((0, 0, 2), (0, 0, 3)),   # and on both
+             *LOCUS_PAIRS]
+    pairs += [p for pair in TABLE_INSTANCES.values() for p in (pair, pair[::-1])]
+    pairs = [tuple(CubicTriple(*t) for t in pair) for pair in pairs]
+    pairs += [PAIR_DEGEN, PAIR_CYCLIC]
+    pairs += [random_equal_pair(rng)[:2] for _ in range(4)]
+    pairs += [(random_irreducible(rng), random_irreducible(rng)) for _ in range(4)]
+    return pairs
+
+
+class TestEntryPointsAgree:
+    """decide_same_splitting, classify_subfield and all_rational_transformations
+    read one walk, so they agree on every branch of it."""
+
+    @pytest.mark.parametrize("a, b", _branch_pairs())
+    def test_verdicts_witnesses_and_hops_agree(self, a, b):
+        equal, w = decide_same_splitting(a, b)
+        assert not equal or verify_transformation(a, b, w)
+        reducible = [bool(rational_roots(t.poly())) for t in (a, b)]
+        if all(reducible):
+            with pytest.raises(MathDomainError):
+                classify_subfield(a, b)
+        else:
+            report = classify_subfield(a, b)
+            assert (report.relation == "Equal") == equal
+            # an equal pair has one Galois type, so classify does not swap it
+            assert report.witness == w
+            # classify hops each irreducible cubic with A = 0, in its order
+            first, second = (b, a) if report.swapped else (a, b)
+            for t, hopped in ((first, report.normalized_a),
+                              (second, report.normalized_b)):
+                assert hopped == (not rational_roots(t.poly())
+                                  and cubic_invariants(t).A == 0)
+        if any(reducible):
+            with pytest.raises(MathDomainError):
+                all_rational_transformations(a, b)
+        else:
+            ws = all_rational_transformations(a, b)
+            assert bool(ws) == equal and (not equal or w in ws)
+
+    def test_pairs_cover_every_branch(self):
+        branches = set()
+        for a, b in _branch_pairs():
+            ja, jb = cubic_invariants(a), cubic_invariants(b)
+            if rational_roots(a.poly()) or rational_roots(b.poly()):
+                branches.add("reducible")
+            elif is_square_rat(ja.D * jb.D) is None:
+                branches.add("two classes")
+            elif not (ja.A and jb.A):
+                branches.add(f"A = 0 on {(not ja.A) + (not jb.A)}")
+            elif degeneracy_indicator(a, b) == 0:
+                branches.add("locus")
+            else:
+                branches.add(f"generic {decide_same_splitting(a, b)[0]}")
+        assert branches == {"reducible", "two classes", "A = 0 on 1", "A = 0 on 2",
+                            "locus", "generic True", "generic False"}
+
+
 class TestComputedOnce:
     """Each derived fact of a decision is computed once."""
 
@@ -765,6 +837,18 @@ class TestComputedOnce:
         assert decide_same_splitting(a, b) == (False, None)
         assert all_rational_transformations(a, b) == ()
         assert not f2 and not fq
+
+    @pytest.mark.parametrize("pair",
+                             [*LOCUS_PAIRS, TABLE_INSTANCES[("S3", "S3", "Equal")]])
+    @pytest.mark.parametrize("entry", [classify_subfield, all_rational_transformations],
+                             ids=["classify", "transformations"])
+    def test_locus_root_once(self, monkeypatch, entry, pair):
+        # the walk reads the locus root once, and its readers take it from
+        # the record
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        calls = _counting(monkeypatch, [decide_mod], "_model_locus_root")
+        entry(a, b)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("pair", LOCUS_PAIRS)
     def test_classify_does_not_factor_on_the_locus(self, monkeypatch, pair):
@@ -952,7 +1036,78 @@ def _oracle_pairs():
     return pairs
 
 
+_ORDER = {"S3": 6, "C3": 3, "C2": 2, "Id": 1}
+
+
+def _sympy_type(f: sympy.Poly) -> str:
+    linear = sum(g.degree() == 1 for g, _ in f.factor_list()[1])
+    if linear:
+        return {1: "C2", 3: "Id"}[linear]
+    return {"S3": "S3", "A3": "C3"}[sympy.galois_group(f, by_name=True)[0].name]
+
+
+def _sympy_relation(a: CubicTriple, b: CubicTriple) -> tuple:
+    """(g_a, g_b, relation) of classify_subfield from sympy alone, with no
+    F2, FACTOR_PATTERNS or witness: the Galois types, the square class of
+    disc(f_a) disc(f_b), and the degrees of the factors of f_b over Q(alpha),
+    alpha a root of f_a, with a the cubic of the larger group.  For
+    irreducible f_b a linear factor means Q(beta) is a conjugate of Q(alpha),
+    so the splitting fields agree; otherwise f_b stays irreducible, and the
+    fields can share only Q(sqrt(D)).  A reducible f_b keeps its factors."""
+    fa, fb = _sympy_poly(a), _sympy_poly(b)
+    ga, gb = _sympy_type(fa), _sympy_type(fb)
+    if _ORDER[ga] < _ORDER[gb]:
+        fa, fb, ga, gb = fb, fa, gb, ga
+    field = sympy.QQ.algebraic_field(sympy.CRootOf(fa, 0))
+    degrees = sorted(g.degree() for g, _ in
+                     sympy.Poly(fb.as_expr(), fb.gen, domain=field).factor_list()[1])
+    same_class = sympy.sqrt(sympy.discriminant(fa) * sympy.discriminant(fb)).is_rational
+    if gb in ("Id", "C2"):
+        assert degrees == ([1, 1, 1] if gb == "Id" else [1, 2])
+        relation = ("ProperContains" if gb == "Id"
+                    else "TrivialMeet" if ga == "C3"
+                    else "ContainsQuadratic" if same_class else "NotContains")
+    elif degrees != [3]:
+        assert degrees == ([1, 2] if ga == "S3" else [1, 1, 1])
+        relation = "Equal"
+    else:
+        relation = ("QuadraticMeet" if ga == gb == "S3" and same_class
+                    else "TrivialMeet")
+    return ga, gb, relation
+
+
+def _relation_oracle_pairs():
+    rng = random.Random(43)
+    pairs = [*TABLE_INSTANCES.values(), *LOCUS_PAIRS,
+             ((0, 0, 2), (0, 0, 16)), ((0, 0, 2), (3, -3, 1)),  # A = 0
+             ((0, -3, 1), (-1, -2, 1))]  # C3 of conductors 9 and 7
+    pairs += [pair[::-1] for pair in TABLE_INSTANCES.values()]  # classify swaps
+    pairs = [tuple(CubicTriple(*t) for t in pair) for pair in pairs]
+    pairs += [random_equal_pair(rng)[:2] for _ in range(3)]
+    pairs += [(random_irreducible(rng), random_irreducible(rng)) for _ in range(3)]
+    for m in (1, 1, 2, 3):  # (X - k)(X^2 - m D_a) against an S3 cubic a
+        while True:
+            a = random_irreducible(rng)
+            d = m * cubic_invariants(a).D
+            k = rng.randint(-3, 3)
+            b = CubicTriple(k, -d, -k * d)
+            if (is_square_rat(cubic_invariants(a).D) is None
+                    and len(rational_roots(b.poly())) == 1):
+                break
+        pairs.append((a, b))
+    return pairs
+
+
 class TestSympyOracle:
+    def test_classify_relations_match_sympy(self):
+        seen = set()
+        for a, b in _relation_oracle_pairs():
+            r = classify_subfield(a, b)
+            assert (r.g_a.tag, r.g_b.tag, r.relation) == _sympy_relation(a, b), (a, b)
+            seen.add(r.relation)
+        # every relation classify can report
+        assert seen == {key[2] for key in FACTOR_PATTERNS}
+
     def test_decisions_match_field_isomorphism(self):
         pairs = _oracle_pairs()
         verdicts = [decide_same_splitting(a, b)[0] for a, b in pairs]

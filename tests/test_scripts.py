@@ -15,7 +15,8 @@ def load(name):
     return module
 
 
-@pytest.mark.parametrize("name", ["root_ladder", "table_patterns", "worked_examples"])
+@pytest.mark.parametrize("name", ["decision_dump", "root_ladder", "table_patterns",
+                                  "worked_examples"])
 def test_script_main_returns_zero(name, capsys):
     assert load(name).main() == 0
     assert capsys.readouterr().out
