@@ -27,7 +27,9 @@ tests D != 0 and of the square class (D_H = ell^6 D), the root search of
 the reducibility test, the locus root, the recovery of the witness at a
 root of F2, the reducible witnesses, the composition and inversion of the
 A = 0 hops in Z[X]/(H), and the verification of every witness, which
-compares the image of a's model with b's model with no Fraction built.
+compares the image of a's model with b's model (_model_maps).  A witness
+the walk builds stays in model coordinates (k, m) until that check passes,
+and its Fractions are built once, for the value returned.
 Rational invariants are built only for an A = 0 hop and for F2 off the
 locus.  A transformation witness is a triple (c0, c1, c2) meaning
 u(X) = c0 + c1 X + c2 X^2, and it certifies g3(a, c; X) = f3(b; X), i.e. u
@@ -39,7 +41,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .factorq import factor_over_Q, is_square_rat, rational_roots, _cubic_integer_roots
+from .factorq import factor_over_Q, rational_roots, _cubic_integer_roots, _is_square
 from .fields import QQ, MathDomainError
 from .poly import UniPoly
 from .resolvent import (
@@ -48,9 +50,8 @@ from .resolvent import (
     resolvent_F2,
     tschirn_image,
     _double_root_fiber,
-    _from_model_coords,
     _model_coords,
-    _model_image,
+    _model_maps,
     _model_mul,
     _recovery_at,
     _trace_u0,
@@ -138,11 +139,15 @@ class TschirnCoeffs:
     c2: Fraction
 
     def __post_init__(self):
-        for name in ("c0", "c1", "c2"):
-            object.__setattr__(self, name, QQ(getattr(self, name)))
+        if not type(self.c0) is type(self.c1) is type(self.c2) is Fraction:
+            for name in ("c0", "c1", "c2"):
+                object.__setattr__(self, name, QQ(getattr(self, name)))
 
     def as_tuple(self) -> tuple:
         return (self.c0, self.c1, self.c2)
+
+    def __iter__(self):
+        return iter(self.as_tuple())
 
 
 @dataclass(frozen=True)
@@ -197,7 +202,7 @@ def _galois_type(roots: list, D) -> GaloisType:
     """galois_type from the integer roots of the model and its D != 0."""
     if roots:
         return GaloisType("Id" if len(roots) == 3 else "C2")
-    return GaloisType("C3" if is_square_rat(D) is not None else "S3")
+    return GaloisType("C3" if _is_square(D) else "S3")
 
 
 # --------------------------------------------------------------------------
@@ -205,23 +210,12 @@ def _galois_type(roots: list, D) -> GaloisType:
 # --------------------------------------------------------------------------
 
 
-def _coeff_tuple(c) -> tuple:
-    if isinstance(c, TschirnCoeffs):
-        return c.as_tuple()
-    return tuple(c)
-
-
 def verify_transformation(a: CubicTriple, b: CubicTriple, c) -> bool:
     """True iff Resultant_Y(f3(a;Y), X - (c0 + c1 Y + c2 Y^2)) = f3(b;X).
-    Over Q the comparison runs on ints: the image has the triple E_i / m^i
-    (_model_image) and b the triple t_i / mu^i of its integer model
-    (H_b, mu), so they agree iff E_i mu^i == t_i m^i for i = 1, 2, 3."""
-    c = _coeff_tuple(c)
+    Over Q it runs on ints: _model_maps on the model coordinates of c in a
+    (_model_coords), as the decision walk runs it on the witnesses it builds."""
     if a.field is QQ and b.field is QQ:
-        e, m = _model_image(a, c)
-        H, mu, _ = b._model
-        return (e[0] * mu == -H[2] * m and e[1] * mu * mu == H[1] * m * m
-                and e[2] * mu**3 == -H[0] * m**3)
+        return _model_maps(a, b, *_model_coords(a, c))
     image = tschirn_image(a, c)
     field = image.field if image.field is not QQ else b.field
     return image.values(field) == b.values(field)
@@ -232,8 +226,8 @@ def compose_transformations(a: CubicTriple, first, then) -> TschirnCoeffs:
     reduced modulo f3(a): then = sum (n_j / d) X^j at u = first(alpha) =
     U/m in Z[beta] (_model_coords) is sum n_j m^(deg - j) U^j / (d m^deg),
     by Horner's rule."""
-    U, m = _model_coords(a, _coeff_tuple(first))
-    v = [QQ(x) for x in _coeff_tuple(then)]
+    U, m = _model_coords(a, first)
+    v = [QQ(x) for x in then]
     d = math.lcm(*(x.denominator for x in v))
     n = [x.numerator * (d // x.denominator) for x in v]
     acc, scale = [n[-1], 0, 0], 1
@@ -241,7 +235,7 @@ def compose_transformations(a: CubicTriple, first, then) -> TschirnCoeffs:
         scale *= m
         acc = _model_mul(a, acc, U)
         acc[0] += nj * scale
-    return TschirnCoeffs(*_from_model_coords(a, acc, d * scale))
+    return _model_witness(a, acc, d * scale)
 
 
 def invert_transformation(a: CubicTriple, c) -> TschirnCoeffs:
@@ -249,7 +243,7 @@ def invert_transformation(a: CubicTriple, c) -> TschirnCoeffs:
     transformation v with v(u(X)) = X mod f3(a), i.e. the inverse map from
     the image back to a.  Requires u to generate Q[X]/f3(a).  Cramer's rule
     on v0 + v1 u + v2 u^2 = beta/ell in Z[beta], u = U/m, u^2 = W/m^2."""
-    U, m = _model_coords(a, _coeff_tuple(c))
+    U, m = _model_coords(a, c)
     W = _model_mul(a, U, U)
     den = a._model[1] * (U[1] * W[2] - U[2] * W[1])
     if not den:
@@ -269,19 +263,34 @@ def recover_coeffs(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
     c2 = QQ(c2)
     if resolvent_F2(a, b).eval(c2):
         raise ValueError(f"{c2} is not a root of the u2-resolvent of the pair")
-    return _recover(a, b, c2)
+    return _recover(a, b, *_model_c2(a, b, c2))
 
 
-def _recover(a: CubicTriple, b: CubicTriple, c2) -> TschirnCoeffs:
-    """recover_coeffs without the root test, which rebuilds F2: for callers
-    that took c2 from F2's roots.  The witness is verified either way."""
-    w = TschirnCoeffs(*_recovery_at(a, b, c2))
-    if not verify_transformation(a, b, w):
-        raise MathDomainError(
-            "recovered coefficients do not transform a into b "
-            "(inconsistent inputs)"
-        )
-    return w
+def _model_c2(a: CubicTriple, b: CubicTriple, c2) -> tuple:
+    """(n, d), ints, with c2 = ell^2 n / (mu d), as _recovery_at takes it."""
+    return c2.numerator * b._model[1], c2.denominator * a._model[1] ** 2
+
+
+def _recover(a: CubicTriple, b: CubicTriple, n, d) -> TschirnCoeffs:
+    """recover_coeffs at (n, d) of _model_c2, without the root test, which
+    rebuilds F2: for callers that took c2 from F2's roots."""
+    return _checked_witness(a, b, *_recovery_at(a, b, n, d),
+                            "recovered coefficients do not transform a into b "
+                            "(inconsistent inputs)")
+
+
+def _checked_witness(a: CubicTriple, b: CubicTriple, k, m, failure: str):
+    """The witness (k, m) in a's model coordinates, checked on ints first."""
+    if not _model_maps(a, b, k, m):
+        raise MathDomainError(failure)
+    return _model_witness(a, k, m)
+
+
+def _model_witness(a: CubicTriple, k, m) -> TschirnCoeffs:
+    """c_j = k_j ell^j / m: the inverse of _model_coords."""
+    ell = a._model[1]
+    return TschirnCoeffs(Fraction(k[0], m), Fraction(k[1] * ell, m),
+                         Fraction(k[2] * ell * ell, m))
 
 
 # --------------------------------------------------------------------------
@@ -294,9 +303,7 @@ def _height_key(r: Fraction):
 
 
 def _witness_key(w: TschirnCoeffs):
-    height = max(
-        max(abs(c.numerator), c.denominator) for c in w.as_tuple()
-    )
+    height = max(max(abs(c.numerator), c.denominator) for c in w.as_tuple())
     return (height, w.as_tuple())
 
 
@@ -351,10 +358,8 @@ def _decide_reducible(a: CubicTriple, b: CubicTriple, ra: list, rb: list):
         k, den = _quadratic_pair_witness(a._model[0], b._model[0], ra[0], rb[0])
         if k is None:
             return None
-    w = TschirnCoeffs(*_from_model_coords(a, k, den * b._model[1]))
-    if not verify_transformation(a, b, w):
-        raise MathDomainError("reducible-pair witness failed verification")
-    return w
+    return _checked_witness(a, b, k, den * b._model[1],
+                            "reducible-pair witness failed verification")
 
 
 def _split_witness(xs, ys) -> tuple:
@@ -386,14 +391,14 @@ def _quadratic_pair_witness(H, H2, x, y) -> tuple:
 
 
 def _model_locus_root(an, bn):
-    """_locus_root(an, bn) on the multiple-root locus, else None, on the
-    invariants of the integer models: degeneracy_indicator(an, bn) is
-    (a^3 beta^2 - 27 alpha^3 delta) / (ell mu)^6."""
-    _, ell, (a, _, _, delta, _) = an._model
-    _, mu, (alpha, beta, _, _, _) = bn._model
+    """On the multiple-root locus, _locus_root(an, bn) as the ints (n, d) of
+    _recovery_at, else None, from the invariants of the integer models:
+    degeneracy_indicator(an, bn) is (a^3 beta^2 - 27 alpha^3 delta) / (ell mu)^6."""
+    _, _, (a, _, _, delta, _) = an._model
+    _, _, (alpha, beta, _, _, _) = bn._model
     if a**3 * beta**2 != 27 * alpha**3 * delta:
         return None
-    return Fraction(3 * alpha * alpha * ell * ell, a * beta * mu)
+    return 3 * alpha * alpha, a * beta
 
 
 def _degenerate_f2_pattern(an, bn) -> tuple:
@@ -418,7 +423,8 @@ class _Decision(NamedTuple):
     each irreducible cubic (a reducible b keeps its form); f2 is F2(an, bn)
     factored, off the locus; c2_roots are the roots of F2 at which the
     witness from a onto b is recovered, least height first, for irreducible
-    cubics in one square class; types are classify's (g_a, g_b)."""
+    cubics in one square class, as the ints (n, d) of _recovery_at, like
+    the locus root; types are classify's (g_a, g_b)."""
 
     roots: tuple
     same_class: bool | None = None
@@ -426,7 +432,7 @@ class _Decision(NamedTuple):
     hop_a: TschirnCoeffs | None = None
     bn: CubicTriple | None = None
     hop_b: TschirnCoeffs | None = None
-    locus_root: Fraction | None = None
+    locus_root: tuple | None = None
     f2: object = None
     c2_roots: tuple = ()
     witness: TschirnCoeffs | None = None
@@ -461,7 +467,7 @@ def _walk(a: CubicTriple, b: CubicTriple, classify: bool = False) -> _Decision:
         types = (ga, gb)
     elif ra or rb:
         return _Decision((ra, rb), witness=_decide_reducible(a, b, ra, rb))
-    same_class = is_square_rat(Da * Db) is not None
+    same_class = _is_square(Da * Db)
     if not (same_class or classify):
         return _Decision((ra, rb), False)
     an, hop_a = _avoid_zero_A(a)
@@ -470,10 +476,11 @@ def _walk(a: CubicTriple, b: CubicTriple, classify: bool = False) -> _Decision:
     f2 = None if r is not None else factor_over_Q(resolvent_F2(an, bn))
     c2_roots, witness = (), None
     if same_class and not rb:
-        c2_roots = (-2 * r,) if r is not None else tuple(sorted(
-            (-g.coeffs[0] for g, _ in f2 if g.degree == 1), key=_height_key))
+        c2_roots = ((-2 * r[0], r[1]),) if r is not None else tuple(
+            _model_c2(an, bn, c) for c in sorted(
+                (-g.coeffs[0] for g, _ in f2 if g.degree == 1), key=_height_key))
         if c2_roots:
-            witness = _stitch(a, hop_a, _recover(an, bn, c2_roots[0]), b, hop_b)
+            witness = _stitch(a, hop_a, _recover(an, bn, *c2_roots[0]), b, hop_b)
     return _Decision((ra, rb), same_class, an, hop_a, bn, hop_b, r, f2,
                      c2_roots, witness, types, swapped)
 
@@ -497,9 +504,10 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
         raise MathDomainError(
             "transformation enumeration requires both cubics irreducible"
         )
-    found = [_recover(d.an, d.bn, c2) for c2 in d.c2_roots[1:]]
-    r = d.locus_root
-    if r is not None:
+    found = [_recover(d.an, d.bn, *c2) for c2 in d.c2_roots[1:]]
+    if d.locus_root is not None:
+        n, den = d.locus_root
+        r = Fraction(d.an._model[1] ** 2 * n, d.bn._model[1] * den)
         for u1 in rational_roots(UniPoly(QQ, _double_root_fiber(d.an, d.bn, r))):
             cand = (_trace_u0(d.an, d.bn, u1, r, QQ), u1, r)
             if verify_transformation(d.an, d.bn, cand):

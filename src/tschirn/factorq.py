@@ -424,13 +424,14 @@ def _searched_integer_roots(c0: int, c1: int, c2: int, p: int, q: int) -> list:
     (_lifted_root) of the roots mod l of Y^3 + pY + q, mapped back to X, for
     the first sieve prime l with one simple root, else with three, else,
     unless Delta = -4p^3 - 27q^2 = 0 puts the repeated root in closed form,
-    for the first l past 47 not dividing Delta.  The first root r found is
+    for the first l past 47 not dividing Delta (Frobenius is even when Delta
+    is a square, so then the first with three).  The first root r found is
     divided out and the quotient quadratic solved with isqrt."""
     code, ell = 255, 0  # 255 >> 6 is above every kind
     for prime, table in _cubic_root_tables():
         if (c := table[p % prime * prime + q % prime]) >> 6 < code >> 6:
             code, ell = c, prime
-            if c < _THREE:
+            if c < _THREE or c < _REPEATED and _is_square(-4 * p**3 - 27 * q * q):
                 break
     if code > _REPEATED and not (disc := -4 * p * p * p - 27 * q * q):
         # H = (X - r)^2 (X - s): 9c0 - c1c2 = 2r(r - s)^2, c2^2 - 3c1 = (r - s)^2
@@ -486,6 +487,10 @@ def _quadratic_integer_roots(H: list) -> list:
         return []
     # t and q1 have the same parity, since disc = q1^2 mod 4
     return [(-q1 - t) // 2, (-q1 + t) // 2]
+
+
+def _is_square(n: int) -> bool:
+    return n >= 0 and math.isqrt(n) ** 2 == n
 
 
 def is_square_rat(r: Fraction):

@@ -37,7 +37,7 @@ from itertools import permutations
 from . import zpoly
 from .factorq import integer_model, is_square_rat
 from .fields import QQ, MathDomainError, field_of
-from .poly import RootTuple, UniPoly, _det3, charpoly, vandermonde_solve
+from .poly import RootTuple, UniPoly, charpoly, vandermonde_solve
 
 # --------------------------------------------------------------------------
 # Parameter triples and invariants.
@@ -144,11 +144,14 @@ def _bezout_discriminant(c0, c1, c2):
     """Disc f = -Res(f, f') of f = X^3 + c2 X^2 + c1 X + c0, in any
     commutative ring, as the determinant of the 3x3 Bezout matrix of f and
     f', which is -Res(f, f').  The identity holds over Z, so it holds in
-    characteristics 2 and 3 too, where f' drops degree."""
-    m = c1 * c2 - 3 * c0
-    return _det3(((c1 * c1 - 2 * c0 * c2, m, c1),
-                  (m, 2 * c2 * c2 - 2 * c1, 2 * c2),
-                  (c1, 2 * c2, 3)))
+    characteristics 2 and 3 too, where f' drops degree.  The rows are (c1^2 -
+    2 c0 c2, m, c1), (m, 2 c2^2 - 2 c1, 2 c2), (c1, 2 c2, 3), m = c1 c2 - 3 c0,
+    expanded along the first, with 2x and 3x as sums: no int is lifted to an
+    element over GF(p^k)."""
+    x, t, m = c0 * c2, c2 + c2, c1 * c2 - (c0 + c0 + c0)
+    d = (y := c2 * c2 - c1) + y
+    return ((c1 * c1 - x - x) * (d + d + d - t * t) - m * (m + m + m - t * c1)
+            + c1 * (m * t - d * c1))
 
 
 def _check_invariants(inv: tuple, disc) -> None:
@@ -202,15 +205,15 @@ def tschirn_image(s: CubicTriple, coeffs) -> CubicTriple:
                                         *_reduced(s, coeffs, field)))
 
 
-def _model_image(s: CubicTriple, coeffs) -> tuple:
-    """((E1, E2, E3), M), ints, for rational s and coeffs, such that the
-    image of f3(s) under u is the triple (E1/M, E2/M^2, E3/M^3): on the
-    integer model (H, ell) kept on s, u = v/M with v = k0 + k1 beta +
-    k2 beta^2, beta = ell alpha (_model_coords), and _image_formulas gives
-    the integer triple (E1, E2, E3) of v."""
-    H = s._model[0]
-    k, m = _model_coords(s, coeffs)
-    return _image_formulas(-H[2], H[1], -H[0], *k), m
+def _model_maps(s: CubicTriple, t: CubicTriple, k, m) -> bool:
+    """Whether u = (k0 + k1 beta + k2 beta^2)/m, in the model coordinates of
+    s (_model_coords), maps f3(s) onto f3(t) over Q, on ints: the image has
+    the triple E_i / m^i, (E1, E2, E3) = _image_formulas of v = m u on the
+    model of s, and t has t_i / mu^i, so they agree iff E_i mu^i == t_i m^i."""
+    H, Ht, mu = s._model[0], t._model[0], t._model[1]
+    e = _image_formulas(-H[2], H[1], -H[0], *k)
+    return (e[0] * mu == -Ht[2] * m and e[1] * mu * mu == Ht[1] * m * m
+            and e[2] * mu**3 == -Ht[0] * m**3)
 
 
 def _reduced(s: CubicTriple, coeffs, field) -> list:
@@ -229,11 +232,6 @@ def _model_coords(s: CubicTriple, coeffs) -> tuple:
     d = math.lcm(*(x.denominator for x in c))
     return ([x.numerator * (d // x.denominator) * ell ** (2 - j)
              for j, x in enumerate(c)], d * ell * ell)
-
-
-def _from_model_coords(s: CubicTriple, k, m) -> tuple:
-    """The rational c_j = k_j ell^j / m: the inverse of _model_coords."""
-    return tuple(Fraction(x * s._model[1] ** j, m) for j, x in enumerate(k))
 
 
 def _model_mul(s: CubicTriple, x, y) -> list:
@@ -355,16 +353,15 @@ def recovery_polys(s: CubicTriple, t: CubicTriple):
     return q12, d12
 
 
-def _recovery_at(s: CubicTriple, t: CubicTriple, c2) -> tuple:
-    """(u0, u1, c2) at a rational u2 = c2 over Q: u1 = Q12(c2)/D12(c2) and
-    u0 from the trace condition, on the integer models.  With s1, s2, ell
-    and a, b, delta of the model of s, t1, mu and alpha, beta of that of t,
-    and c2 = ell^2 n / (mu d): u1 = ell N / (mu d E), 3 mu d E u0 =
-    t1 d E - s1 N - (s1^2 - 2 s2) n E, where E = ell^5 mu^2 D12(c2) / d^2
-    and N = ell^4 mu^3 d^3 Q12(c2)."""
+def _recovery_at(s: CubicTriple, t: CubicTriple, n, d) -> tuple:
+    """(k, m), ints, the transformation at u2 = c2 = ell^2 n / (mu d) over Q
+    in the model coordinates of s (_model_coords): u1 = Q12(c2)/D12(c2) and
+    u0 from the trace condition.  With s1, s2, ell, a, b, delta of the model
+    of s, t1, mu, alpha, beta of that of t, E = ell^5 mu^2 D12(c2) / d^2 and
+    N = ell^4 mu^3 d^3 Q12(c2): m = 3 mu d E, k1 = 3 N = m u1 / ell, k2 = 3 n E
+    and k0 = t1 d E - s1 N - (s1^2 - 2 s2) n E = m u0, divided by their gcd."""
     Hs, ell, (a, b, _, delta, _) = s._model
     Ht, mu, (alpha, beta, _, _, _) = t._model
-    n, d = c2.numerator * mu, c2.denominator * ell * ell
     E = 3 * b * (a * alpha * d * d - 3 * delta * n * n)
     if not E:
         raise MathDomainError("D_{1,2}(c2) = 0: c2 is a multiple resolvent "
@@ -372,9 +369,9 @@ def _recovery_at(s: CubicTriple, t: CubicTriple, c2) -> tuple:
     s1, a2 = -Hs[2], a * a
     N = (3 * a2 * beta * d**3 + 6 * delta * (a2 + b * s1) * n**3
          - alpha * (6 * a2 * a - b * b + 2 * a * b * s1) * n * d * d)
-    u0 = -Ht[2] * d * E - s1 * N - (s1 * s1 - 2 * Hs[1]) * n * E
-    den = mu * d * E
-    return Fraction(u0, 3 * den), Fraction(ell * N, den), c2
+    k = (-Ht[2] * d * E - s1 * N - (s1 * s1 - 2 * Hs[1]) * n * E, 3 * N, 3 * n * E)
+    g = math.gcd(*k, m := 3 * mu * d * E)
+    return [x // g for x in k], m // g
 
 
 def recovery_h_list(s: CubicTriple, t: CubicTriple) -> list:

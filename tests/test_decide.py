@@ -2,6 +2,7 @@
 verified witnesses, coefficient recovery, the multiple-root branch, and the
 subfield classification table."""
 
+import math
 import os
 import random
 import subprocess
@@ -212,7 +213,9 @@ class TestRecoverCoeffs:
     def test_integer_recovery_matches_recovery_polys(self):
         # _recovery_at on the integer models against Q12(c2)/D12(c2) and the
         # trace condition on Fractions, at any c2: rational triples with
-        # ell > 1 and heights of 20 digits and more
+        # ell > 1 and heights of 20 digits and more.  It takes c2 as the ints
+        # of _model_c2 and gives the witness as ints, (k, m) without a
+        # common factor
         rng = random.Random(29)
 
         def rat(digits):
@@ -227,7 +230,9 @@ class TestRecoverCoeffs:
                 c2 = rat(digits)
                 q12, d12 = recovery_polys(s, t)
                 c1 = q12.eval(c2) / d12.eval(c2)
-                assert _recovery_at(s, t, c2) == (
+                k, m = _recovery_at(s, t, *decide_mod._model_c2(s, t, c2))
+                assert math.gcd(*k, m) == 1
+                assert decide_mod._model_witness(s, k, m).as_tuple() == (
                     _trace_u0(s, t, c1, c2, QQ), c1, c2)
 
     def test_integer_recover_returns_the_transformation(self):
@@ -243,7 +248,7 @@ class TestRecoverCoeffs:
             assert a._model[1] > 1 and degeneracy_indicator(a, b)
             q12, d12 = recovery_polys(a, b)
             c1 = q12.eval(u[2]) / d12.eval(u[2])
-            w = decide_mod._recover(a, b, u[2])
+            w = decide_mod._recover(a, b, *decide_mod._model_c2(a, b, u[2]))
             assert w.as_tuple() == (_trace_u0(a, b, c1, u[2], QQ), c1, u[2]) == u
 
     def test_known_degenerate_pair(self):
@@ -282,28 +287,46 @@ class TestRecoverCoeffs:
 
 
 class TestOneVerificationPerWitness:
-    """With no A = 0 hop, _stitch passes on the witness that recovery has
-    just verified on the same pair, so decide_same_splitting checks it once."""
+    """With no A = 0 hop, the walk checks the witness it builds as ints on
+    the models once (_model_maps), and _stitch passes it on, so
+    decide_same_splitting verifies it exactly once."""
 
     @pytest.mark.parametrize(
         "a, b",
-        [TABLE_INSTANCES[("S3", "S3", "Equal")], ((0, 3, -2), (3, -3, 3))],
-        ids=["generic", "locus"],
+        [TABLE_INSTANCES[("S3", "S3", "Equal")], ((0, 3, -2), (3, -3, 3)),
+         ((1, 3, 3), (0, 3, 0)), ((6, 11, 6), (0, -1, 0))],
+        ids=["generic", "locus", "c2", "split"],
     )
     def test_equal_pair_is_verified_once(self, monkeypatch, a, b):
         a, b = CubicTriple(*a), CubicTriple(*b)
         assert cubic_invariants(a).A and cubic_invariants(b).A
-        calls = []
-        original = decide_mod.verify_transformation
-
-        def counting(*args):
-            calls.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(decide_mod, "verify_transformation", counting)
+        calls = _counting(monkeypatch, [resolvent_mod, decide_mod], "_model_maps")
         equal, w = decide_same_splitting(a, b)
-        assert equal and original(a, b, w)
-        assert len(calls) == 1
+        assert equal and len(calls) == 1
+        assert verify_transformation(a, b, w)
+
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [((0, 3, -2), (3, -3, 3), "recovered coefficients"),
+         ((1, 3, 3), (0, 3, 0), "reducible-pair witness"),
+         ((6, 11, 6), (0, -1, 0), "reducible-pair witness"),
+         (*TABLE_INSTANCES[("S3", "S3", "Equal")], "recovered coefficients")],
+        ids=["locus", "c2", "split", "generic"],
+    )
+    def test_int_check_can_fail(self, monkeypatch, a, b, message):
+        # an image off by one in e3 fails the check on every branch that
+        # builds a witness, so the check is not bypassed
+        image = resolvent_mod._image_formulas
+
+        def off_by_one(*args):
+            e1, e2, e3 = image(*args)
+            return e1, e2, e3 + 1
+
+        a, b = CubicTriple(*a), CubicTriple(*b)
+        assert decide_same_splitting(a, b)[0]
+        monkeypatch.setattr(resolvent_mod, "_image_formulas", off_by_one)
+        with pytest.raises(MathDomainError, match=message):
+            decide_same_splitting(a, b)
 
 
 class TestDegenerateFactorization:
@@ -909,6 +932,24 @@ class TestComputedOnce:
         eq, w = decide_same_splitting(a, b)
         assert eq and verify_transformation(a, b, w)
         assert len(calls) == 2 + hops
+
+    @pytest.mark.parametrize(
+        "pair",
+        [*LOCUS_PAIRS, ((0, 3, -2), (3, -3, 3)),
+         ((1, 3, 3), (0, 3, 0)),    # reducible: C2
+         ((6, 11, 6), (0, -1, 0))],  # and split
+    )
+    def test_witness_stays_on_the_models(self, monkeypatch, pair):
+        # the locus and reducible witnesses are built and checked as ints,
+        # with no Fraction turned back into model coordinates, and their
+        # Fractions are built once, for the returned value
+        a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
+        coords = _counting(monkeypatch, [resolvent_mod, decide_mod], "_model_coords")
+        built = _counting(monkeypatch, [decide_mod], "_model_witness")
+        verified = _counting(monkeypatch, [decide_mod], "verify_transformation")
+        equal, w = decide_same_splitting(a, b)
+        assert equal and len(built) == 1
+        assert not coords and not verified
 
     @pytest.mark.parametrize(
         "pair",

@@ -2,8 +2,9 @@
 ``--json``, on the eleven table rows, two pairs on the multiple-root locus
 (S3 and C3), an A = 0 pair across square classes and the pairs of
 ``scripts/worked_examples.py``; ``decide-iso`` also on a reducible C2
-pair, a split pair, a reducible pair with roots of 61 digits and two
-equal A = 0 pairs, one with an affine-only witness; ``transform`` on each of the first pairs' first cubics with an
+pair, a split pair, a reducible pair with roots of 61 digits, two
+equal A = 0 pairs, one with an affine-only witness, and a locus pair and a
+C2 pair of rational height about 10^12 whose witnesses have denominators; ``transform`` on each of the first pairs' first cubics with an
 integer, a rational and a zero-c2 coefficient triple; ``factor`` on
 resolvent sextics, X^24 + 1, products of sextics with large coefficients
 and inputs with repeated factors; and
@@ -78,7 +79,14 @@ DECIDE_PAIRS = (("1,3,3", "0,3,0"), ("6,11,6", "0,-1,0"), ("0,0,2", "3,-3,1"),
                 # (X - r)(X^2 - 2) and (X - s)(X^2 - 8), r = 10^60 + 7 and
                 # s = -3 10^59 + 11: the root search on 61-digit roots
                 (f"{10**60 + 7},-2,{-2 * (10**60 + 7)}",
-                 f"{-3 * 10**59 + 11},-8,{-8 * (-3 * 10**59 + 11)}"))
+                 f"{-3 * 10**59 + 11},-8,{-8 * (-3 * 10**59 + 11)}"),
+                # heights about 10^12, witnesses with three denominators: a
+                # pair on the multiple-root locus, and (X - r)(X^2 - g)
+                # against (X - s)((X - f)^2 - e^2 g), a C2 pair
+                ("2345/6612,44844011/255024840,-668953319031/5246030975360",
+                 "1/2,-61130623/13398324732,7865234915/116118814344"),
+                ("804331/501212,-656501/3391,-528044105831/1699609892",
+                 "-100508/30411,-498618073375/412494804,-86437093396/103123701"))
 
 CASES += [
     ["decide-iso", "--a", a, "--b", b] + extra

@@ -1147,6 +1147,86 @@ class TestGenericSextics:
         )
 
 
+#: The row's cubic families at a parameter u: X^3 + uX + u, the Shanks-type
+#: X^3 - uX^2 - (u + 3)X - 1, X^3 - uX and X^3 - X.
+_FAMILIES = {"S3": lambda u: (0, u, -u), "C3": lambda u: (u, -u - 3, 1),
+             "C2": lambda u: (0, -u, 0), "Id": lambda u: (0, -1, 0)}
+
+#: sympy's name and the order of the Galois group of each row's sextic at a
+#: generic specialization: S3 x S3, S3 x C3, S3 x C2, S3 and C3 x C2.
+_SEXTIC_GROUPS = {"S3,S3": ("G36m", 36), "S3,C3": ("G18", 18),
+                  "S3,C2": ("D6", 12), "S3,Id": ("S3", 6), "C3,C2": ("C6", 6)}
+
+
+def _sympy_poly(coeffs):
+    """The sympy Poly of rational coefficients given constant first."""
+    import sympy
+
+    return sympy.Poly([sympy.Rational(c.numerator, c.denominator)
+                       for c in map(Fraction, reversed(coeffs))], sympy.Symbol("x"))
+
+
+def _sympy_cubic_type(triple) -> str:
+    """The Galois type of f3(triple), from sympy's factor degrees and the
+    square class of its discriminant."""
+    import sympy
+
+    f = _sympy_poly(CubicTriple(*triple).poly().coeffs)
+    degrees = sorted(g.degree() for g, m in f.factor_list()[1] for _ in range(m))
+    if degrees != [3]:
+        return {(1, 2): "C2", (1, 1, 1): "Id"}[tuple(degrees)]
+    return "C3" if sympy.sqrt(f.discriminant()).is_rational else "S3"
+
+
+class TestSexticOracle:
+    """sextic_generic against sympy's galois_group at seeded rational (s, t),
+    independent of the formulas the rows are built from.
+
+    A specialization is generic when each cubic has its row's Galois type,
+    the sextic is squarefree (off the multiple-root locus, where F2 has a
+    double root) and, in the rows S3,S3 and S3,C2, the quadratic subfields
+    Q(sqrt(D_a)) and Q(sqrt(D_b)) differ.  Only the others may be reducible
+    or have a smaller group: X^3 + sX + s has a rational root or a square
+    discriminant at some s, and X^3 - tX a rational root at a square t;
+    the two fields meet in Q(sqrt(D)) when D_a D_b is a square, and F2 then
+    has the pattern (3, 3) of QuadraticMeet and ContainsQuadratic, or
+    (1, 2, 3) when two S3 fields are equal."""
+
+    #: Specializations with D_a D_b a square, D = -s^2 (4s + 27) for
+    #: X^3 + sX + s and 4t^3 for X^3 - tX: equal fields, then QuadraticMeet,
+    #: and ContainsQuadratic.
+    MEETS = {"S3,S3": [(1, 1), (1, Fraction(97, 4))], "S3,C2": [(1, -31)]}
+
+    @pytest.mark.parametrize("row", list(_SEXTIC_GROUPS))
+    def test_galois_group_matches_sympy(self, row):
+        import sympy
+        from sympy.polys.numberfields.galoisgroups import galois_group
+
+        rng = random.Random(f"sextic/{row}")
+        params = [[Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 3))
+                   for _ in "st"] for _ in range(6)]
+        ga, gb = row.split(",")
+        generic, meets = 0, 0
+        for s, t in params + self.MEETS.get(row, []):
+            a, b = (_FAMILIES[g](u) for g, u in ((ga, s), (gb, t)))
+            f = _sympy_poly(sextic_generic(row, s, t).coeffs)
+            types = (_sympy_cubic_type(a), _sympy_cubic_type(b))
+            if types != (ga, gb) or not f.discriminant():
+                continue
+            degrees = sorted(g.degree() for g, m in f.factor_list()[1] for _ in range(m))
+            da, db = (_sympy_poly(CubicTriple(*c).poly().coeffs).discriminant()
+                      for c in (a, b))
+            if row in self.MEETS and sympy.sqrt(da * db).is_rational:
+                assert degrees in ([3, 3], [1, 2, 3]), (row, s, t)
+                meets += 1
+                continue
+            assert degrees == [6], (row, s, t)
+            group, _ = galois_group(f, by_name=True)
+            assert (group.name, group.get_perm_group().order()) == _SEXTIC_GROUPS[row]
+            generic += 1
+        assert generic >= 3 and meets == len(self.MEETS.get(row, []))
+
+
 # --------------------------------------------------------------------------
 # Characteristic 3.
 # --------------------------------------------------------------------------
