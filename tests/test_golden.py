@@ -12,9 +12,9 @@ and inputs with repeated factors; and
 pair on the multiple-root locus and two B_s = 0 pairs, one with G split
 over Q and one with G irreducible, and ``--index 0`` on two pairs whose
 second cubic has a triple root: one on the locus, one with A_a = A_b = 0;
-``invariants`` on the first cubics and a triple root; ``reduce`` to each
-normal form, with the A = 0 alternate and the errors; ``family`` of each
-kind, by one parameter and by height, and its usage and domain errors; a
+``invariants`` on the first cubics, a triple root and two triples with
+denominators; ``reduce`` to each normal form, with the A = 0 alternate
+and the errors; ``family`` of each kind, by one parameter and by height, and its usage and domain errors; a
 small ``scan``, and the usage errors of a negative ``--height`` and an
 empty ``scan`` range; ``classify`` on inputs it swaps, ``transform`` onto an
 inseparable image, ``decide-iso`` and ``classify`` on ``--monic-a`` and
@@ -188,11 +188,15 @@ CASES.append(["resolvent", "--a", "-4,-5,1", "--b", "3,3,1", "--index", "0"])
 # A_a = A_b = 0: the same triple root, named before the A = 0 closed form
 CASES.append(["resolvent", "--a", "3,3,4", "--b", "3,3,1", "--index", "0"])
 
-# the first cubics of PAIRS, and (X - 1)^3, whose D = 0 leaves the Galois
-# type undefined
+# the first cubics of PAIRS, (X - 1)^3, whose D = 0 leaves the Galois
+# type undefined, and two triples with denominators, whose C and E are read
+# off a scaled integer model: ell = 12, and three denominators of height
+# about 10^12 with ell about 2.9 10^13
 CASES += [
     ["invariants", "--a", a] + extra
-    for a in list(dict.fromkeys(a for a, _ in PAIRS)) + ["3,3,1"]
+    for a in list(dict.fromkeys(a for a, _ in PAIRS)) + [
+        "3,3,1", "1/2,-3/4,5/6",
+        "271828182845/999331,-314159265358/7919,141421356237/3617"]
     for extra in ([], ["--json"])
 ]
 
