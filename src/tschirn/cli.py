@@ -60,7 +60,8 @@ from .resolvent import (
     resolvent_F1,
     resolvent_F2,
     tschirn_image,
-    _invariant_formulas,
+    _checked_abd,
+    _invariants_ce,
 )
 
 _SEED_ENV = "TSCHIRN_SEED"
@@ -390,13 +391,13 @@ def _random_split_pair(rng):
 
 
 def _check_invariant_identity(rng) -> bool:
-    """A..E from the formulas on the Fractions of a triple against
-    cubic_invariants, which reads them off the integer model, and
-    4A^3 - B^2 = 27D on the Fractions."""
+    """A..E from the formulas on the Fractions of a triple, where
+    _checked_abd runs both invariant checks, against cubic_invariants,
+    which reads them off the integer model."""
     for _ in range(100):
         a = _random_triple(rng)
-        A, B, _, D, _ = inv = _invariant_formulas(*a.as_tuple())
-        if CubicInvariants(*inv) != cubic_invariants(a) or 4 * A**3 - B**2 != 27 * D:
+        (A, B, D), (C, E) = _checked_abd(*a.as_tuple()), _invariants_ce(*a.as_tuple())
+        if CubicInvariants(A, B, C, D, E) != cubic_invariants(a):
             return False
     return True
 

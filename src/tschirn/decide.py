@@ -192,10 +192,10 @@ class SubfieldReport:
 def galois_type(a: CubicTriple) -> GaloisType:
     """Galois group type of f3(a; X) over Q from its rational roots and the
     square class of the discriminant."""
-    H, _, inv = a._model
-    if not inv[3]:
+    H, _, _, _, D = a._model
+    if not D:
         raise MathDomainError("discriminant is 0: the cubic is inseparable")
-    return _galois_type(_cubic_integer_roots(H), inv[3])
+    return _galois_type(_cubic_integer_roots(H), D)
 
 
 def _galois_type(roots: list, D) -> GaloisType:
@@ -312,7 +312,7 @@ def _avoid_zero_A(a: CubicTriple):
     A = 9, returning (triple, hop witness); identity when A is already
     nonzero.  Valid only when B is not 0 or +-1, which holds for every
     separable irreducible input."""
-    if a._model[2][0]:
+    if a._model[2]:
         return a, None
     B = cubic_invariants(a).B
     if B in (0, 1, -1):
@@ -394,8 +394,8 @@ def _model_locus_root(an, bn):
     """On the multiple-root locus, _locus_root(an, bn) as the ints (n, d) of
     _recovery_at, else None, from the invariants of the integer models:
     degeneracy_indicator(an, bn) is (a^3 beta^2 - 27 alpha^3 delta) / (ell mu)^6."""
-    _, _, (a, _, _, delta, _) = an._model
-    _, _, (alpha, beta, _, _, _) = bn._model
+    _, _, a, _, delta = an._model
+    _, _, alpha, beta, _ = bn._model
     if a**3 * beta**2 != 27 * alpha**3 * delta:
         return None
     return 3 * alpha * alpha, a * beta
@@ -410,7 +410,7 @@ def _degenerate_f2_pattern(an, bn) -> tuple:
     so the pattern depends on bn alone.  The block has discriminant
     27^4 A_bn^6 D_bn / (A_an^6 B_bn^4) != 0, so it has 0, 1 or 3 rational
     roots and factors as (3), (1, 2) or (1, 1, 1)."""
-    _, _, (alpha, beta, _, _, _) = bn._model
+    _, _, alpha, beta, _ = bn._model
     block = [beta * beta - 2 * alpha**3, -3 * alpha * alpha, 0, 1]
     n = len(_cubic_integer_roots(block))
     return {0: (1, 1, 1, 3), 1: (1, 1, 1, 1, 2), 3: (1,) * 6}[n]
@@ -447,7 +447,7 @@ def _walk(a: CubicTriple, b: CubicTriple, classify: bool = False) -> _Decision:
     square classes too, for its pattern.  On the locus the recoverable root
     is the simple root -2r of the closed form, read without building its
     blocks; elsewhere F2 is squarefree and they are its linear factors."""
-    Da, Db = a._model[2][3], b._model[2][3]
+    Da, Db = a._model[4], b._model[4]
     if not Da:
         raise MathDomainError("D_a = 0: first cubic is inseparable")
     if not Db:

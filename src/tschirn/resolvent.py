@@ -35,13 +35,22 @@ from functools import cached_property
 from itertools import permutations
 
 from . import zpoly
-from .factorq import integer_model, is_square_rat
+from .factorq import is_square_rat
 from .fields import QQ, MathDomainError, field_of
 from .poly import RootTuple, UniPoly, charpoly, vandermonde_solve
 
 # --------------------------------------------------------------------------
 # Parameter triples and invariants.
 # --------------------------------------------------------------------------
+
+
+class _cached(cached_property):
+    """cached_property without the lock that its first read takes up to
+    Python 3.11: the value goes into the instance dict and shadows this."""
+
+    def __get__(self, obj, owner=None):
+        return self if obj is None else obj.__dict__.setdefault(
+            self.attrname, self.func(obj))
 
 
 @dataclass(frozen=True)
@@ -86,21 +95,26 @@ class CubicTriple:
     def as_tuple(self):
         return (self.a1, self.a2, self.a3)
 
-    @cached_property
+    @_cached
     def _invariants(self) -> "CubicInvariants":
         return _compute_invariants(self, self.field)
 
-    @cached_property
+    @_cached
     def _model(self) -> tuple:
-        """Over Q: (H, ell) = integer_model of f3(self), built from the
-        three coefficients, and the invariants (A, B, C, D, E) of H, all
-        ints, checked as in cubic_invariants."""
-        # t_i = ell^i a_i: the model of X^3 + a1 X^2 + a2 X + a3 = -f3(-X)
-        # has them for coefficients, and no Fraction is negated
-        (t3, t2, t1, _), ell = integer_model((self.a3, self.a2, self.a1, 1))
-        inv = _invariant_formulas(t1, t2, t3)
-        _check_invariants(inv, _bezout_discriminant(-t3, t2, -t1))
-        return [-t3, t2, -t1, 1], ell, inv
+        """Over Q: (H, ell, A, B, D) of _integer_model, built on the first
+        read; C and E are left to cubic_invariants, on demand."""
+        return _integer_model(self.a1, self.a2, self.a3)
+
+
+def _integer_model(a1, a2, a3) -> tuple:
+    """(H, ell, A, B, D), all ints, for f3(a) over Q: ell is the lcm of the
+    denominators, H = X^3 - t1 X^2 + t2 X - t3 with t_i = ell^i a_i, and
+    A, B, D those of (t1, t2, t3), checked (_checked_abd).  They are all
+    that decide reads; C and E come on demand (_compute_invariants)."""
+    ell = math.lcm(d1 := a1.denominator, d2 := a2.denominator, d3 := a3.denominator)
+    t1, t2, t3 = (a1.numerator * (ell // d1), a2.numerator * (ell * ell // d2),
+                  a3.numerator * (ell**3 // d3))
+    return [-t3, t2, -t1, 1], ell, *_checked_abd(t1, t2, t3)
 
 
 @dataclass(frozen=True)
@@ -114,30 +128,30 @@ class CubicInvariants:
 
 def cubic_invariants(s: CubicTriple) -> CubicInvariants:
     """A, B, C, D, E of the triple in its field, computed once per triple and
-    kept on it.  The computation checks the identity 4A^3 - B^2 = 27D and
-    cross-checks D against a resultant: the 3x3 Bezout determinant of the
-    monic cubic and its derivative (_bezout_discriminant), in every field.
-    Over Q both checks run on ints, once, as the triple builds its model
-    (``_model``: the monic integer model H = X^3 - t1 X^2 + t2 X - t3,
-    t_i = ell^i s_i, see ``factorq.integer_model``, and the invariants of
-    H), which these divide by powers of ell; decide reads D and its square
-    class off the model."""
+    kept on it.  A, B and D are checked in every field (_checked_abd):
+    4A^3 - B^2 = 27D, and D against the Bezout determinant of the cubic and
+    its derivative.  Over Q the checks run once, on ints, as the triple
+    builds its model (_integer_model); C and E come from it on demand."""
     return s._invariants
 
 
-def _invariant_formulas(s1, s2, s3) -> tuple:
-    """(A, B, C, D, E) of (s1, s2, s3), in any commutative ring."""
-    return (
-        s1**2 - 3 * s2,
-        2 * s1**3 - 9 * s1 * s2 + 27 * s3,
-        s1**4 - 4 * s1**2 * s2 + s2**2 + 6 * s1 * s3,
-        s1**2 * s2**2
-        - 4 * s2**3
-        - 4 * s1**3 * s3
-        + 18 * s1 * s2 * s3
-        - 27 * s3**2,
-        s1 * s2 - 9 * s3,
-    )
+def _checked_abd(s1, s2, s3) -> tuple:
+    """(A, B, D) of (s1, s2, s3), in any commutative ring, on the shared
+    products q = s1^2 and p = s1 s2, and both checks: D against
+    _bezout_discriminant, and 4A^3 - B^2 = 27D."""
+    q, p = s1 * s1, s1 * s2
+    A, B = q - 3 * s2, s1 * (q + q) - 9 * p + 27 * s3
+    D = p * p - 4 * s2 * s2 * s2 - s3 * (4 * q * s1 - 18 * p + 27 * s3)
+    if D != _bezout_discriminant(-s3, s2, -s1):
+        raise AssertionError("discriminant routes disagree")
+    if 4 * A**3 - B**2 != 27 * D:
+        raise AssertionError("4A^3 - B^2 = 27D violated")
+    return A, B, D
+
+
+def _invariants_ce(s1, s2, s3) -> tuple:
+    """(C, E) of (s1, s2, s3), in any commutative ring."""
+    return s1**4 - 4 * s1**2 * s2 + s2**2 + 6 * s1 * s3, s1 * s2 - 9 * s3
 
 
 def _bezout_discriminant(c0, c1, c2):
@@ -154,25 +168,17 @@ def _bezout_discriminant(c0, c1, c2):
             + c1 * (m * t - d * c1))
 
 
-def _check_invariants(inv: tuple, disc) -> None:
-    A, B, _, D, _ = inv
-    if D != disc:
-        raise AssertionError("discriminant routes disagree")
-    if 4 * A**3 - B**2 != 27 * D:
-        raise AssertionError("4A^3 - B^2 = 27D violated")
-
-
 def _compute_invariants(s: CubicTriple, field) -> CubicInvariants:
+    """A..E of s in field.  Over Q: A, B, D of the model and C, E of its t_i,
+    divided by ell^weight, the weights being 2, 3, 4, 6, 3."""
     if field is QQ:
-        # A, B, C, D, E are weighted homogeneous of weights 2, 3, 4, 6, 3,
-        # so on t_i = ell^i s_i they are ell^weight times those of s.
-        _, ell, inv = s._model
-        return CubicInvariants(*(Fraction(v, ell**w)
-                                 for v, w in zip(inv, (2, 3, 4, 6, 3))))
+        H, ell, A, B, D = s._model
+        C, E = _invariants_ce(-H[2], H[1], -H[0])
+        return CubicInvariants(*(Fraction(v, ell**w) for v, w in
+                                 zip((A, B, C, D, E), (2, 3, 4, 6, 3))))
     s1, s2, s3 = s.values(field)
-    inv = _invariant_formulas(s1, s2, s3)
-    _check_invariants(inv, _bezout_discriminant(-s3, s2, -s1))
-    return CubicInvariants(*inv)
+    (A, B, D), (C, E) = _checked_abd(s1, s2, s3), _invariants_ce(s1, s2, s3)
+    return CubicInvariants(A, B, C, D, E)
 
 
 def _common_field(s: CubicTriple, t: CubicTriple):
@@ -360,8 +366,8 @@ def _recovery_at(s: CubicTriple, t: CubicTriple, n, d) -> tuple:
     of s, t1, mu, alpha, beta of that of t, E = ell^5 mu^2 D12(c2) / d^2 and
     N = ell^4 mu^3 d^3 Q12(c2): m = 3 mu d E, k1 = 3 N = m u1 / ell, k2 = 3 n E
     and k0 = t1 d E - s1 N - (s1^2 - 2 s2) n E = m u0, divided by their gcd."""
-    Hs, ell, (a, b, _, delta, _) = s._model
-    Ht, mu, (alpha, beta, _, _, _) = t._model
+    Hs, ell, a, b, delta = s._model
+    Ht, mu, alpha, beta, _ = t._model
     E = 3 * b * (a * alpha * d * d - 3 * delta * n * n)
     if not E:
         raise MathDomainError("D_{1,2}(c2) = 0: c2 is a multiple resolvent "

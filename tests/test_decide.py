@@ -925,13 +925,25 @@ class TestComputedOnce:
     )
     def test_one_integer_model_per_triple(self, monkeypatch, pair, hops):
         # a, b and each A = 0 hop's target build their integer model once,
-        # and it serves the invariants, roots, recovery and verification
+        # and it serves the invariants, roots, recovery and verification;
+        # no other route builds a model of a cubic
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
-        calls = _counting(monkeypatch, [factorq_mod, resolvent_mod],
-                          "integer_model", lambda c: len(c) == 4)
+        calls = _counting(monkeypatch, [resolvent_mod], "_integer_model")
+        rebuilt = _counting(monkeypatch, [factorq_mod], "integer_model",
+                            lambda c: len(c) == 4)
         eq, w = decide_same_splitting(a, b)
         assert eq and verify_transformation(a, b, w)
-        assert len(calls) == 2 + hops
+        assert len(calls) == 2 + hops and not rebuilt
+
+    @pytest.mark.parametrize("coeffs", [(0, 0, 2), (Fraction(1, 2), Fraction(-3, 4),
+                                                    Fraction(5, 6))])
+    def test_a_triple_builds_its_model_on_first_read(self, monkeypatch, coeffs):
+        # constructing a triple builds no model; the first read builds it
+        # once and later reads find it on the triple
+        calls = _counting(monkeypatch, [resolvent_mod], "_integer_model")
+        t = CubicTriple(*coeffs)
+        assert not calls and "_model" not in vars(t)
+        assert t._model is t._model and len(calls) == 1
 
     @pytest.mark.parametrize(
         "pair",
@@ -1056,15 +1068,23 @@ def _sympy_poly(a: CubicTriple):
                        for c in coeffs], x)
 
 
+def _sympy_degrees(fa: sympy.Poly, fb: sympy.Poly) -> list:
+    """The degrees of the factors of f_b over Q(alpha), alpha a root of f_a,
+    sorted, from sympy's factorization over the algebraic field."""
+    field = sympy.QQ.algebraic_field(sympy.CRootOf(fa, 0))
+    return sorted(g.degree() for g, _ in
+                  sympy.Poly(fb.as_expr(), fb.gen, domain=field).factor_list()[1])
+
+
 def _sympy_same_field(a: CubicTriple, b: CubicTriple) -> bool:
     """For irreducible cubics, equal splitting fields exactly when Q(alpha)
-    and Q(beta) are isomorphic.  ``field_isomorphism(x, y)`` asks whether x
-    lies in Q(y) inside C, so one root of f_a is tried against every root of
-    f_b."""
-    fa, fb = _sympy_poly(a), _sympy_poly(b)
-    alpha = sympy.CRootOf(fa, 0)
-    return any(sympy.field_isomorphism(alpha, sympy.CRootOf(fb, j)) is not None
-               for j in range(3))
+    and Q(beta) are isomorphic, that is, when f_b has a root in Q(alpha),
+    alpha a root of f_a: such a root generates Q(alpha), whose Galois closure
+    is each splitting field; and if the splitting fields agree, the cubic
+    subfields Q(beta_j) are the conjugates Q(alpha_i), so one beta_j lies in
+    Q(alpha).  Read off the factor degrees, with no field_isomorphism call
+    per root of f_b."""
+    return 1 in _sympy_degrees(_sympy_poly(a), _sympy_poly(b))
 
 
 def _oracle_pairs():
@@ -1099,9 +1119,7 @@ def _sympy_relation(a: CubicTriple, b: CubicTriple) -> tuple:
     ga, gb = _sympy_type(fa), _sympy_type(fb)
     if _ORDER[ga] < _ORDER[gb]:
         fa, fb, ga, gb = fb, fa, gb, ga
-    field = sympy.QQ.algebraic_field(sympy.CRootOf(fa, 0))
-    degrees = sorted(g.degree() for g, _ in
-                     sympy.Poly(fb.as_expr(), fb.gen, domain=field).factor_list()[1])
+    degrees = _sympy_degrees(fa, fb)
     same_class = sympy.sqrt(sympy.discriminant(fa) * sympy.discriminant(fb)).is_rational
     if gb in ("Id", "C2"):
         assert degrees == ([1, 1, 1] if gb == "Id" else [1, 2])
