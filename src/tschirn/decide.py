@@ -20,16 +20,17 @@ D_a D_b a square.  The witness is recovered at the rational root of F2 of
 least height and verified once, and again only when composed with a hop.
 
 Everything here works over Q; the arithmetic is exact throughout.  Each
-triple keeps one monic integer model (H, ell) with the invariants of H,
-built from its three coefficients and checked once against a 3x3 Bezout
-discriminant (see cubic_invariants), and the branches run on its ints: the
-tests D != 0 and of the square class (D_H = ell^6 D), the root search of
-the reducibility test, the locus root, the recovery of the witness at a
-root of F2, the reducible witnesses, the composition and inversion of the
-A = 0 hops in Z[X]/(H), and the verification of every witness, which
-compares the image of a's model with b's model (_model_maps).  A witness
-the walk builds stays in model coordinates (k, m) until that check passes,
-and its Fractions are built once, for the value returned.
+triple keeps one monic integer model (H, ell) with the invariants A, B, D
+of H, built from its three coefficients on first use and checked once
+against a 3x3 Bezout discriminant (see cubic_invariants), and the branches
+run on its ints: the tests D != 0 and of the square class (D_H = ell^6 D),
+the root search of the reducibility test, the locus root, the recovery of
+the witness at a root of F2, the reducible witnesses, the composition and
+inversion of the A = 0 hops in Z[X]/(H), and the verification of every
+witness, which compares the image of a's model with b's model
+(_model_maps).  A witness the walk builds stays in model coordinates (k, m)
+until that check passes, and its Fractions are built once, for the value
+returned.
 Rational invariants are built only for an A = 0 hop and for F2 off the
 locus.  A transformation witness is a triple (c0, c1, c2) meaning
 u(X) = c0 + c1 X + c2 X^2, and it certifies g3(a, c; X) = f3(b; X), i.e. u

@@ -935,8 +935,8 @@ class TestComputedOnce:
         assert eq and verify_transformation(a, b, w)
         assert len(calls) == 2 + hops and not rebuilt
 
-    @pytest.mark.parametrize("coeffs", [(0, 0, 2), (Fraction(1, 2), Fraction(-3, 4),
-                                                    Fraction(5, 6))])
+    @pytest.mark.parametrize(
+        "coeffs", [(0, 0, 2), (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 6))])
     def test_a_triple_builds_its_model_on_first_read(self, monkeypatch, coeffs):
         # constructing a triple builds no model; the first read builds it
         # once and later reads find it on the triple
@@ -1082,8 +1082,7 @@ def _sympy_same_field(a: CubicTriple, b: CubicTriple) -> bool:
     alpha a root of f_a: such a root generates Q(alpha), whose Galois closure
     is each splitting field; and if the splitting fields agree, the cubic
     subfields Q(beta_j) are the conjugates Q(alpha_i), so one beta_j lies in
-    Q(alpha).  Read off the factor degrees, with no field_isomorphism call
-    per root of f_b."""
+    Q(alpha).  Read off the factor degrees (_sympy_degrees)."""
     return 1 in _sympy_degrees(_sympy_poly(a), _sympy_poly(b))
 
 
