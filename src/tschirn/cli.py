@@ -631,7 +631,9 @@ def _main_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; may be called repeatedly
-    in one process."""
+    in one process.  Integers of any length are read and printed."""
+    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+        sys.set_int_max_str_digits(0)
     parser = _main_parser()
     ns = parser.parse_args(argv)
     try:

@@ -38,16 +38,14 @@ maps the roots of f3(a) onto those of f3(b).
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .factorq import factor_over_Q, rational_roots, _cubic_integer_roots, _is_square
-from .fields import QQ, MathDomainError
+from .fields import QQ, MathDomainError, Record
 from .poly import UniPoly
 from .resolvent import (
     CubicTriple,
-    cubic_invariants,
     resolvent_F2,
     tschirn_image,
     _double_root_fiber,
@@ -113,8 +111,7 @@ TABLE_INSTANCES = {
 }
 
 
-@dataclass(frozen=True)
-class GaloisType:
+class GaloisType(Record):
     """Isomorphism type of the Galois group of a separable cubic over Q."""
 
     tag: str
@@ -131,8 +128,7 @@ class GaloisType:
         return self.tag
 
 
-@dataclass(frozen=True)
-class TschirnCoeffs:
+class TschirnCoeffs(Record):
     """Coefficients of u(X) = c0 + c1 X + c2 X^2 defining a transformation."""
 
     c0: Fraction
@@ -144,15 +140,11 @@ class TschirnCoeffs:
             for name in ("c0", "c1", "c2"):
                 object.__setattr__(self, name, QQ(getattr(self, name)))
 
-    def as_tuple(self) -> tuple:
-        return (self.c0, self.c1, self.c2)
-
     def __iter__(self):
         return iter(self.as_tuple())
 
 
-@dataclass(frozen=True)
-class SubfieldReport:
+class SubfieldReport(Record):
     """Outcome of the subfield classification for an ordered cubic pair."""
 
     g_a: GaloisType
@@ -167,22 +159,11 @@ class SubfieldReport:
     normalized_b: bool
 
     def to_dict(self) -> dict:
-        return {
-            "g_a": self.g_a.tag,
-            "g_b": self.g_b.tag,
-            "relation": self.relation,
-            "predicted_pattern": list(self.predicted_pattern)
-            if self.predicted_pattern is not None
-            else None,
-            "observed_pattern": list(self.observed_pattern),
-            "degenerate": self.degenerate,
-            "witness": [str(c) for c in self.witness.as_tuple()]
-            if self.witness is not None
-            else None,
-            "swapped": self.swapped,
-            "normalized_a": self.normalized_a,
-            "normalized_b": self.normalized_b,
-        }
+        p, w = self.predicted_pattern, self.witness
+        return dict(zip(self._fields, self.as_tuple()), g_a=self.g_a.tag,
+                    g_b=self.g_b.tag, predicted_pattern=None if p is None else list(p),
+                    observed_pattern=list(self.observed_pattern),
+                    witness=None if w is None else [str(c) for c in w])
 
 
 # --------------------------------------------------------------------------
@@ -315,7 +296,7 @@ def _avoid_zero_A(a: CubicTriple):
     separable irreducible input."""
     if a._model[2]:
         return a, None
-    B = cubic_invariants(a).B
+    B = Fraction(a._model[3], a._model[1] ** 3)
     if B in (0, 1, -1):
         raise MathDomainError(
             f"A = 0 normalization undefined for B = {B} (reducible or "

@@ -35,13 +35,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import combinations, count, islice
 
 from . import zpoly
-from .fields import QQ, PrimeField, field_of, is_prime
+from .fields import QQ, PrimeField, Record, field_of, is_prime
 from .poly import UniPoly, poly_gcd
 
 # The moduli of the cubic root sieve and of factor_over_Q's squarefree test.
@@ -52,8 +51,7 @@ _SIEVE_PRIMES = (5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(Record):
     """unit · Π factor^multiplicity = the input, factors monic irreducible,
     sorted by (degree, ascending-coefficient lexicographic order)."""
 

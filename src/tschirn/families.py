@@ -14,18 +14,16 @@ tests it, so every "has a root" answer is still exact."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 from .decide import TschirnCoeffs, _avoid_zero_A, galois_type, verify_transformation
 from .factorq import _cubic_integer_roots, is_square_rat
-from .fields import QQ, MathDomainError
+from .fields import QQ, MathDomainError, Record
 from .resolvent import CubicTriple, cubic_invariants, shanks_delta, shanks_triple
 
 
-@dataclass(frozen=True)
-class NormalForm:
+class NormalForm(Record):
     """A normal-form cubic together with a verified witness onto it.
 
     kind is one of "depressed" (X^3 + S2 X - S3), "one-param"
@@ -168,8 +166,7 @@ def _scan_row(args) -> list:
     return [(m, n) for n in range(m + 1, n_max + 1) if shanks_pair_equal(m, n)]
 
 
-@dataclass(frozen=True)
-class ScanResult:
+class ScanResult(Record):
     """Equal-splitting pairs found by an integer scan, with their
     transitive classes."""
 

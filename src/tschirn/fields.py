@@ -36,6 +36,42 @@ class MathDomainError(ValueError):
     """A mathematical precondition failed (names the violated expression)."""
 
 
+class Record:
+    """Frozen record: its fields are the annotations of its class and bases.
+    Records are equal, and hash alike, when of one class with equal fields."""
+
+    def __init_subclass__(cls):
+        cls._fields = names = getattr(cls, "_fields", ()) + tuple(cls.__annotations__)
+        # __init__(self, <fields>) sets each field, then runs __post_init__;
+        # generated once per class, it runs as fast as one written by hand
+        sets = "".join(f"set(self, {n!r}, {n}); " for n in names)
+        ns = {"set": object.__setattr__}
+        exec(f"def __init__(self, {', '.join(names)}): {sets}self.__post_init__()", ns)
+        cls.__init__ = ns["__init__"]
+
+    def __post_init__(self):
+        """A subclass's checks, run once the fields are set."""
+
+    def as_tuple(self) -> tuple:
+        return tuple(getattr(self, n) for n in self._fields)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self.as_tuple() == other.as_tuple() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self.as_tuple())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} is frozen: {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def rat_parse(text: str) -> Rat:
     """Parse ``p`` or ``p/q`` into a canonical rational.
 

@@ -10,10 +10,9 @@ form is always the right one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
-from .fields import MathDomainError, field_of
+from .fields import MathDomainError, Record, field_of
 
 
 class UniPoly:
@@ -237,8 +236,7 @@ class UniPoly:
 # --------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RootTuple:
+class RootTuple(Record):
     """Paired root vectors (x_1..x_n), (y_1..y_n) in one exact field.
 
     Both vectors must consist of pairwise distinct elements (both cubics

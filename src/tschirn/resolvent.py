@@ -29,14 +29,13 @@ of F2 where it degenerates, in every characteristic but 3.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import permutations
 
 from . import zpoly
 from .factorq import is_square_rat
-from .fields import QQ, MathDomainError, field_of
+from .fields import QQ, MathDomainError, Record, field_of
 from .poly import RootTuple, UniPoly, charpoly, vandermonde_solve
 
 # --------------------------------------------------------------------------
@@ -53,8 +52,7 @@ class _cached(cached_property):
             self.attrname, self.func(obj))
 
 
-@dataclass(frozen=True)
-class CubicTriple:
+class CubicTriple(Record):
     """(a1, a2, a3) encoding f3(a; X) = X^3 - a1 X^2 + a2 X - a3."""
 
     a1: object
@@ -92,9 +90,6 @@ class CubicTriple:
         e1, e2, e3 = elementary_symmetric(roots)
         return cls(e1, e2, e3)
 
-    def as_tuple(self):
-        return (self.a1, self.a2, self.a3)
-
     @_cached
     def _invariants(self) -> "CubicInvariants":
         return _compute_invariants(self, self.field)
@@ -117,8 +112,7 @@ def _integer_model(a1, a2, a3) -> tuple:
     return [-t3, t2, -t1, 1], ell, *_checked_abd(t1, t2, t3)
 
 
-@dataclass(frozen=True)
-class CubicInvariants:
+class CubicInvariants(Record):
     A: object
     B: object
     C: object

@@ -1,7 +1,6 @@
 """Command-line interface: subcommand behavior, JSON schema, exit codes,
 and output determinism."""
 
-import dataclasses
 import json
 import random
 import subprocess
@@ -15,7 +14,7 @@ from tschirn import cli
 from tschirn.decide import TABLE_INSTANCES, all_rational_transformations
 from tschirn.fields import PrimeField
 from tschirn.poly import RootTuple, UniPoly
-from tschirn.resolvent import CubicTriple, oracle_resolvent, resolvent_F2
+from tschirn.resolvent import CubicInvariants, CubicTriple, oracle_resolvent, resolvent_F2
 
 
 def run_cli(capsys, *argv):
@@ -426,7 +425,7 @@ class TestSelftest:
 
         def wrong_c(s, field):
             inv = compute(s, field)
-            return dataclasses.replace(inv, C=inv.C + 1)
+            return CubicInvariants(inv.A, inv.B, inv.C + 1, inv.D, inv.E)
 
         monkeypatch.setattr(resolvent_mod, "_compute_invariants", wrong_c)
         code, out, err = run_cli(capsys, "selftest")

@@ -978,6 +978,17 @@ class TestComputedOnce:
         decide_same_splitting(a, b)
         assert not built
 
+    def test_the_hop_reads_B_off_the_model(self, monkeypatch):
+        # X^3 - 2 against X^3 - 16: each A = 0 hop reads B off its input's
+        # integer model, so CubicInvariants are built only for the two hop
+        # targets (0, -3, B + 1/B)
+        a, b = CubicTriple(0, 0, 2), CubicTriple(0, 0, 16)
+        built = _counting(monkeypatch, [resolvent_mod], "_compute_invariants")
+        equal, w = decide_same_splitting(a, b)
+        assert equal and w.as_tuple() == (0, 2, 0)
+        assert [s.as_tuple() for s, _ in built] == [
+            (0, -3, Fraction(2917, 54)), (0, -3, Fraction(186625, 432))]
+
     def test_classify_builds_no_invariants_on_the_locus(self, monkeypatch):
         # the closed form's cubic block is read off the integer models
         a, b = CubicTriple(0, 3, -2), CubicTriple(3, -3, 3)

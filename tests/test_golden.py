@@ -18,7 +18,8 @@ and the errors; ``family`` of each kind, by one parameter and by height, and its
 small ``scan``, and the usage errors of a negative ``--height`` and an
 empty ``scan`` range; ``classify`` on inputs it swaps, ``transform`` onto an
 inseparable image, ``decide-iso`` and ``classify`` on ``--monic-a`` and
-``--monic-b`` inputs, ``factor`` on a constant and the fast ``selftest``.
+``--monic-b`` inputs, ``factor`` on a constant, the fast ``selftest``,
+and ``invariants`` and ``decide-iso`` on integers of 2,402 and 5,002 digits.
 Each run's exit code (that of ``SystemExit`` for a usage error), stdout
 and stderr (kept when not empty) are compared
 byte for byte with
@@ -277,6 +278,14 @@ CASES += [
 CASES += [
     ["family", "--kind", "s3", "--a", "-7", "--height", "-3"],
     ["scan", "--m-min", "3", "--m-max", "1", "--n-max", "10"],
+]
+
+# integers past Python's default limit of 4,300 digits on int/str
+# conversion: a D of 4,804 digits, and X^3 - 10^5001, which splits over
+# Q(sqrt(-3)) as X^3 + 1 does
+CASES += [
+    ["invariants", "--a", "0,-3,1" + "0" * 2400 + "7"],
+    ["decide-iso", "--a", "0,0,1" + "0" * 5001, "--b", "0,0,-1"],
 ]
 
 

@@ -1,9 +1,13 @@
 """The library's nine frozen records: construction, equality, hashing, repr,
 frozenness, the checks their constructors make, and pickling (``scan
---jobs`` sends records through a process pool)."""
+--jobs`` sends records through a process pool); and that importing the
+package loads neither ``dataclasses`` nor ``inspect``."""
 
 import pickle
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -201,3 +205,13 @@ def test_a_cached_model_leaves_equality_hash_and_repr_alone():
     assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
     back = pickle.loads(pickle.dumps(a))
     assert back == b and cubic_invariants(back) == cubic_invariants(b)
+
+
+def test_importing_the_cli_loads_no_dataclasses_or_inspect():
+    # python -S: no site module, which may import either of them itself
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import tschirn, tschirn.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, src],
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"
