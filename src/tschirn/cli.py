@@ -97,6 +97,15 @@ def _env_int(parser: argparse.ArgumentParser, name: str, default: int) -> int:
         parser.error(f"${name} must be an integer, got {text!r}")
 
 
+def _jobs(parser: argparse.ArgumentParser, ns) -> int:
+    """Worker processes: --jobs, else $TSCHIRN_JOBS, else 1."""
+    name, jobs = ("--jobs", ns.jobs) if ns.jobs is not None else (
+        f"${_JOBS_ENV}", _env_int(parser, _JOBS_ENV, 1))
+    if jobs < 1:
+        parser.error(f"{name} must be at least 1, got {jobs}")
+    return jobs
+
+
 def _rat_list(text: str) -> tuple:
     if not text.strip():
         raise argparse.ArgumentTypeError("empty coefficient list")
@@ -191,12 +200,8 @@ def _witness_list(coeffs):
 def _cmd_invariants(parser, ns) -> int:
     a = _resolve_triple(parser, ns, "a")
     inv = cubic_invariants(a)
-    diagnostics = []
-    gtype = None
-    if inv.D == 0:
-        diagnostics.append("D = 0: inseparable (repeated roots)")
-    else:
-        gtype = galois_type(a).tag
+    gtype = galois_type(a).tag if inv.D else None
+    diagnostics = [] if inv.D else ["D = 0: inseparable (repeated roots)"]
     result = {
         "A": str(inv.A), "B": str(inv.B), "C": str(inv.C),
         "D": str(inv.D), "E": str(inv.E), "galois_type": gtype,
@@ -208,8 +213,7 @@ def _cmd_invariants(parser, ns) -> int:
 
 
 def _cmd_resolvent(parser, ns) -> int:
-    a = _resolve_triple(parser, ns, "a")
-    b = _resolve_triple(parser, ns, "b")
+    a, b = (_resolve_triple(parser, ns, name) for name in "ab")
     # B_s = 0 gives F2 = G^2, whatever the indicator reads
     locus = not cubic_invariants(a).B or degeneracy_indicator(a, b) == 0
     builder = {0: resolvent_F0, 1: resolvent_F1, 2: resolvent_F2}[ns.index]
@@ -248,8 +252,7 @@ def _cmd_factor(parser, ns) -> int:
 
 
 def _cmd_decide_iso(parser, ns) -> int:
-    a = _resolve_triple(parser, ns, "a")
-    b = _resolve_triple(parser, ns, "b")
+    a, b = (_resolve_triple(parser, ns, name) for name in "ab")
     equal, witness = decide_same_splitting(a, b)
     result = {"equal": equal}
     # the text names a witness only when there is one
@@ -260,8 +263,7 @@ def _cmd_decide_iso(parser, ns) -> int:
 
 
 def _cmd_classify(parser, ns) -> int:
-    a = _resolve_triple(parser, ns, "a")
-    b = _resolve_triple(parser, ns, "b")
+    a, b = (_resolve_triple(parser, ns, name) for name in "ab")
     report = classify_subfield(a, b)
     result = report.to_dict()
     witness = result.pop("witness")
@@ -302,12 +304,9 @@ def _form_dict(nf) -> dict:
 
 def _cmd_reduce(parser, ns) -> int:
     a = _resolve_triple(parser, ns, "a")
-    if ns.to == "depressed":
-        forms = (reduce_depressed(a),)
-    elif ns.to == "one-param":
-        forms = (reduce_one_param(a),)
-    else:
-        forms = reduce_shanks(a)
+    forms = {"depressed": lambda: (reduce_depressed(a),),
+             "one-param": lambda: (reduce_one_param(a),),
+             "shanks": lambda: reduce_shanks(a)}[ns.to]()
     result = {"forms": [_form_dict(nf) for nf in forms]}
     _emit(ns, "reduce", {"a": _triple_str(a), "to": ns.to}, result,
           [line for form in result["forms"] for line in _plain_lines(form)])
@@ -356,12 +355,11 @@ def _cmd_family(parser, ns) -> int:
 def _cmd_scan(parser, ns) -> int:
     if ns.m_max < ns.m_min:
         parser.error(f"empty range: --m-max {ns.m_max} is below --m-min {ns.m_min}")
-    jobs = ns.jobs if ns.jobs is not None else _env_int(parser, _JOBS_ENV, 1)
-    res = scan_equal_splitting((ns.m_min, ns.m_max), ns.n_max, jobs=jobs)
+    res = scan_equal_splitting((ns.m_min, ns.m_max), ns.n_max,
+                               jobs=_jobs(parser, ns))
     lines = [f"pair = {m},{n}" for m, n in res.pairs]
     lines += [f"class = {','.join(str(x) for x in cls)}" for cls in res.classes]
-    lines.append(f"pairs = {len(res.pairs)}")
-    lines.append(f"classes = {len(res.classes)}")
+    lines += [f"pairs = {len(res.pairs)}", f"classes = {len(res.classes)}"]
     _emit(ns, "scan",
           {"m_min": ns.m_min, "m_max": ns.m_max, "n_max": ns.n_max},
           res.to_dict(), text_lines=lines)
@@ -503,7 +501,7 @@ def _check_scan(jobs: int) -> bool:
 def _cmd_selftest(parser, ns) -> int:
     seed = _env_int(parser, _SEED_ENV, 0)
     rng = random.Random(seed)
-    jobs = ns.jobs if ns.jobs is not None else _env_int(parser, _JOBS_ENV, 1)
+    jobs = _jobs(parser, ns)
     checks = [
         ("invariant-identity", lambda: _check_invariant_identity(rng)),
         ("oracle-vs-resolvents", lambda: _check_oracle(rng)),
@@ -631,16 +629,21 @@ def _main_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command and return its exit code; may be called repeatedly
-    in one process.  Integers of any length are read and printed."""
-    if hasattr(sys, "set_int_max_str_digits"):  # Python >= 3.10.7
+    in one process.  Integers of any length are read and printed, and the
+    caller's limit on int/str conversion is back in place on return."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:  # Python >= 3.10.7
         sys.set_int_max_str_digits(0)
     parser = _main_parser()
-    ns = parser.parse_args(argv)
     try:
+        ns = parser.parse_args(argv)
         return ns.handler(parser, ns)
     except MathDomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

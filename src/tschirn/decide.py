@@ -10,14 +10,15 @@ decide_same_splitting, classify_subfield and all_rational_transformations
 read one walk of the branches (_walk), which takes each test once, in this
 order: D_a D_b != 0; the integer roots of both models, where a reducible
 cubic is compared by its roots (classify instead orders the pair by Galois
-group); the square class of D_a D_b; the A = 0 hop of each irreducible
-cubic; then F2, read from its closed form on the multiple-root locus and
-factored by factor_over_Q elsewhere.  Two cubics in different square classes
-are unequal with no resolvent built: an S3 splitting field has exactly one
-quadratic subfield, Q(sqrt(D)), and a C3 one has none while its D is a
-square, so equal splitting fields force Q(sqrt(D_a)) = Q(sqrt(D_b)), i.e.
-D_a D_b a square.  The witness is recovered at the rational root of F2 of
-least height and verified once, and again only when composed with a hop.
+group); the square class of D_a D_b; the A = 0 hop of a, only when
+A_a = A_b = 0 (see _walk); then F2, read from its closed form on the
+multiple-root locus and factored by factor_over_Q elsewhere.  Two cubics
+in different square classes are unequal with no resolvent built: an S3
+splitting field has exactly one quadratic subfield, Q(sqrt(D)), and a C3
+one has none while its D is a square, so equal splitting fields force
+Q(sqrt(D_a)) = Q(sqrt(D_b)), i.e. D_a D_b a square.  The witness is
+recovered at the rational root of F2 of least height and verified once, and
+again only when composed with the hop.
 
 Everything here works over Q; the arithmetic is exact throughout.  Each
 triple keeps one monic integer model (H, ell) with the invariants A, B, D
@@ -25,12 +26,11 @@ of H, built from its three coefficients on first use and checked once
 against a 3x3 Bezout discriminant (see cubic_invariants), and the branches
 run on its ints: the tests D != 0 and of the square class (D_H = ell^6 D),
 the root search of the reducibility test, the locus root, the recovery of
-the witness at a root of F2, the reducible witnesses, the composition and
-inversion of the A = 0 hops in Z[X]/(H), and the verification of every
-witness, which compares the image of a's model with b's model
-(_model_maps).  A witness the walk builds stays in model coordinates (k, m)
-until that check passes, and its Fractions are built once, for the value
-returned.
+the witness at a root of F2, the reducible witnesses, the composition with
+the A = 0 hop in Z[X]/(H), and the verification of every witness, which
+compares the image of a's model with b's model (_model_maps).  A witness
+the walk builds stays in model coordinates (k, m) until that check passes,
+and its Fractions are built once, for the value returned.
 Rational invariants are built only for an A = 0 hop and for F2 off the
 locus.  A transformation witness is a triple (c0, c1, c2) meaning
 u(X) = c0 + c1 X + c2 X^2, and it certifies g3(a, c; X) = f3(b; X), i.e. u
@@ -145,7 +145,8 @@ class TschirnCoeffs(Record):
 
 
 class SubfieldReport(Record):
-    """Outcome of the subfield classification for an ordered cubic pair."""
+    """Outcome of the subfield classification for an ordered cubic pair.
+    normalized_a (_b): the cubic of g_a (g_b) is irreducible with A = 0."""
 
     g_a: GaloisType
     g_b: GaloisType
@@ -291,11 +292,8 @@ def _witness_key(w: TschirnCoeffs):
 
 def _avoid_zero_A(a: CubicTriple):
     """Replace a cubic with A = 0 by a transformation-equivalent triple with
-    A = 9, returning (triple, hop witness); identity when A is already
-    nonzero.  Valid only when B is not 0 or +-1, which holds for every
-    separable irreducible input."""
-    if a._model[2]:
-        return a, None
+    A = 9, returning (triple, hop witness).  Valid only when B is not 0 or
+    +-1, which holds for every separable irreducible input."""
     B = Fraction(a._model[3], a._model[1] ** 3)
     if B in (0, 1, -1):
         raise MathDomainError(
@@ -310,15 +308,12 @@ def _avoid_zero_A(a: CubicTriple):
     return target, hop
 
 
-def _stitch(a: CubicTriple, hop_a, core: TschirnCoeffs, b: CubicTriple, hop_b):
-    """Compose hop_a (a -> a'), core (a' -> b') and the inverse of hop_b
-    (b -> b') into a single witness from a to b.  The caller has verified
-    core on (a', b'), so with no hop it is returned as it is."""
-    if hop_a is None and hop_b is None:
+def _stitch(a: CubicTriple, hop, core: TschirnCoeffs, b: CubicTriple):
+    """The witness from a to b through hop (a -> a') and core (a' -> b),
+    verified again; with no hop, core, which the caller has verified."""
+    if hop is None:
         return core
-    w = core if hop_a is None else compose_transformations(a, hop_a, core)
-    if hop_b is not None:
-        w = compose_transformations(a, w, invert_transformation(b, hop_b))
+    w = compose_transformations(a, hop, core)
     if not verify_transformation(a, b, w):
         raise MathDomainError("composed witness failed verification")
     return w
@@ -401,19 +396,18 @@ def _degenerate_f2_pattern(an, bn) -> tuple:
 class _Decision(NamedTuple):
     """The facts of one _walk for a pair (a, b), in the walk's order, which
     classify may have swapped.  A fact past the branch where the walk
-    stopped keeps its default.  an, hop_a, bn, hop_b are _avoid_zero_A of
-    each irreducible cubic (a reducible b keeps its form); f2 is F2(an, bn)
-    factored, off the locus; c2_roots are the roots of F2 at which the
-    witness from a onto b is recovered, least height first, for irreducible
-    cubics in one square class, as the ints (n, d) of _recovery_at, like
-    the locus root; types are classify's (g_a, g_b)."""
+    stopped keeps its default.  an, hop_a are _avoid_zero_A(a) when
+    A_a = A_b = 0, else a and None, and bn is b; f2 is F2(an, bn) factored,
+    off the locus; c2_roots are the roots of F2 at which the witness from a
+    onto b is recovered, least height first, for irreducible cubics in one
+    square class, as the ints (n, d) of _recovery_at, like the locus root;
+    types are classify's (g_a, g_b)."""
 
     roots: tuple
     same_class: bool | None = None
     an: CubicTriple | None = None
     hop_a: TschirnCoeffs | None = None
     bn: CubicTriple | None = None
-    hop_b: TschirnCoeffs | None = None
     locus_root: tuple | None = None
     f2: object = None
     c2_roots: tuple = ()
@@ -428,7 +422,10 @@ def _walk(a: CubicTriple, b: CubicTriple, classify: bool = False) -> _Decision:
     after the root search, a must be irreducible, and F2 is built across
     square classes too, for its pattern.  On the locus the recoverable root
     is the simple root -2r of the closed form, read without building its
-    blocks; elsewhere F2 is squarefree and they are its linear factors."""
+    blocks; elsewhere F2 is squarefree and they are its linear factors.
+    Only a pair with A_a = A_b = 0 takes the hop, of a alone: its F2 is
+    X^3 (X^3 + B_b / D_a), with no simple root, and (an, b) has indicator
+    729 B_b^2 != 0.  With one A = 0 the indicator is not 0 either."""
     Da, Db = a._model[4], b._model[4]
     if not Da:
         raise MathDomainError("D_a = 0: first cubic is inseparable")
@@ -452,19 +449,18 @@ def _walk(a: CubicTriple, b: CubicTriple, classify: bool = False) -> _Decision:
     same_class = _is_square(Da * Db)
     if not (same_class or classify):
         return _Decision((ra, rb), False)
-    an, hop_a = _avoid_zero_A(a)
-    bn, hop_b = (b, None) if rb else _avoid_zero_A(b)
-    r = _model_locus_root(an, bn)
-    f2 = None if r is not None else factor_over_Q(resolvent_F2(an, bn))
+    an, hop_a = (a, None) if a._model[2] or b._model[2] else _avoid_zero_A(a)
+    r = _model_locus_root(an, b)
+    f2 = None if r is not None else factor_over_Q(resolvent_F2(an, b))
     c2_roots, witness = (), None
     if same_class and not rb:
         c2_roots = ((-2 * r[0], r[1]),) if r is not None else tuple(
-            _model_c2(an, bn, c) for c in sorted(
+            _model_c2(an, b, c) for c in sorted(
                 (-g.coeffs[0] for g, _ in f2 if g.degree == 1), key=_height_key))
         if c2_roots:
-            witness = _stitch(a, hop_a, _recover(an, bn, *c2_roots[0]), b, hop_b)
-    return _Decision((ra, rb), same_class, an, hop_a, bn, hop_b, r, f2,
-                     c2_roots, witness, types, swapped)
+            witness = _stitch(a, hop_a, _recover(an, b, *c2_roots[0]), b)
+    return _Decision((ra, rb), same_class, an, hop_a, b, r, f2, c2_roots,
+                     witness, types, swapped)
 
 
 def decide_same_splitting(a: CubicTriple, b: CubicTriple):
@@ -494,7 +490,7 @@ def all_rational_transformations(a: CubicTriple, b: CubicTriple) -> tuple:
             cand = (_trace_u0(d.an, d.bn, u1, r, QQ), u1, r)
             if verify_transformation(d.an, d.bn, cand):
                 found.append(TschirnCoeffs(*cand))
-    out = [_stitch(a, d.hop_a, w, b, d.hop_b) for w in found]
+    out = [_stitch(a, d.hop_a, w, b) for w in found]
     if d.witness is not None:  # recovered by the walk at the first root
         out.append(d.witness)
     return tuple(sorted(out, key=_witness_key))
@@ -524,6 +520,6 @@ def classify_subfield(a: CubicTriple, b: CubicTriple) -> SubfieldReport:
         degenerate=degenerate,
         witness=d.witness,
         swapped=d.swapped,
-        normalized_a=d.hop_a is not None,
-        normalized_b=d.hop_b is not None,
+        normalized_a=d.hop_a is not None or not d.an._model[2],
+        normalized_b=not (d.roots[1] or d.bn._model[2]),
     )

@@ -377,6 +377,31 @@ class TestScan:
                              "--n-max", "70")
         assert doc["result"]["pairs"] == [[0, 3], [0, 54], [1, 66]]
 
+    @pytest.mark.parametrize(
+        "argv, env, message",
+        [(["scan", "--jobs", "0"], None, "--jobs must be at least 1, got 0"),
+         (["scan", "--jobs", "-4"], "2", "--jobs must be at least 1, got -4"),
+         (["scan"], "0", "$TSCHIRN_JOBS must be at least 1, got 0"),
+         (["selftest", "--jobs", "0"], None, "--jobs must be at least 1, got 0"),
+         (["selftest", "--level", "full"], "-2",
+          "$TSCHIRN_JOBS must be at least 1, got -2")],
+        ids=["scan-zero", "scan-negative", "scan-env", "selftest", "selftest-env"],
+    )
+    def test_jobs_below_one_is_a_usage_error(self, capsys, monkeypatch,
+                                             argv, env, message):
+        if env is None:
+            monkeypatch.delenv("TSCHIRN_JOBS", raising=False)
+        else:
+            monkeypatch.setenv("TSCHIRN_JOBS", env)
+        if argv[0] == "scan":
+            argv = argv + ["--m-min", "0", "--m-max", "1", "--n-max", "10"]
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: tschirn: {message}\n"
+
 
 class TestSelftest:
     def test_fast_level_passes(self, capsys):
@@ -522,6 +547,51 @@ class TestPlumbing:
         )
         assert proc.returncode == 0
         assert "equal = true" in proc.stdout
+
+
+# 4,400 digits, past Python's default limit of 4,300 on int/str conversion
+_BIG = "1" + "0" * 4399
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="no limit on int/str conversion before Python 3.10.7")
+class TestIntStrLimit:
+    """main lifts the limit on int/str conversion for its own call only: an
+    in-process caller keeps its limit after a success, a math error and a
+    usage error."""
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        before = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+        yield
+        sys.set_int_max_str_digits(before)
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--a", f"0,0,{_BIG}", "--b", "0,-1,1"],
+        ["factor", "--coeffs", f"{_BIG},1"],
+        ["transform", "--a", f"0,0,{_BIG}", "--c", "1,1,0"],
+        ["resolvent", "--a", f"0,0,{_BIG}", "--b", "0,-1,1"],
+        ["reduce", "--a", f"0,0,{_BIG}", "--to", "depressed"],
+        ["family", "--kind", "s3", "--a", _BIG, "--u", "2"],
+        ["scan", "--m-min", _BIG, "--m-max", _BIG, "--n-max", _BIG[:-1] + "3",
+         "--json"],
+    ], ids=lambda argv: argv[0])
+    def test_a_success_restores_the_limit(self, capsys, argv):
+        assert cli.main(argv) == 0
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_a_math_error_restores_the_limit(self, capsys):
+        assert cli.main(["decide-iso", "--a", "0,0,0", "--b", f"0,0,{_BIG}"]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sys.get_int_max_str_digits() == 4300
+
+    def test_a_usage_error_restores_the_limit(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            cli.main(["scan", "--m-min", _BIG, "--m-max", "1", "--n-max", "10"])
+        assert info.value.code == 2
+        assert capsys.readouterr().err.startswith("error: tschirn: empty range")
+        assert sys.get_int_max_str_digits() == 4300
 
 
 def _triple_arg(values) -> str:

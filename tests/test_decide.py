@@ -775,7 +775,8 @@ class TestEntryPointsAgree:
             assert (report.relation == "Equal") == equal
             # an equal pair has one Galois type, so classify does not swap it
             assert report.witness == w
-            # classify hops each irreducible cubic with A = 0, in its order
+            # classify reports each cubic, in its order, as normalized when
+            # it is irreducible with A = 0
             first, second = (b, a) if report.swapped else (a, b)
             for t, hopped in ((first, report.normalized_a),
                               (second, report.normalized_b)):
@@ -920,11 +921,11 @@ class TestComputedOnce:
         [(TABLE_INSTANCES[("S3", "S3", "Equal")], 0),  # generic, equal
          (((0, 3, -2), (3, -3, 3)), 0),               # on the locus
          (((1, 3, 3), (0, 3, 0)), 0),                 # reducible, C2
-         (((0, 0, 2), (3, -3, 1)), 1),                # A_a = 0
-         (((0, 0, 2), (0, 0, 16)), 2)],               # A_a = A_b = 0
+         (((0, 0, 2), (3, -3, 1)), 0),                # A_a = 0: no hop
+         (((0, 0, 2), (0, 0, 16)), 1)],               # A_a = A_b = 0: a hops
     )
     def test_one_integer_model_per_triple(self, monkeypatch, pair, hops):
-        # a, b and each A = 0 hop's target build their integer model once,
+        # a, b and the A = 0 hop's target build their integer model once,
         # and it serves the invariants, roots, recovery and verification;
         # no other route builds a model of a cubic
         a, b = CubicTriple(*pair[0]), CubicTriple(*pair[1])
@@ -979,15 +980,15 @@ class TestComputedOnce:
         assert not built
 
     def test_the_hop_reads_B_off_the_model(self, monkeypatch):
-        # X^3 - 2 against X^3 - 16: each A = 0 hop reads B off its input's
-        # integer model, so CubicInvariants are built only for the two hop
-        # targets (0, -3, B + 1/B)
+        # X^3 - 2 against X^3 - 16: the A = 0 hop of a reads B off a's
+        # integer model, so CubicInvariants are built only for the pair
+        # whose F2 is factored: the hop target (0, -3, B + 1/B) and b
         a, b = CubicTriple(0, 0, 2), CubicTriple(0, 0, 16)
         built = _counting(monkeypatch, [resolvent_mod], "_compute_invariants")
         equal, w = decide_same_splitting(a, b)
         assert equal and w.as_tuple() == (0, 2, 0)
         assert [s.as_tuple() for s, _ in built] == [
-            (0, -3, Fraction(2917, 54)), (0, -3, Fraction(186625, 432))]
+            (0, -3, Fraction(2917, 54)), (0, 0, 16)]
 
     def test_classify_builds_no_invariants_on_the_locus(self, monkeypatch):
         # the closed form's cubic block is read off the integer models
@@ -1033,8 +1034,10 @@ class TestShortcutsAgainstFactoring:
             if is_square_rat(cubic_invariants(a).D * cubic_invariants(b).D) is None:
                 pairs.append((a, b))
         for a, b in pairs:
-            (an, _), (bn, _) = decide_mod._avoid_zero_A(a), decide_mod._avoid_zero_A(b)
-            f2 = factor_over_Q(resolvent_F2(an, bn))
+            # the walk's pair: a hops only when A_a = A_b = 0
+            hop = not (cubic_invariants(a).A or cubic_invariants(b).A)
+            an = decide_mod._avoid_zero_A(a)[0] if hop else a
+            f2 = factor_over_Q(resolvent_F2(an, b))
             assert all(g.degree > 1 for g, _ in f2), (a, b)
             assert not decide_same_splitting(a, b)[0]
 
@@ -1070,6 +1073,105 @@ class TestShortcutsAgainstFactoring:
                 assert report.degenerate and report.observed_pattern == expected
                 seen.add(galois_type(a).tag)
         assert seen == {"S3", "C3", (1, 1, 1, 1, 2), (1,) * 6}
+
+
+# X^3 - 2 against an S3 cubic that is on the multiple-root locus with the
+# A = 0 hop target (0, -3, 2917/54) of X^3 - 2, though the pair is not
+DEFECT_PAIR = ((0, 0, 2), (0, 3, Fraction(-2915, 54)))
+
+
+def random_pure(rng) -> CubicTriple:
+    """(X - t)^3 - m, m not a cube: an irreducible cubic with A = 0."""
+    t = Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    m = rng.choice((2, 3, 5, 6, 7, 10, 12, 20, -2, -3, -9, -18))
+    return CubicTriple(3 * t, 3 * t * t, t**3 + m)
+
+
+def _two_hop_witness(a: CubicTriple, b: CubicTriple) -> TschirnCoeffs:
+    """The witness through a hop on each cubic with A = 0: the hop of a,
+    then the witness between the hop targets (which have A = 9, so they
+    take no hop), then the inverse of b's hop, composed through the public
+    compose_transformations and invert_transformation."""
+
+    def hop(t):
+        return decide_mod._avoid_zero_A(t) if not cubic_invariants(t).A else (t, None)
+
+    (ta, hop_a), (tb, hop_b) = hop(a), hop(b)
+    equal, w = decide_same_splitting(ta, tb)
+    assert equal and all(cubic_invariants(t).A for t in (ta, tb))
+    if hop_a is not None:
+        w = compose_transformations(a, hop_a, w)
+    if hop_b is not None:
+        w = compose_transformations(a, w, invert_transformation(b, hop_b))
+    return w
+
+
+def _a0_equal_pairs(rng, zeros: int) -> list:
+    """Equal pairs with A = 0 on `zeros` of the two cubics, in both orders
+    for one: an image of a translated pure cubic under a random quadratic
+    map (A != 0 but for a few maps, which are skipped), or under an affine
+    map or s + k (X - t)^2, which keep A = 0."""
+    pairs = []
+    while len(pairs) < 8:
+        a = random_pure(rng)
+        t = a.a1 / 3
+        s, k = Fraction(rng.randint(-3, 3)), Fraction(rng.choice((-2, -1, 1, 2, 3)))
+        if zeros == 2:
+            c = (s, k, 0) if rng.random() < 0.5 else (s + k * t * t, -2 * k * t, k)
+        else:
+            c = tuple(Fraction(rng.randint(-4, 4)) for _ in range(3))
+        b = tschirn_image(a, c)
+        if cubic_invariants(b).D and bool(cubic_invariants(b).A) == (zeros == 1):
+            pairs.append((a, b) if len(pairs) % 2 else (b, a))
+    return pairs
+
+
+class TestOneHop:
+    """A pair takes the A = 0 hop only when both cubics have A = 0, and then
+    a alone hops.  An irreducible cubic with A = 0 is a translated pure
+    cubic, so S3, and an equal S3 pair has exactly one transformation: the
+    one-hop witness is the one built with a hop on each cubic with A = 0."""
+
+    @pytest.mark.parametrize("zeros, seed", [(1, 71), (2, 72)])
+    def test_witness_equals_the_two_hop_witness(self, zeros, seed):
+        for a, b in _a0_equal_pairs(random.Random(seed), zeros):
+            equal, w = decide_same_splitting(a, b)
+            assert equal and w == _two_hop_witness(a, b), (a, b)
+            assert all_rational_transformations(a, b) == (w,)
+
+    def test_one_a0_cubic_is_classified_off_its_own_f2(self):
+        rng = random.Random(73)
+        others = [random_irreducible(rng) for _ in range(6)]
+        others += [shanks_triple(m) for m in (-1, 0, 2)]
+        others += [CubicTriple.from_roots(rng.sample(range(-5, 6), 3)),
+                   CubicTriple(1, 3, 3)]  # split, and (X - 1)(X^2 + 3)
+        pairs = [tuple(CubicTriple(*t) for t in DEFECT_PAIR)]
+        pairs += [(random_pure(rng), b) for b in others if cubic_invariants(b).A]
+        pairs += [pair[::-1] for pair in pairs]
+        for a, b in pairs:
+            assert (not cubic_invariants(a).A) + (not cubic_invariants(b).A) == 1
+            report = classify_subfield(a, b)
+            first, second = (b, a) if report.swapped else (a, b)
+            f2 = factor_over_Q(resolvent_F2(first, second))
+            assert report.observed_pattern == f2.degree_pattern(), (a, b)
+            assert report.degenerate == (degeneracy_indicator(first, second) == 0)
+            assert not report.degenerate
+            assert report.predicted_pattern == report.observed_pattern
+        assert len(pairs) == 24
+
+    @pytest.mark.parametrize("pair", [DEFECT_PAIR, DEFECT_PAIR[::-1]],
+                             ids=["a0-first", "a0-second"])
+    def test_the_hop_target_is_on_the_locus_and_the_pair_is_not(self, pair):
+        # the pair is off the locus, though the A = 0 hop target of (0, 0, 2)
+        # is on it with (0, 3, -2915/54); with one A = 0 classify takes no hop
+        a, b = (CubicTriple(*t) for t in pair)
+        target = CubicTriple(0, -3, Fraction(2917, 54))
+        assert degeneracy_indicator(a, b) == -2125764
+        assert degeneracy_indicator(*((target, b) if a.a3 == 2 else (a, target))) == 0
+        report = classify_subfield(a, b)
+        assert (report.degenerate, report.relation) == (False, "Equal")
+        assert report.observed_pattern == (1, 2, 3) == report.predicted_pattern
+        assert verify_transformation(a, b, report.witness)
 
 
 def _sympy_poly(a: CubicTriple):
@@ -1149,6 +1251,7 @@ def _relation_oracle_pairs():
     rng = random.Random(43)
     pairs = [*TABLE_INSTANCES.values(), *LOCUS_PAIRS,
              ((0, 0, 2), (0, 0, 16)), ((0, 0, 2), (3, -3, 1)),  # A = 0
+             DEFECT_PAIR, DEFECT_PAIR[::-1],
              ((0, -3, 1), (-1, -2, 1))]  # C3 of conductors 9 and 7
     pairs += [pair[::-1] for pair in TABLE_INSTANCES.values()]  # classify swaps
     pairs = [tuple(CubicTriple(*t) for t in pair) for pair in pairs]

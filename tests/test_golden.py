@@ -19,7 +19,10 @@ small ``scan``, and the usage errors of a negative ``--height`` and an
 empty ``scan`` range; ``classify`` on inputs it swaps, ``transform`` onto an
 inseparable image, ``decide-iso`` and ``classify`` on ``--monic-a`` and
 ``--monic-b`` inputs, ``factor`` on a constant, the fast ``selftest``,
-and ``invariants`` and ``decide-iso`` on integers of 2,402 and 5,002 digits.
+``invariants`` and ``decide-iso`` on integers of 2,402 and 5,002 digits,
+``scan --jobs 0``, and ``classify`` in both orders on X^3 - 2 and a cubic
+on the multiple-root locus with the A = 0 hop target of X^3 - 2 but not
+with X^3 - 2.
 Each run's exit code (that of ``SystemExit`` for a usage error), stdout
 and stderr (kept when not empty) are compared
 byte for byte with
@@ -274,10 +277,12 @@ CASES += [
     )
 ]
 
-# usage errors (exit 2): a negative --height, an empty --m-min..--m-max range
+# usage errors (exit 2): a negative --height, an empty --m-min..--m-max
+# range, no worker process
 CASES += [
     ["family", "--kind", "s3", "--a", "-7", "--height", "-3"],
     ["scan", "--m-min", "3", "--m-max", "1", "--n-max", "10"],
+    ["scan", "--m-min", "0", "--m-max", "1", "--n-max", "10", "--jobs", "0"],
 ]
 
 # integers past Python's default limit of 4,300 digits on int/str
@@ -286,6 +291,15 @@ CASES += [
 CASES += [
     ["invariants", "--a", "0,-3,1" + "0" * 2400 + "7"],
     ["decide-iso", "--a", "0,0,1" + "0" * 5001, "--b", "0,0,-1"],
+]
+
+# X^3 - 2 against an S3 cubic that is on the multiple-root locus with the
+# A = 0 hop target (0, -3, 2917/54) of X^3 - 2, but not with X^3 - 2: with
+# one A = 0 there is no hop, and the pair is classified off the locus
+CASES += [
+    ["classify", "--a", a, "--b", b] + extra
+    for a, b in (("0,0,2", "0,3,-2915/54"), ("0,3,-2915/54", "0,0,2"))
+    for extra in ([], ["--json"])
 ]
 
 
@@ -309,7 +323,16 @@ def _expected():
     return {" ".join(run["argv"]): run for run in json.loads(DATA.read_text())}
 
 
-@pytest.mark.parametrize("argv", CASES, ids=" ".join)
+def _case_id(index: int, argv) -> str:
+    """The argv as one line, or, past 80 characters, its first 60 and the
+    case's index, so that an integer of thousands of digits makes no id of
+    thousands of characters."""
+    line = " ".join(argv)
+    return line if len(line) <= 80 else f"{line[:60]}...#{index}"
+
+
+@pytest.mark.parametrize("argv", CASES,
+                         ids=[_case_id(i, argv) for i, argv in enumerate(CASES)])
 def test_output_is_byte_identical(argv):
     assert _run(argv) == _expected()[" ".join(argv)]
 
