@@ -30,12 +30,11 @@ from functools import cache
 _NEGATIVE_VALUE = re.compile(r"^-\d+(/\d+)?(,.*)?$")
 
 from .decide import (
-    FACTOR_PATTERNS,
-    TABLE_INSTANCES,
     all_rational_transformations,
     classify_subfield,
     decide_same_splitting,
     galois_type,
+    table_rows,
     verify_transformation,
 )
 from .factorq import factor_over_Q
@@ -475,19 +474,6 @@ def _check_perturbation_detected() -> bool:
     return honest == oracle and corrupted != oracle
 
 
-def _check_table_rows() -> bool:
-    for key, (a_vals, b_vals) in TABLE_INSTANCES.items():
-        report = classify_subfield(CubicTriple(*a_vals), CubicTriple(*b_vals))
-        if (report.g_a.tag, report.g_b.tag, report.relation) != key:
-            return False
-        pattern = FACTOR_PATTERNS[key]
-        if report.degenerate or report.predicted_pattern != pattern:
-            return False
-        if report.observed_pattern != pattern:
-            return False
-    return True
-
-
 _SCAN_PAIRS = ((-1, 5), (-1, 12), (-1, 1259), (0, 3), (0, 54), (1, 66),
                (2, 2389), (3, 54), (5, 12), (5, 1259), (12, 1259))
 _SCAN_CLASSES = ((-1, 5, 12, 1259), (0, 3, 54), (1, 66), (2, 2389))
@@ -511,7 +497,8 @@ def _cmd_selftest(parser, ns) -> int:
         ("harness-detects-perturbation", _check_perturbation_detected),
     ]
     if ns.level == "full":
-        checks.append(("subfield-table-rows", _check_table_rows))
+        checks.append(("subfield-table-rows",
+                       lambda: all(ok for *_, ok in table_rows())))
         checks.append(("finite-field-resolvents",
                        lambda: _check_finite_field_oracle(rng)))
         checks.append(("shanks-integer-scan", lambda: _check_scan(jobs)))

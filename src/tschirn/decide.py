@@ -95,7 +95,8 @@ def _relation(ga: str, gb: str, same_class: bool, equal: bool) -> str:
 
 
 #: One nondegenerate instance (a, b) per table row, keyed like
-#: FACTOR_PATTERNS; ``selftest`` and ``scripts/table_patterns.py`` run them.
+#: FACTOR_PATTERNS; ``selftest`` and ``scripts/table_patterns.py`` run them
+#: through table_rows.
 TABLE_INSTANCES = {
     ("S3", "S3", "TrivialMeet"): ((0, 3, -2), (0, -1, 1)),
     ("S3", "S3", "QuadraticMeet"): ((0, 0, 2), (0, 0, 3)),
@@ -109,6 +110,17 @@ TABLE_INSTANCES = {
     ("C3", "C2", "TrivialMeet"): ((0, -3, 1), (1, 3, 3)),
     ("C3", "Id", "ProperContains"): ((0, -3, 1), (6, 11, 6)),
 }
+
+
+def table_rows():
+    """Classify each TABLE_INSTANCES row: yields (key, (a, b), report, ok),
+    ok when the report is off the locus with the row's key, and predicts and
+    observes the row's pattern."""
+    for key, (a, b) in TABLE_INSTANCES.items():
+        r = classify_subfield(CubicTriple(*a), CubicTriple(*b))
+        ok = ((r.g_a.tag, r.g_b.tag, r.relation) == key and not r.degenerate
+              and r.predicted_pattern == r.observed_pattern == FACTOR_PATTERNS[key])
+        yield key, (a, b), r, ok
 
 
 class GaloisType(Record):

@@ -36,7 +36,7 @@ from itertools import permutations
 from . import zpoly
 from .factorq import is_square_rat
 from .fields import QQ, MathDomainError, Record, field_of
-from .poly import RootTuple, UniPoly, charpoly, vandermonde_solve
+from .poly import RootTuple, UniPoly, charpoly, elementary_symmetric, vandermonde_solve
 
 # --------------------------------------------------------------------------
 # Parameter triples and invariants.
@@ -85,8 +85,6 @@ class CubicTriple(Record):
 
     @classmethod
     def from_roots(cls, roots) -> "CubicTriple":
-        from .poly import elementary_symmetric
-
         e1, e2, e3 = elementary_symmetric(roots)
         return cls(e1, e2, e3)
 

@@ -36,7 +36,7 @@ from tschirn.decide import (
 )
 from tschirn.factorq import factor_over_Q, is_square_rat, rational_roots
 from tschirn.families import family_c3, family_s3
-from tschirn.fields import QQ, MathDomainError
+from tschirn.fields import QQ, MathDomainError, PrimeField, gf_build
 from tschirn.poly import UniPoly, linear_solve
 from tschirn.resolvent import (
     CubicTriple,
@@ -207,6 +207,22 @@ class TestVerifyTransformation:
                     if bump(vals[j]) != vals[j]:
                         vals[j] = bump(vals[j])
                         assert not verify_transformation(a, CubicTriple(*vals), c)
+
+    @pytest.mark.parametrize("K", [PrimeField(101), gf_build(5, 2, 3), gf_build(7, 3, 4)],
+                             ids=["F101", "GF25", "GF343"])
+    def test_finite_field_route_compares_the_image(self, K):
+        # off Q there is no integer model: b is compared with tschirn_image
+        rng = random.Random(53)
+        els = list(K.elements())
+        for _ in range(10):
+            a = CubicTriple(*rng.sample(els, 3))
+            c = tuple(rng.sample(els, 3))
+            b = tschirn_image(a, c)
+            bumped = (c[0], c[1], c[2] + K.one)
+            assert verify_transformation(a, b, c)
+            assert not verify_transformation(a, b, bumped)
+            for w in (c, bumped):
+                assert verify_transformation(a, b, w) == (tschirn_image(a, w) == b)
 
 
 class TestRecoverCoeffs:
@@ -682,6 +698,19 @@ class TestClassifySubfield:
             seen.add(key)
         assert len(seen) == len(FACTOR_PATTERNS) == 11
 
+    def test_table_rows_fail_a_report_on_the_locus(self, monkeypatch):
+        rows = list(decide_mod.table_rows())
+        assert [(key, pair) for key, pair, _, _ in rows] == list(TABLE_INSTANCES.items())
+        assert all(ok for *_, ok in rows)
+        classify = decide_mod.classify_subfield
+
+        def on_locus(a, b):
+            r = classify(a, b).as_tuple()
+            return SubfieldReport(*r[:5], True, *r[6:])
+
+        monkeypatch.setattr(decide_mod, "classify_subfield", on_locus)
+        assert not any(ok for *_, ok in decide_mod.table_rows())
+
     def test_degenerate_reports_observation_only(self):
         r = classify_subfield(*PAIR_DEGEN)
         assert r.degenerate and r.predicted_pattern is None
@@ -788,6 +817,14 @@ class TestEntryPointsAgree:
         else:
             ws = all_rational_transformations(a, b)
             assert bool(ws) == equal and (not equal or w in ws)
+
+    @pytest.mark.parametrize("entry", [decide_same_splitting, classify_subfield,
+                                       all_rational_transformations])
+    def test_inseparable_second_cubic_rejected(self, entry):
+        # b = (X - 2)^2 (X - 3), with an irreducible a
+        with pytest.raises(MathDomainError,
+                           match="^D_b = 0: second cubic is inseparable$"):
+            entry(CubicTriple(0, 3, -2), CubicTriple.from_roots((2, 2, 3)))
 
     def test_pairs_cover_every_branch(self):
         branches = set()

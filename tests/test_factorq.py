@@ -110,6 +110,12 @@ class TestFactorOverFp:
         for g, _ in fac.factors:
             assert g.lc == F.one
 
+    def test_nonzero_constant_has_no_factors(self):
+        F = PrimeField(7)
+        fac = factor_over_Fp(UniPoly(F, [3]))
+        assert fac == Factorization(F(3), ())
+        assert fac.degree_pattern() == () and fac.expand() == UniPoly(F, [3])
+
     def test_rejects_zero_and_wrong_field(self):
         F = PrimeField(5)
         with pytest.raises(ValueError):

@@ -36,6 +36,7 @@ To rewrite the data file after an intended output change:
 """
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -319,7 +320,9 @@ def _run(argv):
     return run
 
 
+@functools.cache
 def _expected():
+    """The data file by joined argv, parsed once for all the cases."""
     return {" ".join(run["argv"]): run for run in json.loads(DATA.read_text())}
 
 

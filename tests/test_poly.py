@@ -184,6 +184,16 @@ class TestResultant:
                   for y in range(4)]
         assert values == [-3, -8, -13, -12]
 
+    def test_constant_first_argument(self):
+        # Res(c, g) = c^deg g for a nonzero constant c and deg g >= 1
+        rng = random.Random(59)
+        for field, c in ((QQ, Fraction(-2, 3)), (PrimeField(101), 7),
+                         (gf_build(5, 2, 1), 3)):
+            for deg in range(1, 5):
+                g = UniPoly(field, [rng.randint(-9, 9) for _ in range(deg)] + [2])
+                f = UniPoly.constant(field, field(c))
+                assert poly_resultant(f, g) == f.lc ** deg
+
     def test_mixed_fields_rejected(self):
         with pytest.raises(TypeError):
             poly_resultant(qpoly(1, 1), UniPoly(PrimeField(5), [1, 1]))
